@@ -61,6 +61,14 @@ def _require_file(path, key: str) -> str:
     return path
 
 
+def _read_input(reader, path, key: str):
+    """reader(path) for a required input file; malformed content is a config error."""
+    try:
+        return reader(_require_file(path, key))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -185,7 +193,7 @@ def cmd_embed(args) -> int:
     if args.no_self_loops:
         cfg["self_loops"] = False
     t0 = time.perf_counter()
-    features = io.read_dense(_require_file(cfg["features"], "--features"))
+    features = _read_input(io.read_dense, cfg["features"], "--features")
     if cfg["hash_dim"]:
         features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
     try:
@@ -208,7 +216,7 @@ def cmd_embed(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not result.converged:
-        raise NumericalError("eigensolver did not converge within the sweep cap")
+        raise NumericalError("eigensolver failed on the d x d quadratic form")
 
     io.write_clsm(result.Y, os.path.join(out, "embeddings.clsm"))
     if cfg["write_csv"]:
@@ -252,8 +260,8 @@ def cmd_eval_classify(args) -> int:
     file_cfg = _load_config_file(args.config)
     out = _resolve_out(args, file_cfg, "eval-classify")
     cfg = _resolve(EVAL_CLASSIFY_DEFAULTS, file_cfg, args)
-    y = io.read_dense(_require_file(cfg["embeddings"], "--embeddings"))
-    labels = io.read_labels(_require_file(cfg["labels"], "--labels"))
+    y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
+    labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     if labels.shape[0] != y.shape[0]:
         raise ConfigError(f"--labels: {labels.shape[0]} labels for {y.shape[0]} embeddings")
     if cfg["n_splits"] < 1:
@@ -293,8 +301,8 @@ def cmd_eval_cluster(args) -> int:
     file_cfg = _load_config_file(args.config)
     out = _resolve_out(args, file_cfg, "eval-cluster")
     cfg = _resolve(EVAL_CLUSTER_DEFAULTS, file_cfg, args)
-    y = io.read_dense(_require_file(cfg["embeddings"], "--embeddings"))
-    labels = io.read_labels(_require_file(cfg["labels"], "--labels"))
+    y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
+    labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     if labels.shape[0] != y.shape[0]:
         raise ConfigError(f"--labels: {labels.shape[0]} labels for {y.shape[0]} embeddings")
     k = cfg["k"] or int(labels.max()) + 1
@@ -334,8 +342,8 @@ def cmd_diagnose(args) -> int:
     cfg = _resolve(DIAGNOSE_DEFAULTS, file_cfg, args)
     if args.no_normalize:
         cfg["normalize"] = False
-    y = io.read_dense(_require_file(cfg["embeddings"], "--embeddings"))
-    labels = io.read_labels(_require_file(cfg["labels"], "--labels"))
+    y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
+    labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     try:
         adjacency = load_edge_list(_require_file(cfg["edges"], "--edges"), n=y.shape[0])
         neg_cfg = NegSampleConfig(kappa=max(cfg["kappa"], 1), per_node=cfg["per_node"],
@@ -361,7 +369,7 @@ def cmd_diagnose(args) -> int:
     with open(os.path.join(out, "densities.csv"), "w", encoding="utf-8") as fh:
         fh.write("grid,density_pos,density_neg\n")
         for g, dp, dn in zip(grid, dens_pos, dens_neg):
-            fh.write(f"{g!r},{dp!r},{dn!r}\n")
+            fh.write(f"{float(g)!r},{float(dp)!r},{float(dn)!r}\n")
     resolved = {**cfg, "subcommand": "diagnose", "out": out}
     _echo_config(resolved, out)
     _write_json({"config": resolved, "js": js, "w1": w1,

@@ -127,27 +127,27 @@ def lipschitz_check(u, u_prime, v) -> LipschitzCheck:
 def homophily(adj: SparseSym, labels, weighted: bool = False) -> float:
     """Mean same-label neighbor fraction, self-loops excluded.
 
-    weighted=True instead sums W_ij over same-label pairs and divides by n,
-    for a degree-normalized W (the two coincide only under row
-    normalization).
+    The mean runs over the nodes with at least one neighbor other than
+    themselves; isolated nodes have no neighbor fraction and are skipped.
+    weighted=True instead sums W_ij over same-label pairs and divides by the
+    same node count, for a degree-normalized W (the two coincide only under
+    row normalization).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != adj.n:
         raise ValueError("labels length must match node count")
-    total = 0.0
-    for i in range(adj.n):
-        cols = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
-        vals = adj.data[adj.indptr[i]:adj.indptr[i + 1]]
-        mask = cols != i
-        cols, vals = cols[mask], vals[mask]
-        same = labels[cols] == labels[i]
-        if weighted:
-            total += float(np.sum(vals[same]))
-        else:
-            if cols.size == 0:
-                raise ValueError(f"node {i} is isolated; homophily undefined")
-            total += float(np.count_nonzero(same)) / cols.size
-    return total / adj.n
+    rows = np.repeat(np.arange(adj.n), np.diff(adj.indptr))
+    off = adj.indices != rows
+    rows, cols = rows[off], adj.indices[off]
+    same = labels[rows] == labels[cols]
+    degree = np.bincount(rows, minlength=adj.n)
+    has_neighbor = degree > 0
+    if not has_neighbor.any():
+        raise ValueError("no node has a neighbor other than itself; homophily undefined")
+    if weighted:
+        return float(np.sum(adj.data[off][same])) / int(np.count_nonzero(has_neighbor))
+    hits = np.bincount(rows, weights=same, minlength=adj.n)
+    return float(np.mean(hits[has_neighbor] / degree[has_neighbor]))
 
 
 def expected_negative_homophily(class_probs) -> float:

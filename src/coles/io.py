@@ -8,6 +8,7 @@ line ('#' comments allowed).
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -36,9 +37,12 @@ def read_clsm(path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}, not a CLSM file")
         if version != CLSM_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        # checked before reading: a forged header may declare more than memory holds
+        available = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if 8 * rows * cols > available:
+            raise ValueError(f"{path}: header declares {rows}x{cols} values, "
+                             f"payload holds {available} bytes (truncated payload)")
         payload = fh.read(8 * rows * cols)
-        if len(payload) != 8 * rows * cols:
-            raise ValueError(f"{path}: truncated payload")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return as_dense(data.reshape(rows, cols), path)
 

@@ -1,8 +1,11 @@
 """Deterministic keyed random streams (splitmix64 + xoshiro256**).
 
 All stochastic components of the library draw from these generators so that
-every artifact is bit-reproducible from a 64-bit seed, independent of
-platform, thread count or library version. Streams for independent tasks
+every random draw is bit-reproducible from a 64-bit seed, independent of
+platform, thread count or library version. Results that also pass through
+BLAS/LAPACK (embeddings, eigenvalues, the PSD margin) are byte-identical
+only for the same machine, BLAS build and BLAS thread count; across those
+they agree to rounding. Streams for independent tasks
 (negative graph k, k-means restart r, split s, ...) are keyed by mixing the
 task index into the seed with the 64-bit golden-ratio constant.
 """
@@ -10,6 +13,8 @@ task index into the seed with the 64-bit golden-ratio constant.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -22,6 +27,16 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return state, z ^ (z >> 31)
+
+
+def splitmix64_uniforms(state: int, count: int) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of the next count splitmix64
+    outputs after state; equal to count scalar splitmix64() steps."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN64) + np.uint64(state & MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0 ** -53
 
 
 def stream_key(seed: int, index: int) -> int:

@@ -1,9 +1,14 @@
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
+from coles import coles_solver
 from coles.cli import main
+from coles.graph_core import load_edge_list
 from coles.io import read_clsm, write_csv, write_labels
 from coles.rng import Xoshiro256StarStar
 
@@ -153,8 +158,12 @@ def test_diagnose_outputs(synth_dir, tmp_path):
     assert run("diagnose", "--embeddings", emb_out / "embeddings.clsm",
                "--edges", synth_dir / "edges.txt", "--labels", synth_dir / "labels.txt",
                "--out", out, "--seed", 7) == 0
-    header = (out / "densities.csv").read_text().splitlines()[0]
+    header, *rows = (out / "densities.csv").read_text().splitlines()
     assert header == "grid,density_pos,density_neg"
+    assert len(rows) == 512
+    for row in rows:
+        values = [float(tok) for tok in row.split(",")]
+        assert len(values) == 3 and all(math.isfinite(v) for v in values)
     diag = json.loads((out / "diagnostics.json").read_text())
     for key in ("js", "w1", "homophily_pos", "homophily_neg_expected"):
         assert key in diag
@@ -220,3 +229,47 @@ def test_synth_empty_graph_is_numerical_failure(tmp_path, capsys):
                "--p-in", "0.0000001", "--p-out", "0.0", "--seed", 1)
     assert code == 2
     assert "no edges" in capsys.readouterr().err
+
+
+def test_diagnose_accepts_isolated_nodes(tmp_path):
+    data, emb, diag = tmp_path / "data", tmp_path / "emb", tmp_path / "diag"
+    assert run("synth", "--out", data, "--per-block", 100, "--p-in", "0.02",
+               "--p-out", "0.001", "--seed", 7) == 0
+    degrees = load_edge_list(data / "edges.txt", n=300).degrees()
+    assert np.any(degrees == 0)  # the fixture does have isolated nodes
+    assert run("embed", "--edges", data / "edges.txt", "--features", data / "features.csv",
+               "--out", emb, "--dim", 4, "--kappa", 2, "--seed", 7) == 0
+    assert run("diagnose", "--embeddings", emb / "embeddings.clsm",
+               "--edges", data / "edges.txt", "--labels", data / "labels.txt",
+               "--out", diag, "--seed", 7) == 0
+    homophily = json.loads((diag / "diagnostics.json").read_text())["homophily_pos"]
+    assert 0.0 <= homophily <= 1.0
+
+
+@pytest.mark.parametrize("rows,cols", [(2**62, 8), (2**31, 2**31)])
+def test_oversized_clsm_header_is_config_error(tmp_path, capsys, rows, cols):
+    # the header declares far more values than the file holds; the reader
+    # must refuse before trying to read (and allocate) the declared payload
+    emb = tmp_path / "huge.clsm"
+    emb.write_bytes(struct.pack("<4sIQQ", b"CLSM", 1, rows, cols) + bytes(64))
+    write_labels([0, 1], tmp_path / "labels.txt")
+    code = run("eval-cluster", "--embeddings", emb, "--labels", tmp_path / "labels.txt",
+               "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--embeddings" in err and "truncated" in err
+    assert "Traceback" not in err
+
+
+def test_embed_eigensolver_failure_exits_2(synth_dir, tmp_path, monkeypatch, capsys):
+    def broken_eigh(*args, **kwargs):
+        raise LinAlgError("dsyevr failed")
+
+    monkeypatch.setattr(coles_solver, "eigh", broken_eigh)
+    out = tmp_path / "emb"
+    code = run(*embed_args(synth_dir, out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "eigensolver failed" in err
+    assert "Traceback" not in err
+    assert not (out / "embeddings.clsm").exists()

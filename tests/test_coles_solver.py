@@ -89,6 +89,13 @@ def test_sym_eig_zero_matrix():
     assert np.array_equal(eig.values, np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sym_eig_non_finite_is_not_converged(bad):
+    eig = sym_eig(np.array([[1.0, 0.0], [0.0, bad]]))
+    assert not eig.converged
+    assert np.all(np.isnan(eig.values))
+
+
 # -- quadratic form -------------------------------------------------------------
 
 def delta_fixture(n=6, seed=2):

@@ -8,7 +8,7 @@ from coles.diagnostics import (LOG2, expected_negative_homophily, homophily,
                                js_divergence, lipschitz_check, pair_scores,
                                parzen_density, separation, shared_grid,
                                silverman_bandwidth, wasserstein1)
-from coles.graph_core import SparseSym, normalized_adjacency
+from coles.graph_core import SparseSym, add_self_loops, normalized_adjacency
 from coles.rng import Xoshiro256StarStar
 from helpers import random_graph
 
@@ -205,10 +205,16 @@ def test_homophily_random_labels_concentrates():
     assert abs(homophily(adj, labels) - 1.0 / c) < 0.1
 
 
-def test_homophily_isolated_node_rejected():
+def test_homophily_skips_isolated_nodes():
+    # node 2 has no neighbor: both forms average over nodes 0 and 1 only
     adj = SparseSym.from_edges(3, [(0, 1)])
-    with pytest.raises(ValueError, match="isolated"):
-        homophily(adj, np.array([0, 0, 1]))
+    assert homophily(adj, np.array([0, 0, 1])) == 1.0
+    assert homophily(adj, np.array([0, 1, 1])) == 0.0
+    assert homophily(adj, np.array([0, 0, 1]), weighted=True) == 1.0
+    # a self-loop is not a neighbor; with no neighbor anywhere there is no mean
+    loops_only = add_self_loops(SparseSym.from_edges(3, []))
+    with pytest.raises(ValueError, match="no node has a neighbor"):
+        homophily(loops_only, np.array([0, 0, 1]))
 
 
 def test_homophily_weighted_form():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from coles import negative_sampling
 from coles.graph_core import SparseSym, add_self_loops, degree_normalize, laplacian
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
@@ -163,3 +165,13 @@ def test_psd_margin_matches_dense_eigensolve():
     oracle = float(np.min(np.linalg.eigvalsh(explicit)))
     assert margin.converged
     assert abs(margin.value - oracle) < 1e-6
+
+
+def test_psd_margin_arpack_failure_is_not_converged(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(negative_sampling, "eigsh", stalled)
+    margin = psd_margin(ring_laplacian(8), [], eta_prime=0.0)
+    assert not margin.converged
+    assert np.isnan(margin.value)

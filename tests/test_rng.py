@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coles.rng import GOLDEN64, MASK64, Xoshiro256StarStar, splitmix64, stream_key
+from coles.rng import (GOLDEN64, MASK64, Xoshiro256StarStar, splitmix64,
+                       splitmix64_uniforms, stream_key)
 
 # Vectors from the canonical C implementations (splitmix64 and xoshiro256**
 # public-domain reference code), states seeded identically.
@@ -91,3 +92,12 @@ def test_stream_key_mixes_index():
     assert len(keys) == 100
     assert stream_key(42, 0) == 42  # index 0 keeps the master seed
     assert stream_key(7, 3) == (7 ^ ((3 * GOLDEN64) & MASK64))
+
+
+@pytest.mark.parametrize("state", [0, 0xC0FFEE, MASK64 - 3])
+def test_splitmix64_uniforms_match_scalar_steps(state):
+    expected, s = [], state
+    for _ in range(257):
+        s, z = splitmix64(s)
+        expected.append((z >> 11) * 2.0 ** -53)
+    assert np.array_equal(splitmix64_uniforms(state, 257), expected)
