@@ -18,16 +18,15 @@ import time
 import numpy as np
 
 from . import io
-from .coles_solver import ColesConfig, hash_features, solve_projection
+from .coles_solver import ColesConfig, hash_features, solve_linear_coles
 from .diagnostics import (expected_negative_homophily, homophily, js_divergence,
                           pair_scores, parzen_density, shared_grid,
                           silverman_bandwidth, wasserstein1)
 from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_split, score
-from .graph_core import laplacian, load_edge_list, normalized_adjacency, save_edge_list
-from .negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
-                                sample_negative_graph)
+from .graph_core import load_edge_list, save_edge_list
+from .negative_sampling import NegSampleConfig, sample_negative_graph
 from .rng import stream_key
-from .spectral_filters import FilterConfig, apply_filter
+from .spectral_filters import FilterConfig
 from .synthetic import SbmSpec, generate_sbm
 
 log = logging.getLogger("coles")
@@ -165,25 +164,19 @@ EMBED_DEFAULTS = {
     "edges": None, "features": None, "seed": 0,
     "filter": "s2gc", "k_steps": 8, "alpha": 0.05, "dim": 16,
     "kappa": 10, "per_node": 5, "mode": "per-node-k", "p_prime": 0.05,
-    "eta_prime": 1.0, "beta": 0.0, "tau": 1.0,
-    "self_loops": True, "hash_dim": 0, "write_csv": False, "threads": 1,
+    "eta_prime": 1.0, "self_loops": True, "hash_dim": 0, "write_csv": False,
 }
 
 
 def _coles_config(cfg: dict, d: int) -> ColesConfig:
-    conf = ColesConfig(
+    return ColesConfig(
         d_prime=min(cfg["dim"], d),
         filter=FilterConfig(kind=cfg["filter"], k_steps=cfg["k_steps"], alpha=cfg["alpha"]),
         negatives=NegSampleConfig(kappa=cfg["kappa"], per_node=cfg["per_node"],
                                   mode=cfg["mode"], p_prime=cfg["p_prime"],
                                   eta_prime=cfg["eta_prime"], seed=cfg["seed"]),
-        beta=cfg["beta"], tau=cfg["tau"], self_loops=cfg["self_loops"],
+        self_loops=cfg["self_loops"],
     )
-    try:
-        conf.validate(d=d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return conf
 
 
 def cmd_embed(args) -> int:
@@ -194,29 +187,17 @@ def cmd_embed(args) -> int:
         cfg["self_loops"] = False
     t0 = time.perf_counter()
     features = _read_input(io.read_dense, cfg["features"], "--features")
-    if cfg["hash_dim"]:
-        features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
     try:
+        if cfg["hash_dim"]:
+            features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
         adjacency = load_edge_list(_require_file(cfg["edges"], "--edges"),
                                    n=features.shape[0])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    conf = _coles_config(cfg, features.shape[1])
-    try:
-        # same pipeline as solve_linear_coles, composed here so the sampled
-        # negatives can also feed the psd diagnostic
-        w_pos = normalized_adjacency(adjacency, self_loops=conf.self_loops)
-        negs = [sample_negative_graph(adjacency.n, conf.negatives, k)
-                for k in range(conf.negatives.kappa)]
-        delta_w = build_delta_w(w_pos, negs, conf.negatives.eta_prime)
-        fx = apply_filter(w_pos, features, conf.filter)
-        result = solve_projection(fx, delta_w, conf.d_prime)
-        margin = psd_margin(laplacian(w_pos), [laplacian(w) for w in negs],
-                            conf.negatives.eta_prime)
+        result = solve_linear_coles(features, adjacency, _coles_config(cfg, features.shape[1]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not result.converged:
         raise NumericalError("eigensolver failed on the d x d quadratic form")
+    margin = result.psd_margin
 
     io.write_clsm(result.Y, os.path.join(out, "embeddings.clsm"))
     if cfg["write_csv"]:
@@ -385,11 +366,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--seed", type=int, help="64-bit master seed")
-    p.add_argument("--threads", type=int, help="worker cap (outputs never depend on it)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError (exit 1), not SystemExit(2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coles",
         description="Contrastive Laplacian eigenmap embeddings: generate, embed, evaluate, diagnose.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -418,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("per-node-k", "erdos-renyi"))
     p.add_argument("--p-prime", dest="p_prime", type=float)
     p.add_argument("--eta-prime", dest="eta_prime", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
     p.add_argument("--no-self-loops", action="store_true",
                    help="skip the W+I renormalization convention")
     p.add_argument("--hash-dim", dest="hash_dim", type=int,

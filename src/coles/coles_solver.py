@@ -16,9 +16,10 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import eigh
 
-from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
-from .negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
-from .rng import GOLDEN64, MASK64, splitmix64
+from .graph_core import SparseSym, as_dense, laplacian, normalized_adjacency, spmm
+from .negative_sampling import (NegSampleConfig, PsdMargin, build_delta_w, psd_margin,
+                                sample_negative_graph)
+from .rng import splitmix64, stream_key
 from .spectral_filters import FilterConfig, apply_filter
 
 
@@ -27,8 +28,6 @@ class ColesConfig:
     d_prime: int = 16
     filter: FilterConfig = field(default_factory=FilterConfig)
     negatives: NegSampleConfig = field(default_factory=NegSampleConfig)
-    beta: float = 0.0
-    tau: float = 1.0
     self_loops: bool = True
 
     def validate(self, d: int | None = None) -> None:
@@ -36,10 +35,6 @@ class ColesConfig:
             raise ValueError("d_prime must be >= 1")
         if d is not None and self.d_prime > d:
             raise ValueError(f"d_prime={self.d_prime} exceeds feature dimension {d}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
         self.filter.validate()
         self.negatives.validate()
 
@@ -52,6 +47,7 @@ class EmbeddingResult:
     objective: float
     converged: bool = True
     rank_warning: bool = False  # fewer than d' positive eigenvalues
+    psd_margin: PsdMargin | None = None  # set by solve_linear_coles only
 
 
 class EigResult(NamedTuple):
@@ -141,7 +137,9 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
     """Full pipeline: normalize, sample negatives, filter, project.
 
     `adjacency` is the raw binary graph (no self-loops); `x` the n x d node
-    features. Deterministic given (x, adjacency, cfg).
+    features. The result also carries the PSD margin of the Laplacian
+    combination built from the same negatives. Deterministic given
+    (x, adjacency, cfg).
     """
     x = as_dense(x, "x")
     cfg.validate(d=x.shape[1])
@@ -152,7 +150,10 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
             for k in range(cfg.negatives.kappa)]
     delta_w = build_delta_w(w_pos, negs, cfg.negatives.eta_prime)
     fx = apply_filter(w_pos, x, cfg.filter)
-    return solve_projection(fx, delta_w, cfg.d_prime)
+    result = solve_projection(fx, delta_w, cfg.d_prime)
+    result.psd_margin = psd_margin(laplacian(w_pos), [laplacian(w) for w in negs],
+                                   cfg.negatives.eta_prime)
+    return result
 
 
 def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:
@@ -167,8 +168,7 @@ def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n_buckets must be >= 1")
     out = np.zeros((x.shape[0], n_buckets))
     for j in range(x.shape[1]):
-        state = (seed ^ ((j * GOLDEN64) & MASK64)) & MASK64
-        state, h1 = splitmix64(state)
+        state, h1 = splitmix64(stream_key(seed, j))
         _, h2 = splitmix64(state)
         bucket = (h1 * n_buckets) >> 64
         sign = 1.0 if (h2 & 1) == 0 else -1.0

@@ -55,10 +55,11 @@ class SparseSym:
             raise ValueError("column index out of range")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("non-finite weight")
-        for i in range(self.n):
-            cols = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if cols.size > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {i}: unsorted or duplicate column indices")
+        # row of each stored entry; searchsorted stays defined on a malformed indptr
+        rows = np.searchsorted(self.indptr, np.arange(self.indices.size), side="right") - 1
+        bad = np.flatnonzero((np.diff(self.indices) <= 0) & (rows[1:] == rows[:-1]))
+        if bad.size:
+            raise ValueError(f"row {rows[bad[0]]}: unsorted or duplicate column indices")
         # bit-exact symmetry: the CSR of the transpose must match entrywise
         t = self._scipy().T.tocsr()
         t.sort_indices()
@@ -87,16 +88,14 @@ class SparseSym:
         Pairs are deduplicated; (u, v) and (v, u) count once. Self pairs
         are rejected.
         """
-        uniq = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {u}) not allowed here")
-            uniq.add((min(u, v), max(u, v)))
-        rows = np.empty(2 * len(uniq), dtype=np.int64)
-        cols = np.empty(2 * len(uniq), dtype=np.int64)
-        for t, (u, v) in enumerate(sorted(uniq)):
-            rows[2 * t], cols[2 * t] = u, v
-            rows[2 * t + 1], cols[2 * t + 1] = v, u
+        pairs = np.array([(u, v) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            u = int(pairs[loops[0], 0])
+            raise ValueError(f"self-loop ({u}, {u}) not allowed here")
+        uniq = np.unique(np.sort(pairs, axis=1), axis=0)
+        rows = np.concatenate([uniq[:, 0], uniq[:, 1]])
+        cols = np.concatenate([uniq[:, 1], uniq[:, 0]])
         vals = np.full(rows.shape, float(weight))
         m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return cls.from_scipy(m)
@@ -124,29 +123,24 @@ class SparseSym:
     def toarray(self) -> np.ndarray:
         return self._scipy().toarray()
 
+    def _row_ids(self) -> np.ndarray:
+        """The row index of each stored entry, in storage order."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
     def degrees(self) -> np.ndarray:
         """Row sums (weighted degrees, diagonal included)."""
         out = np.zeros(self.n)
-        row_ids = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        np.add.at(out, row_ids, self.data)
+        np.add.at(out, self._row_ids(), self.data)
         return out
 
     def has_diagonal(self) -> bool:
-        for i in range(self.n):
-            cols = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            pos = np.searchsorted(cols, i)
-            if pos < cols.size and cols[pos] == i:
-                return True
-        return False
+        return bool(np.any(self.indices == self._row_ids()))
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Upper-triangle (u < v) entry positions in sorted order."""
-        out = []
-        for i in range(self.n):
-            for j in self.indices[self.indptr[i]:self.indptr[i + 1]]:
-                if i < j:
-                    out.append((i, int(j)))
-        return out
+        rows = self._row_ids()
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
     def equals(self, other: "SparseSym") -> bool:
         """Bit-identical structural and numerical equality."""
@@ -244,8 +238,7 @@ def degree_normalize(adj: SparseSym) -> SparseSym:
         bad = int(np.argmin(deg))
         raise ValueError(f"node {bad} has zero degree; enable self-loops or connect it")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    row_ids = np.repeat(np.arange(adj.n), np.diff(adj.indptr))
-    data = adj.data * inv_sqrt[row_ids] * inv_sqrt[adj.indices]
+    data = adj.data * inv_sqrt[adj._row_ids()] * inv_sqrt[adj.indices]
     return SparseSym(adj.n, adj.indptr.copy(), adj.indices.copy(), data)
 
 

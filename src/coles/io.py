@@ -2,8 +2,8 @@
 
 CLSM binary layout: magic b"CLSM", u32 version (=1), u64 rows, u64 cols,
 then rows*cols little-endian float64 values in row-major order.
-CSV is comma-separated with no header. Labels files hold one integer per
-line ('#' comments allowed).
+CSV is comma-separated with no header. Labels files hold one non-negative
+integer per line ('#' comments allowed).
 """
 
 from __future__ import annotations
@@ -99,9 +99,12 @@ def read_labels(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                out.append(int(line))
+                label = int(line)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer label {line!r}") from None
+            if label < 0:
+                raise ValueError(f"{path}:{lineno}: negative label {label}")
+            out.append(label)
     if not out:
         raise ValueError(f"{path}: empty labels file")
     return np.array(out, dtype=np.int64)

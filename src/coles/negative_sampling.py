@@ -6,7 +6,7 @@ graphs from the degree-normalized data graph:
     delta_w = W_pos - (eta'/kappa) * sum_k W_neg_k
 
 Each negative graph k draws from its own xoshiro256** stream keyed by
-(seed XOR k * golden64), so graphs are independent and individually
+rng.stream_key(seed, k), so graphs are independent and individually
 reproducible regardless of sampling order.
 """
 
@@ -18,7 +18,7 @@ from typing import NamedTuple
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graph_core import SparseSym, add_self_loops, degree_normalize
-from .rng import GOLDEN64, MASK64, Xoshiro256StarStar, splitmix64_uniforms
+from .rng import Xoshiro256StarStar, splitmix64_uniforms
 
 MODES = ("per-node-k", "erdos-renyi")
 
@@ -48,11 +48,6 @@ class NegSampleConfig:
             raise ValueError("eta_prime must lie in [0, 1]")
 
 
-def negative_stream(seed: int, k: int) -> Xoshiro256StarStar:
-    """The PRNG stream for negative graph k under a master seed."""
-    return Xoshiro256StarStar((seed ^ ((k * GOLDEN64) & MASK64)) & MASK64)
-
-
 def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     if cfg.mode == "per-node-k":
@@ -78,7 +73,7 @@ def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
     if k < 0 or (cfg.kappa and k >= cfg.kappa):
         raise ValueError(f"graph index {k} out of range for kappa={cfg.kappa}")
     cfg.validate(n)
-    rng = negative_stream(cfg.seed, k)
+    rng = Xoshiro256StarStar.keyed(cfg.seed, k)
     edges = _raw_edges(n, cfg, rng)
     if not edges and cfg.mode == "erdos-renyi":
         edges = _raw_edges(n, cfg, rng)  # one resample for degenerate draws

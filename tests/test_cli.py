@@ -8,8 +8,11 @@ from numpy.linalg import LinAlgError
 
 from coles import coles_solver
 from coles.cli import main
+from coles.coles_solver import ColesConfig, solve_linear_coles
 from coles.graph_core import load_edge_list
-from coles.io import read_clsm, write_csv, write_labels
+from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
+from coles.negative_sampling import NegSampleConfig
+from coles.spectral_filters import FilterConfig
 from coles.rng import Xoshiro256StarStar
 
 
@@ -211,11 +214,56 @@ def test_embed_identity_filter_and_er_mode(synth_dir, tmp_path):
     assert meta["config"]["mode"] == "erdos-renyi"
 
 
-def test_threads_flag_accepted_without_effect(synth_dir, tmp_path):
-    out1, out2 = tmp_path / "t1", tmp_path / "t4"
-    assert run(*embed_args(synth_dir, out1), "--threads", 1) == 0
-    assert run(*embed_args(synth_dir, out2), "--threads", 4) == 0
-    assert (out1 / "embeddings.clsm").read_bytes() == (out2 / "embeddings.clsm").read_bytes()
+@pytest.mark.parametrize("extra,named", [
+    (("--threads", 4), "--threads"), (("--dim", "abc"), "--dim"),
+    (("--filter", "gcn"), "--filter"), (("--hash-dim", -1), "n_buckets"),
+], ids=["unknown-flag", "bad-value", "bad-choice", "negative-hash-dim"])
+def test_embed_bad_command_line_exits_1(synth_dir, tmp_path, capsys, extra, named):
+    out = tmp_path / "o"
+    assert run(*embed_args(synth_dir, out), *extra) == 1
+    err = capsys.readouterr().err
+    assert "coles: config error" in err and named in err
+    assert "Traceback" not in err
+    assert not (out / "embeddings.clsm").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--help"])
+    assert exc.value.code == 0
+    assert "--eta-prime" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["per-node-k", "erdos-renyi"])
+def test_embed_matches_library(synth_dir, tmp_path, mode):
+    out = tmp_path / "emb"
+    assert run(*embed_args(synth_dir, out), "--mode", mode, "--p-prime", "0.2") == 0
+    cfg = ColesConfig(d_prime=3, filter=FilterConfig(kind="s2gc", k_steps=2),
+                      negatives=NegSampleConfig(kappa=2, per_node=2, mode=mode,
+                                                p_prime=0.2, seed=1))
+    x = read_dense(synth_dir / "features.csv")
+    res = solve_linear_coles(x, load_edge_list(synth_dir / "edges.txt", n=x.shape[0]), cfg)
+    write_clsm(res.Y, tmp_path / "library.clsm")
+    assert (out / "embeddings.clsm").read_bytes() == (tmp_path / "library.clsm").read_bytes()
+    meta = json.loads((out / "embedding_meta.json").read_text())
+    assert meta["eigenvalues"] == res.eigenvalues.tolist()
+    assert meta["psd_margin"] == {"value": res.psd_margin.value,
+                                  "converged": res.psd_margin.converged}
+
+
+@pytest.mark.parametrize("subcommand", ["diagnose", "eval-cluster", "eval-classify"])
+def test_negative_label_is_config_error(separable_embedding, tmp_path, capsys, subcommand):
+    emb, lab = separable_embedding
+    lab.write_text("-1\n" + lab.read_text().split("\n", 1)[1])
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n")
+    extra = ["--edges", edges] if subcommand == "diagnose" else []
+    code = run(subcommand, "--embeddings", emb, "--labels", lab, "--out", tmp_path / "o",
+               *extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{lab}:1: negative label -1" in err
+    assert "Traceback" not in err
 
 
 def test_bad_log_level_rejected(tmp_path, monkeypatch, capsys):

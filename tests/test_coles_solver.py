@@ -6,8 +6,9 @@ from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objecti
                                 general_objective, hash_features,
                                 orthogonality_penalty, solve_linear_coles,
                                 solve_projection, sym_eig)
-from coles.graph_core import SparseSym, normalized_adjacency
-from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
+from coles.graph_core import SparseSym, laplacian, normalized_adjacency
+from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
+                                     sample_negative_graph)
 from coles.rng import Xoshiro256StarStar
 from coles.spectral_filters import FilterConfig
 from helpers import rand_x, random_graph
@@ -208,6 +209,9 @@ def test_solver_objective_self_consistency():
     delta = build_delta_w(w, negs, cfg.negatives.eta_prime)
     assert abs(res.objective - coles_objective(res.Y, delta)) < 1e-8
     assert abs(res.objective - float(res.eigenvalues.sum())) < 1e-12
+    # the margin comes from the same negatives the embedding used
+    assert res.psd_margin == psd_margin(laplacian(w), [laplacian(g) for g in negs],
+                                        cfg.negatives.eta_prime)
 
 
 def test_solver_rows_orthonormal_and_values_sorted():
@@ -249,6 +253,7 @@ def test_solver_rank_warning():
     delta = SparseSym.from_scipy(sp.csr_matrix(m))
     res = solve_projection(np.eye(3), delta, d_prime=2)
     assert res.rank_warning
+    assert res.psd_margin is None  # no negatives sampled here
 
 
 def test_solver_rejects_overlarge_dim():

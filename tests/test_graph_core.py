@@ -39,6 +39,47 @@ def test_self_pair_rejected_in_from_edges():
         SparseSym.from_edges(2, [(1, 1)])
 
 
+def test_unsorted_or_duplicate_row_rejected():
+    # rows: [1], [2, 0], [1] -- row 1 is out of order
+    with pytest.raises(ValueError, match="row 1: unsorted or duplicate"):
+        SparseSym(3, [0, 1, 3, 4], [1, 2, 0, 1], np.ones(4))
+    # rows: [1], [0, 2], [1, 1] -- row 2 repeats a column
+    with pytest.raises(ValueError, match="row 2: unsorted or duplicate"):
+        SparseSym(3, [0, 1, 3, 5], [1, 0, 2, 1, 1], np.ones(5))
+
+
+def _loop_has_diagonal(s):
+    return any(i in s.indices[s.indptr[i]:s.indptr[i + 1]] for i in range(s.n))
+
+
+def _loop_edge_list(s):
+    return [(i, int(j)) for i in range(s.n)
+            for j in s.indices[s.indptr[i]:s.indptr[i + 1]] if i < j]
+
+
+def _loop_from_edges(n, edges):
+    dense = np.zeros((n, n))
+    for u, v in edges:
+        dense[u, v] = dense[v, u] = 1.0
+    return SparseSym.from_scipy(dense)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vectorised_graph_ops_match_loops(seed):
+    rng = Xoshiro256StarStar(seed)
+    n = 30
+    edges = [(rng.below(n), rng.below(n)) for _ in range(80)]
+    edges = [(u, v) for u, v in edges if u != v] + [(v, u) for u, v in edges[:10] if u != v]
+    s = SparseSym.from_edges(n, edges)
+    assert s.equals(_loop_from_edges(n, edges))
+    assert s.edge_list() == _loop_edge_list(s)
+    assert all(type(u) is int and type(v) is int for u, v in s.edge_list())
+    assert s.has_diagonal() is _loop_has_diagonal(s) is False
+    looped = add_self_loops(s)
+    assert looped.has_diagonal() is _loop_has_diagonal(looped) is True
+    assert looped.edge_list() == _loop_edge_list(looped)
+
+
 def test_equals_is_bit_exact():
     a = path3()
     b = path3()

@@ -85,3 +85,6 @@ def test_labels_reject_junk(tmp_path):
     p.write_text("0\nfoo\n")
     with pytest.raises(ValueError, match=":2:"):
         read_labels(p)
+    p.write_text("0\n# comment\n-1\n")
+    with pytest.raises(ValueError, match=":3: negative label -1"):
+        read_labels(p)
