@@ -1,8 +1,10 @@
 """Command-line pipeline: synth -> embed -> eval-classify / eval-cluster / diagnose.
 
-Every subcommand resolves its configuration (defaults < --config JSON file <
-explicit flags), echoes the resolved values to <out>/config.json and exits
-0 on success, 1 on configuration/input errors, 2 on numerical failure.
+Every setting is declared once, in build_parser. argparse resolves the
+configuration (defaults < --config JSON file < explicit flags), checking
+config-file values exactly as it checks flags. Each subcommand echoes the
+resolved values to <out>/config.json and exits 0 on success, 1 on
+configuration/input errors, 2 on numerical failure.
 COLES_LOG={error|info|debug} controls verbosity.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import io
 from .coles_solver import ColesConfig, hash_features, solve_linear_coles
-from .diagnostics import (expected_negative_homophily, homophily, js_divergence,
+from .diagnostics import (expected_negative_homophily, homophily, js_from_densities,
                           pair_scores, parzen_density, shared_grid,
                           silverman_bandwidth, wasserstein1)
 from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_split, score
@@ -69,8 +71,6 @@ def _read_input(reader, path, key: str):
 
 
 def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
     _require_file(path, "--config")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -82,30 +82,42 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-META_KEYS = ("subcommand", "out")
-
-
-def _resolve(defaults: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit CLI flags (argparse None = unset)."""
-    resolved = dict(defaults)
-    for key, value in file_cfg.items():
-        if key in META_KEYS:
-            continue  # echoed metadata, handled separately
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {key!r}")
-        resolved[key] = value
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
-
-
-def _resolve_out(args, file_cfg: dict, subcommand: str) -> str:
-    found = file_cfg.get("subcommand")
+def _config_flags(cfg: dict, subcommand: str, subparser: argparse.ArgumentParser) -> list:
+    """The flags that set what a --config object holds, for argparse to check."""
+    found = cfg.pop("subcommand", None)
     if found is not None and found != subcommand:
         raise ConfigError(f"config file was echoed by {found!r}, not {subcommand!r}")
-    return _prepare_out(args.out if args.out is not None else file_cfg.get("out"))
+    settings = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    flags = []
+    for key, value in cfg.items():
+        action = settings.get(key)
+        if action is None:
+            raise ConfigError(f"unknown config key: {key!r}")
+        if action.nargs == 0:  # an on/off setting
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+            if value == action.const:
+                flags.append(action.option_strings[0])
+        elif value is None or isinstance(value, (list, dict)):
+            raise ConfigError(f"config key {key!r} needs a number or a string, got {value!r}")
+        else:
+            flags.append(f"{action.option_strings[0]}={value}")
+    return flags
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """defaults < --config file < explicit flags, every value checked by argparse."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        flags = _config_flags(_load_config_file(args.config), args.subcommand,
+                              parser.subcommands[args.subcommand])
+        try:
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        except ConfigError as exc:
+            raise ConfigError(f"--config {args.config}: {exc}") from None
+    return args
 
 
 def _write_json(obj: dict, path: str) -> None:
@@ -114,30 +126,14 @@ def _write_json(obj: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _prepare_out(out) -> str:
-    if out is None:
-        raise ConfigError("missing required option: --out")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _echo_config(cfg: dict, out: str) -> None:
     _write_json(cfg, os.path.join(out, "config.json"))
 
 
 # -- synth --------------------------------------------------------------------
 
-SYNTH_DEFAULTS = {
-    "classes": 3, "per_block": 100, "p_in": 0.1, "p_out": 0.01,
-    "feat_dim": 16, "mean_sep": 1.0, "noise_sigma": 1.0, "seed": 0,
-    "edges": "edges.txt", "features": "features.csv", "labels": "labels.txt",
-}
-
-
-def cmd_synth(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _resolve_out(args, file_cfg, "synth")
-    cfg = _resolve(SYNTH_DEFAULTS, file_cfg, args)
+def cmd_synth(cfg: dict) -> int:
+    out = cfg["out"]
     spec = SbmSpec(n_classes=cfg["classes"], per_block=cfg["per_block"],
                    p_in=cfg["p_in"], p_out=cfg["p_out"], feature_dim=cfg["feat_dim"],
                    mean_sep=cfg["mean_sep"], noise_sigma=cfg["noise_sigma"],
@@ -149,24 +145,16 @@ def cmd_synth(args) -> int:
     graph = generate_sbm(spec)
     if graph.adjacency.nnz == 0:
         raise NumericalError("generated graph has no edges; raise p_in/p_out")
-    save_edge_list(graph.adjacency, os.path.join(out, cfg["edges"]))
-    io.write_csv(graph.features, os.path.join(out, cfg["features"]))
-    io.write_labels(graph.labels, os.path.join(out, cfg["labels"]))
-    _echo_config({**cfg, "subcommand": "synth", "out": out}, out)
+    save_edge_list(graph.adjacency, os.path.join(out, "edges.txt"))
+    io.write_csv(graph.features, os.path.join(out, "features.csv"))
+    io.write_labels(graph.labels, os.path.join(out, "labels.txt"))
+    _echo_config(cfg, out)
     log.info("wrote %s nodes / %s edges under %s", graph.adjacency.n,
-             len(graph.adjacency.edge_list()), out)
+             graph.adjacency.nnz // 2, out)
     return EXIT_OK
 
 
 # -- embed ---------------------------------------------------------------------
-
-EMBED_DEFAULTS = {
-    "edges": None, "features": None, "seed": 0,
-    "filter": "s2gc", "k_steps": 8, "alpha": 0.05, "dim": 16,
-    "kappa": 10, "per_node": 5, "mode": "per-node-k", "p_prime": 0.05,
-    "eta_prime": 1.0, "self_loops": True, "hash_dim": 0, "write_csv": False,
-}
-
 
 def _coles_config(cfg: dict, d: int) -> ColesConfig:
     return ColesConfig(
@@ -179,12 +167,8 @@ def _coles_config(cfg: dict, d: int) -> ColesConfig:
     )
 
 
-def cmd_embed(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _resolve_out(args, file_cfg, "embed")
-    cfg = _resolve(EMBED_DEFAULTS, file_cfg, args)
-    if args.no_self_loops:
-        cfg["self_loops"] = False
+def cmd_embed(cfg: dict) -> int:
+    out = cfg["out"]
     t0 = time.perf_counter()
     features = _read_input(io.read_dense, cfg["features"], "--features")
     try:
@@ -202,7 +186,7 @@ def cmd_embed(args) -> int:
     io.write_clsm(result.Y, os.path.join(out, "embeddings.clsm"))
     if cfg["write_csv"]:
         io.write_csv(result.Y, os.path.join(out, "embeddings.csv"))
-    resolved = {**cfg, "subcommand": "embed", "out": out, "dim": int(result.Y.shape[1])}
+    resolved = {**cfg, "dim": int(result.Y.shape[1])}
     _echo_config(resolved, out)
     sidecar = {
         "config": resolved,
@@ -222,13 +206,6 @@ def cmd_embed(args) -> int:
 
 # -- eval ------------------------------------------------------------------------
 
-EVAL_CLASSIFY_DEFAULTS = {
-    "embeddings": None, "labels": None, "seed": 0,
-    "per_class": 20, "n_splits": 50, "val_size": 500,
-    "lr": 0.1, "epochs": 500, "l2": 1e-4,
-}
-
-
 def _summary(records: list[dict]) -> tuple[dict, dict]:
     keys = ("accuracy", "macro_f1", "micro_f1", "nmi")
     mean = {k: float(np.mean([r[k] for r in records])) for k in keys}
@@ -237,10 +214,7 @@ def _summary(records: list[dict]) -> tuple[dict, dict]:
     return mean, std
 
 
-def cmd_eval_classify(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _resolve_out(args, file_cfg, "eval-classify")
-    cfg = _resolve(EVAL_CLASSIFY_DEFAULTS, file_cfg, args)
+def cmd_eval_classify(cfg: dict) -> int:
     y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
     labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     if labels.shape[0] != y.shape[0]:
@@ -263,9 +237,9 @@ def cmd_eval_classify(args) -> int:
         metrics = score(pred, labels[test], mode="classification")
         records.append({"split": s, **metrics.as_dict()})
     mean, std = _summary(records)
-    resolved = {**cfg, "subcommand": "eval-classify", "out": out}
-    _echo_config(resolved, out)
-    _write_json({"config": resolved, "n_splits": cfg["n_splits"],
+    out = cfg["out"]
+    _echo_config(cfg, out)
+    _write_json({"config": cfg, "n_splits": cfg["n_splits"],
                  "per_split": records, "mean": mean, "std": std},
                 os.path.join(out, "metrics.json"))
     log.info("classification over %d splits: acc %.4f +- %.4f",
@@ -273,15 +247,7 @@ def cmd_eval_classify(args) -> int:
     return EXIT_OK
 
 
-EVAL_CLUSTER_DEFAULTS = {
-    "embeddings": None, "labels": None, "seed": 0, "k": 0, "n_runs": 10,
-}
-
-
-def cmd_eval_cluster(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _resolve_out(args, file_cfg, "eval-cluster")
-    cfg = _resolve(EVAL_CLUSTER_DEFAULTS, file_cfg, args)
+def cmd_eval_cluster(cfg: dict) -> int:
     y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
     labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     if labels.shape[0] != y.shape[0]:
@@ -298,7 +264,8 @@ def cmd_eval_cluster(args) -> int:
         metrics = score(assign, labels, mode="clustering")
         records.append({"run": r, **metrics.as_dict()})
     mean, std = _summary(records)
-    resolved = {**cfg, "subcommand": "eval-cluster", "out": out, "k": k}
+    out = cfg["out"]
+    resolved = {**cfg, "k": k}
     _echo_config(resolved, out)
     _write_json({"config": resolved, "n_runs": cfg["n_runs"],
                  "per_run": records, "mean": mean, "std": std},
@@ -310,25 +277,13 @@ def cmd_eval_cluster(args) -> int:
 
 # -- diagnose --------------------------------------------------------------------
 
-DIAGNOSE_DEFAULTS = {
-    "embeddings": None, "edges": None, "labels": None, "seed": 0,
-    "kappa": 1, "per_node": 5, "mode": "per-node-k", "p_prime": 0.05,
-    "bandwidth": 0.0, "grid_points": 512, "normalize": True, "tau": 1.0,
-}
-
-
-def cmd_diagnose(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _resolve_out(args, file_cfg, "diagnose")
-    cfg = _resolve(DIAGNOSE_DEFAULTS, file_cfg, args)
-    if args.no_normalize:
-        cfg["normalize"] = False
+def cmd_diagnose(cfg: dict) -> int:
     y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
     labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     try:
         adjacency = load_edge_list(_require_file(cfg["edges"], "--edges"), n=y.shape[0])
-        neg_cfg = NegSampleConfig(kappa=max(cfg["kappa"], 1), per_node=cfg["per_node"],
-                                  mode=cfg["mode"], p_prime=cfg["p_prime"], seed=cfg["seed"])
+        neg_cfg = NegSampleConfig(per_node=cfg["per_node"], mode=cfg["mode"],
+                                  p_prime=cfg["p_prime"], seed=cfg["seed"])
         negative = sample_negative_graph(y.shape[0], neg_cfg, 0)
         pos_scores = pair_scores(y, adjacency, normalize=cfg["normalize"], tau=cfg["tau"])
         neg_scores = pair_scores(y, negative, normalize=cfg["normalize"], tau=cfg["tau"])
@@ -338,8 +293,7 @@ def cmd_diagnose(args) -> int:
         grid = shared_grid(pos_scores, neg_scores, h_pos, h_neg, cfg["grid_points"])
         dens_pos = parzen_density(pos_scores, h_pos, grid)
         dens_neg = parzen_density(neg_scores, h_neg, grid)
-        js = js_divergence(pos_scores, neg_scores, bandwidth=bw,
-                           grid_points=cfg["grid_points"])
+        js = js_from_densities(dens_pos, dens_neg, grid)
         w1 = wasserstein1(pos_scores, neg_scores)
         h_graph = homophily(adjacency, labels)
     except ValueError as exc:
@@ -347,13 +301,13 @@ def cmd_diagnose(args) -> int:
     counts = np.bincount(labels, minlength=int(labels.max()) + 1)
     h_neg_expected = expected_negative_homophily(counts / counts.sum())
 
+    out = cfg["out"]
     with open(os.path.join(out, "densities.csv"), "w", encoding="utf-8") as fh:
         fh.write("grid,density_pos,density_neg\n")
         for g, dp, dn in zip(grid, dens_pos, dens_neg):
             fh.write(f"{float(g)!r},{float(dp)!r},{float(dn)!r}\n")
-    resolved = {**cfg, "subcommand": "diagnose", "out": out}
-    _echo_config(resolved, out)
-    _write_json({"config": resolved, "js": js, "w1": w1,
+    _echo_config(cfg, out)
+    _write_json({"config": cfg, "js": js, "w1": w1,
                  "homophily_pos": h_graph, "homophily_neg_expected": h_neg_expected},
                 os.path.join(out, "diagnostics.json"))
     log.info("diagnose: js %.4f (log2=%.4f), w1 %.4f", js, np.log(2.0), w1)
@@ -365,7 +319,7 @@ def cmd_diagnose(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="64-bit master seed")
+    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -376,40 +330,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every setting: its flag, type, default and choices."""
     parser = _Parser(
         prog="coles",
         description="Contrastive Laplacian eigenmap embeddings: generate, embed, evaluate, diagnose.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("synth", help="generate an SBM fixture (edges/features/labels)")
     _add_common(p)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-block", dest="per_block", type=int)
-    p.add_argument("--p-in", dest="p_in", type=float)
-    p.add_argument("--p-out", dest="p_out", type=float)
-    p.add_argument("--feat-dim", dest="feat_dim", type=int)
-    p.add_argument("--mean-sep", dest="mean_sep", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
+    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--per-block", dest="per_block", type=int, default=100)
+    p.add_argument("--p-in", dest="p_in", type=float, default=0.1)
+    p.add_argument("--p-out", dest="p_out", type=float, default=0.01)
+    p.add_argument("--feat-dim", dest="feat_dim", type=int, default=16)
+    p.add_argument("--mean-sep", dest="mean_sep", type=float, default=1.0)
+    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=1.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("embed", help="compute embeddings in closed form")
     _add_common(p)
     p.add_argument("--edges")
     p.add_argument("--features")
-    p.add_argument("--filter", choices=("sgc", "s2gc", "identity"))
-    p.add_argument("--k-steps", dest="k_steps", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--per-node", dest="per_node", type=int)
-    p.add_argument("--mode", choices=("per-node-k", "erdos-renyi"))
-    p.add_argument("--p-prime", dest="p_prime", type=float)
-    p.add_argument("--eta-prime", dest="eta_prime", type=float)
-    p.add_argument("--no-self-loops", action="store_true",
+    p.add_argument("--filter", choices=("sgc", "s2gc", "identity"), default="s2gc")
+    p.add_argument("--k-steps", dest="k_steps", type=int, default=8)
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--kappa", type=int, default=10)
+    p.add_argument("--per-node", dest="per_node", type=int, default=5)
+    p.add_argument("--mode", choices=("per-node-k", "erdos-renyi"), default="per-node-k")
+    p.add_argument("--p-prime", dest="p_prime", type=float, default=0.05)
+    p.add_argument("--eta-prime", dest="eta_prime", type=float, default=1.0)
+    p.add_argument("--no-self-loops", dest="self_loops", action="store_false",
                    help="skip the W+I renormalization convention")
-    p.add_argument("--hash-dim", dest="hash_dim", type=int,
+    p.add_argument("--hash-dim", dest="hash_dim", type=int, default=0,
                    help="fold features into this many signed hash buckets first")
-    p.add_argument("--write-csv", dest="write_csv", action="store_const", const=True,
+    p.add_argument("--write-csv", dest="write_csv", action="store_true",
                    help="also write embeddings.csv")
     p.set_defaults(func=cmd_embed)
 
@@ -417,20 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--embeddings")
     p.add_argument("--labels")
-    p.add_argument("--per-class", dest="per_class", type=int, choices=(5, 20))
-    p.add_argument("--n-splits", dest="n_splits", type=int)
-    p.add_argument("--val-size", dest="val_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
+    p.add_argument("--per-class", dest="per_class", type=int, choices=(5, 20), default=20)
+    p.add_argument("--n-splits", dest="n_splits", type=int, default=50)
+    p.add_argument("--val-size", dest="val_size", type=int, default=500)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--l2", type=float, default=1e-4)
     p.set_defaults(func=cmd_eval_classify)
 
     p = sub.add_parser("eval-cluster", help="k-means clustering metrics")
     _add_common(p)
     p.add_argument("--embeddings")
     p.add_argument("--labels")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n-runs", dest="n_runs", type=int)
+    p.add_argument("--k", type=int, default=0, help="clusters; 0 means one per label")
+    p.add_argument("--n-runs", dest="n_runs", type=int, default=10)
     p.set_defaults(func=cmd_eval_cluster)
 
     p = sub.add_parser("diagnose", help="score densities, JS/W1 and homophily")
@@ -438,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--edges")
     p.add_argument("--labels")
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--per-node", dest="per_node", type=int)
-    p.add_argument("--mode", choices=("per-node-k", "erdos-renyi"))
-    p.add_argument("--p-prime", dest="p_prime", type=float)
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--no-normalize", action="store_true",
+    p.add_argument("--per-node", dest="per_node", type=int, default=5)
+    p.add_argument("--mode", choices=("per-node-k", "erdos-renyi"), default="per-node-k")
+    p.add_argument("--p-prime", dest="p_prime", type=float, default=0.05)
+    p.add_argument("--bandwidth", type=float, default=0.0,
+                   help="Parzen bandwidth; 0 means Silverman's rule per sample")
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
+    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--no-normalize", dest="normalize", action="store_false",
                    help="score raw embeddings instead of tau-normalized rows")
     p.set_defaults(func=cmd_diagnose)
     return parser
@@ -454,8 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         _setup_logging()
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parse_args(argv)
+        cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+        if cfg["out"] is None:
+            raise ConfigError("missing required option: --out")
+        os.makedirs(cfg["out"], exist_ok=True)
+        return args.func(cfg)
     except ConfigError as exc:
         print(f"coles: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -75,8 +75,14 @@ def js_divergence(p, q, bandwidth: float | None = None, grid_points: int = 512) 
     h_p = bandwidth if bandwidth is not None else silverman_bandwidth(p)
     h_q = bandwidth if bandwidth is not None else silverman_bandwidth(q)
     grid = shared_grid(p, q, h_p, h_q, grid_points)
-    fp = parzen_density(p, h_p, grid)
-    fq = parzen_density(q, h_q, grid)
+    return js_from_densities(parzen_density(p, h_p, grid), parzen_density(q, h_q, grid), grid)
+
+
+def js_from_densities(fp: np.ndarray, fq: np.ndarray, grid: np.ndarray) -> float:
+    """JS divergence (natural log) of two densities sampled on one grid.
+
+    Trapezoid rule over the grid; the value is clipped to [0, log 2 + 1e-6].
+    """
     fm = 0.5 * (fp + fq)
 
     def kl_term(f):
@@ -136,7 +142,7 @@ def homophily(adj: SparseSym, labels, weighted: bool = False) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != adj.n:
         raise ValueError("labels length must match node count")
-    rows = np.repeat(np.arange(adj.n), np.diff(adj.indptr))
+    rows = adj._row_ids()
     off = adj.indices != rows
     rows, cols = rows[off], adj.indices[off]
     same = labels[rows] == labels[cols]

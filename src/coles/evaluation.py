@@ -185,18 +185,20 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
+def _contingency(pred: np.ndarray, truth: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Counts of each (pred, truth) pair of non-negative codes, as a shape table."""
+    flat = np.bincount(pred * shape[1] + truth, minlength=shape[0] * shape[1])
+    return flat.reshape(shape)
+
+
 def nmi_score(pred, truth) -> float:
     """Mutual information normalized by the arithmetic mean of entropies."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     n = pred.shape[0]
-    cp = np.unique(pred)
-    ct = np.unique(truth)
-    cont = np.zeros((cp.size, ct.size))
-    pi = {c: i for i, c in enumerate(cp)}
-    ti = {c: i for i, c in enumerate(ct)}
-    for a, b in zip(pred, truth):
-        cont[pi[a], ti[b]] += 1.0
+    cp, pi = np.unique(pred, return_inverse=True)
+    ct, ti = np.unique(truth, return_inverse=True)
+    cont = _contingency(pi, ti, (cp.size, ct.size)).astype(np.float64)
     hp = _entropy(cont.sum(axis=1))
     ht = _entropy(cont.sum(axis=0))
     if hp == 0.0 and ht == 0.0:
@@ -219,12 +221,11 @@ def hungarian_accuracy(pred, truth) -> tuple[float, np.ndarray]:
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     size = int(max(pred.max(), truth.max())) + 1
-    cont = np.zeros((size, size), dtype=np.int64)
-    for a, b in zip(pred, truth):
-        cont[a, b] += 1
+    cont = _contingency(pred, truth, (size, size))
     rows, cols = linear_sum_assignment(cont, maximize=True)
-    mapping = {int(r): int(c) for r, c in zip(rows, cols)}
-    relabeled = np.array([mapping[int(a)] for a in pred], dtype=np.int64)
+    mapping = np.empty(size, dtype=np.int64)
+    mapping[rows] = cols
+    relabeled = mapping[pred]
     acc = float(cont[rows, cols].sum()) / pred.shape[0]
     return acc, relabeled
 

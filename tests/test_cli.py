@@ -77,11 +77,45 @@ def test_embed_deterministic_bytes(synth_dir, tmp_path):
     assert (out1 / "embeddings.csv").read_bytes() == (out2 / "embeddings.csv").read_bytes()
 
 
-def test_embed_rerun_from_echoed_config(synth_dir, tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(*embed_args(synth_dir, out1)) == 0
-    assert run("embed", "--config", out1 / "config.json", "--out", out2) == 0
-    assert (out1 / "embeddings.clsm").read_bytes() == (out2 / "embeddings.clsm").read_bytes()
+def _first_run(subcommand, data, tmp_path):
+    """Run subcommand once on the synth fixture, non-default on/off values included."""
+    if subcommand == "synth":
+        return data
+    emb = tmp_path / "emb"
+    assert run(*embed_args(data, emb), "--no-self-loops", "--write-csv") == 0
+    if subcommand == "embed":
+        return emb
+    out = tmp_path / "first"
+    extra = {"eval-classify": ["--per-class", 5, "--n-splits", 2, "--val-size", 6,
+                               "--epochs", 20],
+             "eval-cluster": ["--n-runs", 2],
+             "diagnose": ["--edges", data / "edges.txt", "--no-normalize",
+                          "--grid-points", 64]}[subcommand]
+    assert run(subcommand, "--embeddings", emb / "embeddings.clsm",
+               "--labels", data / "labels.txt", "--out", out, "--seed", 3, *extra) == 0
+    return out
+
+
+def _outputs(out):
+    """Every file under out, with the echoed --out and the wall clock taken out."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes().replace(str(out).encode(), b"<out>")
+        if path.name == "embedding_meta.json":
+            meta = json.loads(data)
+            del meta["wall_clock_sec"]
+            data = json.dumps(meta, sort_keys=True).encode()
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["synth", "embed", "eval-classify", "eval-cluster", "diagnose"])
+def test_rerun_from_echoed_config(synth_dir, tmp_path, subcommand):
+    first = _first_run(subcommand, synth_dir, tmp_path)
+    rerun = tmp_path / "rerun"
+    assert run(subcommand, "--config", first / "config.json", "--out", rerun) == 0
+    assert _outputs(rerun) == _outputs(first)
 
 
 def test_config_unknown_key_rejected(synth_dir, tmp_path, capsys):
@@ -92,6 +126,28 @@ def test_config_unknown_key_rejected(synth_dir, tmp_path, capsys):
                "--out", tmp_path / "o", "--config", bad)
     assert code == 1
     assert "filtr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand,bad,named", [
+    ("embed", {"dim": "abc"}, "--dim"), ("embed", {"kappa": 1.5}, "--kappa"),
+    ("embed", {"dim": True}, "--dim"), ("embed", {"self_loops": "no"}, "self_loops"),
+    ("eval-classify", {"per_class": 7}, "--per-class"), ("embed", {"out": None}, "out"),
+], ids=["str-for-int", "float-for-int", "bool-for-int", "str-for-on-off", "bad-choice",
+        "null-value"])
+def test_bad_config_value_exits_1(synth_dir, separable_embedding, tmp_path, capsys,
+                                  subcommand, bad, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    emb, lab = separable_embedding
+    inputs = {"embed": ["--edges", synth_dir / "edges.txt",
+                        "--features", synth_dir / "features.csv"],
+              "eval-classify": ["--embeddings", emb, "--labels", lab]}[subcommand]
+    out = tmp_path / "o"
+    assert run(subcommand, *inputs, "--out", out, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert "coles: config error" in err and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture()

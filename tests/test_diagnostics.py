@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from coles.diagnostics import (LOG2, expected_negative_homophily, homophily,
-                               js_divergence, lipschitz_check, pair_scores,
+                               js_divergence, js_from_densities, lipschitz_check, pair_scores,
                                parzen_density, separation, shared_grid,
                                silverman_bandwidth, wasserstein1)
 from coles.graph_core import SparseSym, add_self_loops, normalized_adjacency
@@ -90,6 +90,15 @@ def test_js_symmetric():
     p = np.array(rng.normals(300))
     q = np.array(rng.normals(300)) * 1.5 + 0.7
     assert abs(js_divergence(p, q) - js_divergence(q, p)) < 1e-9
+
+
+def test_js_from_densities_matches_js_divergence():
+    p = np.linspace(0.0, 1.0, 40) ** 2
+    q = np.linspace(0.5, 2.0, 30)
+    h_p, h_q = silverman_bandwidth(p), silverman_bandwidth(q)
+    grid = shared_grid(p, q, h_p, h_q, 128)
+    js = js_from_densities(parzen_density(p, h_p, grid), parzen_density(q, h_q, grid), grid)
+    assert js == js_divergence(p, q, grid_points=128)
 
 
 def test_js_rejects_nonpositive_bandwidth():

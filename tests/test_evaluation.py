@@ -160,6 +160,15 @@ def test_clustering_permutation_is_perfect():
     assert m.nmi == 1.0
 
 
+def test_non_contiguous_labels():
+    pred = np.array([3, 3, 7, 7, 7])
+    truth = np.array([0, 0, 5, 5, 0])
+    acc, relabeled = hungarian_accuracy(pred, truth)
+    assert acc == 0.8
+    assert relabeled.tolist() == [0, 0, 5, 5, 5]
+    assert nmi_score(pred, truth) == nmi_score([0, 0, 1, 1, 1], [0, 0, 1, 1, 0])
+
+
 def test_independent_labelings_zero_nmi():
     t = np.array([0, 0, 1, 1])
     p = np.array([0, 1, 0, 1])
