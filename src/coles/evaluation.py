@@ -59,8 +59,9 @@ def random_split(labels, spec: SplitSpec):
         rng.shuffle(members)
         train.extend(members[:spec.per_class])
     train_arr = np.array(sorted(train), dtype=np.int64)
-    taken = set(train)
-    rest = [i for i in range(labels.shape[0]) if i not in taken]
+    untaken = np.ones(labels.shape[0], dtype=bool)
+    untaken[train_arr] = False
+    rest = np.flatnonzero(untaken).tolist()
     rng.shuffle(rest)
     n_val = min(spec.val_size, len(rest))
     val = np.array(sorted(rest[:n_val]), dtype=np.int64)

@@ -83,12 +83,15 @@ class SparseSym:
 
     @classmethod
     def from_edges(cls, n: int, edges, weight: float = 1.0) -> "SparseSym":
-        """Build a binary symmetric matrix from undirected (u, v) pairs.
+        """Build a binary symmetric matrix from undirected (u, v) pairs, given
+        as an iterable of pairs or an (m, 2) integer array.
 
         Pairs are deduplicated; (u, v) and (v, u) count once. Self pairs
         are rejected.
         """
-        pairs = np.array([(u, v) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = [(u, v) for u, v in edges]
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
         loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
         if loops.size:
             u = int(pairs[loops[0], 0])

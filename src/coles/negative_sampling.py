@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graph_core import SparseSym, add_self_loops, degree_normalize
@@ -48,18 +49,13 @@ class NegSampleConfig:
             raise ValueError("eta_prime must lie in [0, 1]")
 
 
-def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
+def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> np.ndarray:
+    """Raw negative edges as an (m, 2) array of node pairs, repeats allowed."""
     if cfg.mode == "per-node-k":
-        for i in range(n):
-            for j in rng.distinct(n, cfg.per_node, exclude=i):
-                edges.add((min(i, j), max(i, j)))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < cfg.p_prime:
-                    edges.add((i, j))
-    return edges
+        picks = rng.distinct_runs(n, cfg.per_node, range(n))
+        rows = np.repeat(np.arange(n), cfg.per_node)
+        return np.column_stack((rows, np.array(picks, dtype=np.int64).reshape(-1)))
+    return rng.bernoulli_pairs(n, cfg.p_prime)
 
 
 def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
@@ -75,9 +71,9 @@ def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
     cfg.validate(n)
     rng = Xoshiro256StarStar.keyed(cfg.seed, k)
     edges = _raw_edges(n, cfg, rng)
-    if not edges and cfg.mode == "erdos-renyi":
+    if not len(edges) and cfg.mode == "erdos-renyi":
         edges = _raw_edges(n, cfg, rng)  # one resample for degenerate draws
-        if not edges:
+        if not len(edges):
             raise ValueError(f"empty negative graph twice in a row (p_prime={cfg.p_prime})")
     raw = SparseSym.from_edges(n, edges)
     return degree_normalize(add_self_loops(raw))

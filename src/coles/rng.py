@@ -8,16 +8,37 @@ only for the same machine, BLAS build and BLAS thread count; across those
 they agree to rounding. Streams for independent tasks
 (negative graph k, k-means restart r, split s, ...) are keyed by mixing the
 task index into the seed with the 64-bit golden-ratio constant.
+
+Bulk draws (`next_u64s` and everything built on it: `uniforms`, `normals`,
+`shuffle`, `distinct_runs`, `bernoulli_pairs`) return exactly the values the
+scalar `next_u64` would, in the same order, and leave the generator in the
+same state, so the stream is unchanged; only the arithmetic is batched.
+The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
+"Scrambled linear pseudorandom number generators", 2021), so the state
+`_LANE` steps ahead is a fixed 256x256 bit matrix times the current state
+(the jump-ahead of Haramoto et al., 2008). The matrix is found once per
+process and applied by XOR through byte lookup tables, which is exact. A
+bulk draw jumps to the start of each lane of `_LANE` consecutive outputs
+and steps all lanes at once in numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
+
+_LANE = 512  # consecutive outputs per lane of a bulk draw
+# below this many outputs the scalar recurrence is faster than stepping lanes
+_BULK_MIN = 8 * _LANE
+_PAIR_BLOCK = 1 << 17  # node pairs per block of bernoulli_pairs
+_LOW32 = np.uint64(0xFFFFFFFF)
+_BYTE_INDEX = np.arange(32)
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -48,6 +69,68 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & MASK64
 
 
+def _advance(s0, s1, s2, s3, scratch) -> None:
+    """One xoshiro256** state transition, in place, on uint64 lane arrays."""
+    np.left_shift(s1, 17, out=scratch)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= scratch
+    np.left_shift(s3, 45, out=scratch)
+    s3 >>= 19
+    s3 |= scratch
+
+
+def _byte_tables(images: np.ndarray) -> np.ndarray:
+    """Lookup tables of the GF(2)-linear map on states whose 256 state bits
+    map to images[c] ((256, 4) uint64; bit c is bit c % 64 of word c // 64):
+    table[b, v] is the image of the state whose byte b is v and whose other
+    bytes are zero."""
+    value_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                               bitorder="little").astype(np.uint64)
+    by_byte = images.reshape(32, 8, 4)
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for i in range(8):
+        table ^= by_byte[:, i, None, :] * value_bits[None, :, i, None]
+    return table
+
+
+def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The linear map of _byte_tables applied to (k, 4) uint64 states."""
+    state_bytes = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    return np.bitwise_xor.reduce(table[_BYTE_INDEX, state_bytes], axis=1)
+
+
+@functools.cache
+def _lane_jump() -> np.ndarray:
+    """Byte tables of the state transition _LANE steps ahead.
+
+    The transition is linear over GF(2), so it is fixed by where it takes
+    the 256 single-bit states: step each of them _LANE times as a lane.
+    """
+    images = np.zeros((4, 256), dtype=np.uint64)
+    bit = np.arange(256)
+    images[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    scratch = np.empty(256, dtype=np.uint64)
+    for _ in range(_LANE):
+        _advance(*images, scratch)
+    table = _byte_tables(images.T.copy())
+    table.flags.writeable = False  # one cached copy serves every generator
+    return table
+
+
+def _mul_high(x: np.ndarray, n) -> np.ndarray:
+    """(x * n) >> 64 for uint64 x and 0 <= n < 2**64, exact, from 32-bit halves."""
+    n = np.asarray(n, dtype=np.uint64)
+    x_lo, x_hi = x & _LOW32, x >> np.uint64(32)
+    n_lo, n_hi = n & _LOW32, n >> np.uint64(32)
+    cross = x_hi * n_lo
+    # no wrap: each term is below 2**32 except the last, and the sum is < 2**64
+    mid = ((x_lo * n_lo) >> np.uint64(32)) + (cross & _LOW32) + x_lo * n_hi
+    return x_hi * n_hi + (cross >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
 class Xoshiro256StarStar:
     """xoshiro256** generator, state seeded via splitmix64 of a 64-bit key."""
 
@@ -75,9 +158,47 @@ class Xoshiro256StarStar:
         self.s3 = _rotl(self.s3, 45)
         return result
 
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next count next_u64() outputs as a uint64 array.
+
+        Afterwards the generator is in the state count next_u64() calls
+        would leave it in, so scalar and bulk draws mix freely.
+        """
+        if count < _BULK_MIN:
+            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
+        full, rest = divmod(count, _LANE)
+        # lane j starts j * _LANE steps ahead; lane `full` holds the last
+        # `rest` outputs and the state the draw ends in
+        jump = _lane_jump()
+        starts = np.empty((full + 1, 4), dtype=np.uint64)
+        starts[0] = (self.s0, self.s1, self.s2, self.s3)
+        for j in range(full):
+            starts[j + 1] = _apply(jump, starts[j:j + 1])
+        s0, s1, s2, s3 = starts.T.copy()
+        scratch = np.empty(full + 1, dtype=np.uint64)
+        seen = np.empty((full + 1, _LANE), dtype=np.uint64)  # row j: lane j's s1 values
+        for k in range(_LANE):
+            if k == rest:
+                self.s0, self.s1, self.s2, self.s3 = (int(s[full]) for s in (s0, s1, s2, s3))
+            seen[:, k] = s1
+            _advance(s0, s1, s2, s3, scratch)
+        out = seen.reshape(-1)[:count]  # lanes end to end: draw order
+        out *= np.uint64(5)  # the ** scrambler: rotl(s1 * 5, 7) * 9
+        high = out >> np.uint64(57)
+        out <<= np.uint64(7)
+        out |= high
+        out *= np.uint64(9)
+        return out
+
     def random(self) -> float:
         """Uniform double in [0, 1) using the top 53 bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next count random() values as a float64 array."""
+        u = self.next_u64s(count)
+        u >>= np.uint64(11)
+        return u * 2.0 ** -53
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection-free multiply-shift."""
@@ -86,40 +207,96 @@ class Xoshiro256StarStar:
         return (self.next_u64() * n) >> 64
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle: for i from len-1 down to 1, swap
+        items[i] with items[below(i + 1)]."""
+        size = len(items)
+        if size < 2:
+            return
+        bounds = np.arange(size, 1, -1, dtype=np.uint64)
+        picks = _mul_high(self.next_u64s(size - 1), bounds).tolist()
+        for i, j in zip(range(size - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def distinct(self, n: int, count: int, exclude: int = -1) -> list[int]:
         """count distinct integers from [0, n) \\ {exclude}, uniform without
         replacement, in draw order."""
-        limit = n - (1 if 0 <= exclude < n else 0)
-        if count > limit:
-            raise ValueError(f"cannot draw {count} distinct values from {limit} candidates")
-        chosen: list[int] = []
-        seen = set()
-        while len(chosen) < count:
-            j = self.below(n)
-            if j == exclude or j in seen:
-                continue
-            seen.add(j)
-            chosen.append(j)
-        return chosen
+        return self.distinct_runs(n, count, [exclude])[0]
 
-    def normal_pair(self) -> tuple[float, float]:
-        """Two standard normals via Box-Muller (two uniform draws)."""
-        u1 = 1.0 - self.random()  # (0, 1], keeps log finite
-        u2 = self.random()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        return r * math.cos(theta), r * math.sin(theta)
+    def distinct_runs(self, n: int, count: int, excludes: Sequence[int]) -> list[list[int]]:
+        """distinct(n, count, e) for each e of excludes in turn, with the
+        below(n) candidates drawn in bulk; values and final state are those
+        of the scalar calls."""
+        for exclude in excludes:
+            limit = n - (1 if 0 <= exclude < n else 0)
+            if count > limit:
+                raise ValueError(f"cannot draw {count} distinct values from {limit} candidates")
+        runs: list[list[int]] = []
+        pool: list[int] = []
+        pos = 0
+        for index, exclude in enumerate(excludes):
+            chosen: list[int] = []
+            seen = set()
+            while len(chosen) < count:
+                if pos == len(pool):
+                    # every run still to come takes at least count draws, so
+                    # this refill never runs the stream past the scalar calls
+                    need = count - len(chosen) + count * (len(excludes) - index - 1)
+                    pool, pos = _mul_high(self.next_u64s(need), n).tolist(), 0
+                j = pool[pos]
+                pos += 1
+                if j == exclude or j in seen:
+                    continue
+                seen.add(j)
+                chosen.append(j)
+            runs.append(chosen)
+        return runs
 
-    def normals(self, count: int) -> list[float]:
-        out: list[float] = []
-        while len(out) < count:
-            z0, z1 = self.normal_pair()
-            out.append(z0)
-            if len(out) < count:
-                out.append(z1)
-        return out
+    def bernoulli_pairs(self, n: int,
+                        prob: float | Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """Node pairs (i, j), i < j < n, kept where random() < prob, one draw
+        per pair in row-major order, as an (m, 2) int64 array.
+
+        prob is one probability for every pair, or a function that maps the
+        row and column index arrays of the pairs to their probabilities.
+        Draws come in blocks of whole rows of about _PAIR_BLOCK pairs, so
+        the n(n-1)/2 draws never sit in memory at once.
+        """
+        kept = [np.empty((0, 2), dtype=np.int64)]
+        start = 0
+        while start < n - 1:
+            stop, size = start, 0
+            while stop < n - 1 and size < _PAIR_BLOCK:
+                size += n - 1 - stop
+                stop += 1
+            rows = np.arange(start, stop)
+            lengths = n - 1 - rows
+            first = np.cumsum(lengths) - lengths  # block offset of each row's first pair
+            if callable(prob):
+                pair_rows = np.repeat(rows, lengths)
+                pair_cols = np.arange(size) - np.repeat(first, lengths) + pair_rows + 1
+                p = prob(pair_rows, pair_cols)
+            else:
+                p = prob
+            hit = np.flatnonzero(self.uniforms(size) < p)
+            row = np.searchsorted(first, hit, side="right") - 1
+            kept.append(np.column_stack((rows[row], hit - first[row] + rows[row] + 1)))
+            start = stop
+        return np.concatenate(kept)
+
+    def normals(self, count: int) -> np.ndarray:
+        """count standard normals by Box-Muller, one pair per two random()
+        draws (u1 = 1 - first, u2 = second; the odd last z1 is dropped).
+
+        log, cos and sin are libm's (math), not numpy's vectorised ones,
+        whose last bits differ; sqrt and products are correctly rounded in
+        both.
+        """
+        pairs = (count + 1) // 2
+        u = self.uniforms(2 * pairs)
+        log_u1 = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), dtype=np.float64, count=pairs)
+        theta = (2.0 * math.pi) * u[1::2]
+        r = np.sqrt(-2.0 * log_u1)
+        out = np.empty(2 * pairs)
+        out[0::2] = r * np.fromiter(map(math.cos, theta.tolist()), dtype=np.float64, count=pairs)
+        out[1::2] = r * np.fromiter(map(math.sin, theta.tolist()), dtype=np.float64, count=pairs)
+        return out[:count]

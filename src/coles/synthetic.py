@@ -56,15 +56,11 @@ def generate_sbm(spec: SbmSpec) -> LabeledGraph:
     labels = np.repeat(np.arange(spec.n_classes), spec.per_block)
     rng = Xoshiro256StarStar(spec.seed)
 
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = spec.p_in if labels[i] == labels[j] else spec.p_out
-            if rng.random() < p:
-                edges.append((i, j))
-    adjacency = SparseSym.from_edges(n, edges) if edges else SparseSym.zeros(n)
+    edges = rng.bernoulli_pairs(
+        n, lambda rows, cols: np.where(labels[rows] == labels[cols], spec.p_in, spec.p_out))
+    adjacency = SparseSym.from_edges(n, edges) if len(edges) else SparseSym.zeros(n)
 
     means = simplex_means(spec.n_classes, spec.feature_dim, spec.mean_sep)
-    noise = np.array(rng.normals(n * spec.feature_dim)).reshape(n, spec.feature_dim)
+    noise = rng.normals(n * spec.feature_dim).reshape(n, spec.feature_dim)
     features = means[labels] + spec.noise_sigma * noise
     return LabeledGraph(adjacency=adjacency, features=features, labels=labels)

@@ -1,7 +1,12 @@
 """Shared fixtures for the test suite."""
 
-import numpy as np
+import math
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+from coles import rng as rng_module
 from coles.graph_core import SparseSym
 from coles.rng import Xoshiro256StarStar
 
@@ -18,3 +23,53 @@ def random_graph(n, extra_per_node, seed):
 
 def rand_x(n, d, seed=0):
     return np.array(Xoshiro256StarStar(seed).normals(n * d)).reshape(n, d)
+
+
+# -- scalar references for the bulk draws -------------------------------------
+# The loops the library ran before its draws were batched; the bulk paths
+# must reproduce them bit for bit.
+
+@contextmanager
+def bulk_everywhere(enabled=True):
+    """Make every bulk draw step lanes, however short, and split node pairs
+    into blocks of a few rows, so small inputs reach every bulk code path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if enabled:
+            mp.setattr(rng_module, "_BULK_MIN", 0)
+            mp.setattr(rng_module, "_PAIR_BLOCK", 300)
+        yield
+
+
+def loop_below(rng, n):
+    return (rng.next_u64() * n) >> 64
+
+
+def loop_distinct(rng, n, count, exclude=-1):
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        j = loop_below(rng, n)
+        if j == exclude or j in seen:
+            continue
+        seen.add(j)
+        chosen.append(j)
+    return chosen
+
+
+def loop_shuffle(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = loop_below(rng, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def loop_normals(rng, count):
+    """Box-Muller from scalar random() pairs; an odd count drops the last z1."""
+    out = []
+    while len(out) < count:
+        u1 = 1.0 - rng.random()
+        u2 = rng.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        out.append(r * math.cos(theta))
+        if len(out) < count:
+            out.append(r * math.sin(theta))
+    return out

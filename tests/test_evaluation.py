@@ -5,6 +5,7 @@ from coles.evaluation import (Metrics, SplitSpec, hungarian_accuracy, kmeans,
                               logreg_fit, logreg_predict, nmi_score, random_split,
                               score)
 from coles.rng import Xoshiro256StarStar
+from helpers import bulk_everywhere, loop_shuffle
 
 
 def three_class_labels(per_class=30):
@@ -33,6 +34,31 @@ def test_split_deterministic_per_seed():
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
     assert not np.array_equal(a[0], c[0])
+
+
+def _loop_split(labels, spec):
+    """random_split with scalar Fisher-Yates shuffles and a set for the rest."""
+    rng = Xoshiro256StarStar(spec.seed)
+    train = []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c).tolist()
+        loop_shuffle(rng, members)
+        train.extend(members[:spec.per_class])
+    taken = set(train)
+    rest = [i for i in range(labels.shape[0]) if i not in taken]
+    loop_shuffle(rng, rest)
+    return sorted(train), sorted(rest[:spec.val_size]), sorted(rest[spec.val_size:])
+
+
+@pytest.mark.parametrize("labels, spec, bulk", [
+    (np.array([2, 0, 1, 0, 2, 1, 1]), SplitSpec(per_class=1, val_size=2, seed=3), True),
+    (np.arange(90) % 4, SplitSpec(per_class=5, val_size=20, seed=4), True),
+    (np.arange(30000) % 3, SplitSpec(per_class=20, val_size=500, seed=5), False),
+])
+def test_split_matches_loops(labels, spec, bulk):
+    with bulk_everywhere(bulk):
+        got = random_split(labels, spec)
+    assert [part.tolist() for part in got] == list(_loop_split(labels, spec))
 
 
 def test_split_val_capped_at_availability():

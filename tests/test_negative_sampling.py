@@ -6,6 +6,8 @@ from coles import negative_sampling
 from coles.graph_core import SparseSym, add_self_loops, degree_normalize, laplacian
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
+from coles.rng import Xoshiro256StarStar
+from helpers import bulk_everywhere, loop_distinct
 
 
 def cfg_pn(per_node=1, kappa=1, seed=0, eta=1.0):
@@ -17,7 +19,70 @@ def cfg_er(p=0.1, kappa=1, seed=0):
     return NegSampleConfig(kappa=kappa, mode="erdos-renyi", p_prime=p, seed=seed)
 
 
+def _loop_raw_edges(n, cfg, rng):
+    """Negative edges from scalar draws: per-node distinct picks, or one
+    Bernoulli draw per pair in a row-major double loop."""
+    edges = set()
+    if cfg.mode == "per-node-k":
+        for i in range(n):
+            for j in loop_distinct(rng, n, cfg.per_node, exclude=i):
+                edges.add((min(i, j), max(i, j)))
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < cfg.p_prime:
+                    edges.add((i, j))
+    return edges
+
+
+def _loop_negative_graph(n, cfg, k):
+    rng = Xoshiro256StarStar.keyed(cfg.seed, k)
+    edges = _loop_raw_edges(n, cfg, rng)
+    if not edges and cfg.mode == "erdos-renyi":
+        edges = _loop_raw_edges(n, cfg, rng)
+        if not edges:
+            raise ValueError("empty negative graph twice in a row")
+    return degree_normalize(add_self_loops(SparseSym.from_edges(n, edges)))
+
+
 # -- sampling ------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, cfg, k, bulk", [
+    (30, cfg_pn(per_node=3, kappa=2, seed=4), 1, True),
+    (12, cfg_pn(per_node=11, seed=5), 0, True),  # per_node = n - 1: every other node
+    (40, cfg_er(p=0.1, kappa=3, seed=6), 2, True),
+    (1200, cfg_pn(per_node=8, seed=7), 0, False),  # bulk draws at the library's settings
+    (700, cfg_er(p=0.01, seed=8), 0, False),  # and several pair blocks
+])
+def test_negative_graph_matches_loops(n, cfg, k, bulk):
+    with bulk_everywhere(bulk):
+        got = sample_negative_graph(n, cfg, k)
+    assert got.equals(_loop_negative_graph(n, cfg, k))
+
+
+def _resampled(n, cfg):
+    """True when graph 0's first draw is empty and its second is not."""
+    rng = Xoshiro256StarStar.keyed(cfg.seed, 0)
+    return not _loop_raw_edges(n, cfg, rng) and bool(_loop_raw_edges(n, cfg, rng))
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_er_resample_continues_the_stream(bulk):
+    n = 6
+    cfg = next(c for c in (cfg_er(p=0.03, seed=s) for s in range(200)) if _resampled(n, c))
+    with bulk_everywhere(bulk):
+        got = sample_negative_graph(n, cfg, 0)
+    assert got.nnz > n and got.equals(_loop_negative_graph(n, cfg, 0))
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_er_empty_twice_is_an_error(bulk):
+    cfg = cfg_er(p=1e-12, seed=3)
+    with pytest.raises(ValueError, match="empty negative graph twice"):
+        _loop_negative_graph(5, cfg, 0)
+    with bulk_everywhere(bulk), pytest.raises(ValueError, match="empty negative graph twice"):
+        sample_negative_graph(5, cfg, 0)
+
 
 def test_two_nodes_forced_single_edge():
     w = sample_negative_graph(2, cfg_pn(per_node=1), 0)

@@ -1,10 +1,14 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coles.rng import (GOLDEN64, MASK64, Xoshiro256StarStar, splitmix64,
-                       splitmix64_uniforms, stream_key)
+from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, _mul_high,
+                       splitmix64, splitmix64_uniforms, stream_key)
+from helpers import bulk_everywhere, loop_distinct, loop_normals, loop_shuffle
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+SEEDS64 = st.integers(0, MASK64)
 
 # Vectors from the canonical C implementations (splitmix64 and xoshiro256**
 # public-domain reference code), states seeded identically.
@@ -101,3 +105,86 @@ def test_splitmix64_uniforms_match_scalar_steps(state):
         s, z = splitmix64(s)
         expected.append((z >> 11) * 2.0 ** -53)
     assert np.array_equal(splitmix64_uniforms(state, 257), expected)
+
+
+# -- bulk draws against the scalar recurrence -----------------------------------
+
+def check_bulk_draw(seed, count, lanes):
+    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    with bulk_everywhere(lanes):
+        got = bulk.next_u64s(count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert got.tolist() == [scalar.next_u64() for _ in range(count)]
+    # the generator ends where count scalar steps leave it
+    assert [bulk.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", [0, MASK64])
+@pytest.mark.parametrize("count", [0, 1, _LANE - 1, _LANE, _LANE + 1, 3 * _LANE + 5,
+                                   _BULK_MIN - 1, _BULK_MIN, _BULK_MIN + 1, 19 * _LANE])
+@pytest.mark.parametrize("lanes", [False, True])
+def test_bulk_draw_at_lane_boundaries(seed, count, lanes):
+    check_bulk_draw(seed, count, lanes)
+
+
+@PROPERTY
+@given(seed=SEEDS64, count=st.integers(0, 24 * _LANE), lanes=st.booleans())
+def test_bulk_draw_equals_scalar_steps(seed, count, lanes):
+    check_bulk_draw(seed, count, lanes)
+
+
+@PROPERTY
+@given(seed=SEEDS64, count=st.integers(0, 3 * _BULK_MIN), lanes=st.booleans())
+@example(seed=0, count=7, lanes=True)
+@example(seed=MASK64, count=8, lanes=True)
+@example(seed=3, count=_BULK_MIN + 1, lanes=False)
+@example(seed=4, count=2 * _BULK_MIN, lanes=False)
+def test_normals_match_scalar_box_muller(seed, count, lanes):
+    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    with bulk_everywhere(lanes):
+        got = bulk.normals(count)
+    assert got.tolist() == loop_normals(scalar, count)
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@PROPERTY
+@given(xs=st.lists(st.integers(0, MASK64), min_size=1, max_size=40),
+       n=st.one_of(st.integers(1, MASK64), st.integers(2**63 - 2**10, 2**63 + 2**10)))
+@example(xs=[0, 1, 2**63, MASK64], n=2**63)
+@example(xs=[0, 1, 2**63, MASK64], n=2**63 - 1)
+@example(xs=[MASK64, MASK64 - 1], n=MASK64)
+@example(xs=[MASK64, 2**32 - 1, 2**32], n=2**32 + 1)
+def test_bulk_below_is_exact(xs, n):
+    assert _mul_high(np.array(xs, dtype=np.uint64), n).tolist() == [(x * n) >> 64 for x in xs]
+
+
+@PROPERTY
+@given(seed=SEEDS64, n=st.integers(2, 40), data=st.data(), lanes=st.booleans())
+def test_distinct_runs_match_scalar_calls(seed, n, data, lanes):
+    count = data.draw(st.integers(0, n - 1))
+    excludes = data.draw(st.lists(st.integers(-1, n - 1), max_size=12))
+    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    with bulk_everywhere(lanes):
+        got = bulk.distinct_runs(n, count, excludes)
+    assert got == [loop_distinct(scalar, n, count, e) for e in excludes]
+    assert bulk.next_u64() == scalar.next_u64()  # the buffer never overdraws
+
+
+@pytest.mark.parametrize("n", [2**63 - 1, 2**63 + 7, MASK64])
+def test_distinct_near_2_pow_63_matches_scalar(n):
+    bulk, scalar = Xoshiro256StarStar(11), Xoshiro256StarStar(11)
+    with bulk_everywhere():
+        got = bulk.distinct(n, 50, exclude=n - 1)
+    assert got == loop_distinct(scalar, n, 50, exclude=n - 1)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 1000, _BULK_MIN + 2])
+@pytest.mark.parametrize("lanes", [False, True])
+def test_shuffle_matches_scalar_fisher_yates(size, lanes):
+    got, want = list(range(size)), list(range(size))
+    bulk, scalar = Xoshiro256StarStar(size), Xoshiro256StarStar(size)
+    with bulk_everywhere(lanes):
+        bulk.shuffle(got)
+    loop_shuffle(scalar, want)
+    assert got == want
+    assert bulk.next_u64() == scalar.next_u64()

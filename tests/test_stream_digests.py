@@ -1,0 +1,52 @@
+"""Golden digests of the library's random streams at fixed seeds.
+
+The SHA-256 pins were computed with the scalar draw loops, before draws were
+batched. Any change to what a seed produces (SBM edges and features,
+negative graphs, splits) fails here and has to be made deliberately. The
+sizes are large enough that every draw runs through the bulk paths.
+"""
+
+import hashlib
+
+import numpy as np
+
+from coles.evaluation import SplitSpec, random_split
+from coles.negative_sampling import NegSampleConfig, sample_negative_graph
+from coles.synthetic import SbmSpec, generate_sbm
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update((a.astype("<i8") if a.dtype.kind in "iu" else a.astype("<f8")).tobytes())
+    return h.hexdigest()
+
+
+def csr_digest(w):
+    return digest(w.indptr, w.indices, w.data)
+
+
+def test_generate_sbm_digest():
+    g = generate_sbm(SbmSpec(n_classes=3, per_block=150, p_in=0.2, p_out=0.02,
+                             feature_dim=40, seed=1234))
+    assert digest(np.array(g.adjacency.edge_list()).reshape(-1, 2)) == (
+        "5bff910236e7ff17d6487d627b2b0114536d6377cba1110c25201e276982d366")
+    assert digest(g.features) == (
+        "ef32361910d450bd1ea4deb95fcad4adebaaa055dfded190cdb498582727e296")
+
+
+def test_per_node_k_graph_digest():
+    w = sample_negative_graph(900, NegSampleConfig(kappa=2, per_node=10, seed=99), 1)
+    assert csr_digest(w) == "15c0a785db10eb1a42ea086d9d6f659bfef510886d4417b2b05f66d0a00bac6c"
+
+
+def test_erdos_renyi_graph_digest():
+    cfg = NegSampleConfig(kappa=2, mode="erdos-renyi", p_prime=0.01, seed=99)
+    w = sample_negative_graph(900, cfg, 1)
+    assert csr_digest(w) == "f305fecd72a7a575a421e3a4199c80396be7427bcd3b9dd55169e36c1203bef1"
+
+
+def test_random_split_digest():
+    split = random_split(np.arange(30000) % 3, SplitSpec(per_class=20, val_size=500, seed=5))
+    assert digest(*split) == "7681e054a79a06f37f4c1bcd8da95cdc13b7918ad94c35e5ff6e946ba95a21f7"

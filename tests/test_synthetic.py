@@ -2,7 +2,47 @@ import numpy as np
 import pytest
 
 from coles.diagnostics import expected_negative_homophily, homophily
+from coles.graph_core import SparseSym
+from coles.rng import Xoshiro256StarStar
 from coles.synthetic import SbmSpec, generate_sbm, simplex_means
+from helpers import bulk_everywhere, loop_normals
+
+
+def _loop_sbm(spec):
+    """generate_sbm as a scalar double loop over pairs, then scalar Box-Muller."""
+    n = spec.n_classes * spec.per_block
+    labels = np.repeat(np.arange(spec.n_classes), spec.per_block)
+    rng = Xoshiro256StarStar(spec.seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = spec.p_in if labels[i] == labels[j] else spec.p_out
+            if rng.random() < p:
+                edges.append((i, j))
+    adjacency = SparseSym.from_edges(n, edges) if edges else SparseSym.zeros(n)
+    means = simplex_means(spec.n_classes, spec.feature_dim, spec.mean_sep)
+    noise = np.array(loop_normals(rng, n * spec.feature_dim)).reshape(n, spec.feature_dim)
+    return adjacency, means[labels] + spec.noise_sigma * noise
+
+
+SMALL_SPECS = [
+    SbmSpec(n_classes=3, per_block=30, p_in=0.3, p_out=0.05, feature_dim=7, seed=5),
+    SbmSpec(n_classes=2, per_block=12, p_in=1.0, p_out=0.0, feature_dim=3, seed=6),
+    SbmSpec(n_classes=4, per_block=2, p_in=0.5, p_out=0.2, feature_dim=5, seed=7),
+    SbmSpec(n_classes=1, per_block=2, p_in=0.0, p_out=0.0, feature_dim=1, seed=8),
+]
+# large enough for bulk draws and two pair blocks at the library's own settings
+LARGE_SPEC = SbmSpec(n_classes=3, per_block=200, p_in=0.05, p_out=0.005, feature_dim=16, seed=9)
+
+
+@pytest.mark.parametrize("spec, bulk", [(s, b) for s in SMALL_SPECS for b in (False, True)]
+                         + [(LARGE_SPEC, False)])
+def test_generate_sbm_matches_loops(spec, bulk):
+    adjacency, features = _loop_sbm(spec)
+    with bulk_everywhere(bulk):
+        g = generate_sbm(spec)
+    assert g.adjacency.equals(adjacency)
+    assert np.array_equal(g.features, features)
 
 
 def test_no_cross_edges_when_p_out_zero():
