@@ -26,9 +26,9 @@ from .diagnostics import (expected_negative_homophily, homophily, js_from_densit
                           silverman_bandwidth, wasserstein1)
 from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_split, score
 from .graph_core import load_edge_list, save_edge_list
-from .negative_sampling import NegSampleConfig, sample_negative_graph
+from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
 from .rng import stream_key
-from .spectral_filters import FilterConfig
+from .spectral_filters import KINDS, FilterConfig
 from .synthetic import SbmSpec, generate_sbm
 
 log = logging.getLogger("coles")
@@ -352,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--edges")
     p.add_argument("--features")
-    p.add_argument("--filter", choices=("sgc", "s2gc", "identity"), default="s2gc")
+    p.add_argument("--filter", choices=KINDS, default="s2gc")
     p.add_argument("--k-steps", dest="k_steps", type=int, default=8)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--kappa", type=int, default=10)
     p.add_argument("--per-node", dest="per_node", type=int, default=5)
-    p.add_argument("--mode", choices=("per-node-k", "erdos-renyi"), default="per-node-k")
+    p.add_argument("--mode", choices=MODES, default="per-node-k")
     p.add_argument("--p-prime", dest="p_prime", type=float, default=0.05)
     p.add_argument("--eta-prime", dest="eta_prime", type=float, default=1.0)
     p.add_argument("--no-self-loops", dest="self_loops", action="store_false",
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges")
     p.add_argument("--labels")
     p.add_argument("--per-node", dest="per_node", type=int, default=5)
-    p.add_argument("--mode", choices=("per-node-k", "erdos-renyi"), default="per-node-k")
+    p.add_argument("--mode", choices=MODES, default="per-node-k")
     p.add_argument("--p-prime", dest="p_prime", type=float, default=0.05)
     p.add_argument("--bandwidth", type=float, default=0.0,
                    help="Parzen bandwidth; 0 means Silverman's rule per sample")

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import eigh
 
-from .graph_core import SparseSym, as_dense, laplacian, normalized_adjacency, spmm
+from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
 from .negative_sampling import (NegSampleConfig, PsdMargin, build_delta_w, psd_margin,
                                 sample_negative_graph)
 from .rng import splitmix64, stream_key
@@ -138,7 +138,7 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
 
     `adjacency` is the raw binary graph (no self-loops); `x` the n x d node
     features. The result also carries the PSD margin of the Laplacian
-    combination built from the same negatives. Deterministic given
+    combination built from the same negatives, read off delta_w. Deterministic given
     (x, adjacency, cfg).
     """
     x = as_dense(x, "x")
@@ -151,8 +151,7 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
     delta_w = build_delta_w(w_pos, negs, cfg.negatives.eta_prime)
     fx = apply_filter(w_pos, x, cfg.filter)
     result = solve_projection(fx, delta_w, cfg.d_prime)
-    result.psd_margin = psd_margin(laplacian(w_pos), [laplacian(w) for w in negs],
-                                   cfg.negatives.eta_prime)
+    result.psd_margin = psd_margin(delta_w, cfg.negatives.eta_prime if negs else 0.0)
     return result
 
 

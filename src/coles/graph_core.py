@@ -2,7 +2,8 @@
 
 SparseSym is the single sparse type used everywhere: it stores a symmetric
 n x n matrix in canonical CSR form (sorted column indices, no duplicates,
-no explicit zeros) and validates symmetry bit-exactly on construction.
+no explicit zeros). Symmetry is checked bit-exactly where data enters; the
+graph operations of this package keep it by construction and do not recheck.
 Dense matrices are plain 2-D float64 C-contiguous numpy arrays.
 """
 
@@ -31,18 +32,18 @@ class SparseSym:
 
     Immutable by convention: operations return new instances. The stored
     pattern always satisfies (i, j, w) present iff (j, i, w) present with
-    bit-identical w, indices sorted per row, no duplicates, finite weights.
+    bit-identical w, indices sorted per row, no duplicates, finite weights:
+    the constructor, from_scipy and from_edges check it, _wrap trusts it.
     """
 
     __slots__ = ("n", "indptr", "indices", "data")
 
-    def __init__(self, n: int, indptr, indices, data, _validated: bool = False):
+    def __init__(self, n: int, indptr, indices, data):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        if not _validated:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         if self.n < 0:
@@ -72,14 +73,26 @@ class SparseSym:
 
     @classmethod
     def from_scipy(cls, m) -> "SparseSym":
-        m = sp.csr_matrix(m, dtype=np.float64)
+        m = sp.csr_matrix(m, dtype=np.float64, copy=True)
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        out = cls._wrap(m)
+        out._validate()
+        return out
+
+    @classmethod
+    def _wrap(cls, m: sp.csr_matrix) -> "SparseSym":
+        """Canonicalize m in place and wrap it unchecked; m must be symmetric
+        by construction and share no arrays with another matrix."""
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
-        return cls(m.shape[0], m.indptr.astype(np.int64), m.indices.astype(np.int64),
-                   m.data.copy())
+        out = cls.__new__(cls)
+        out.n = m.shape[0]
+        out.indptr = m.indptr.astype(np.int64)
+        out.indices = m.indices.astype(np.int64)
+        out.data = m.data
+        return out
 
     @classmethod
     def from_edges(cls, n: int, edges, weight: float = 1.0) -> "SparseSym":
@@ -105,12 +118,11 @@ class SparseSym:
 
     @classmethod
     def identity(cls, n: int) -> "SparseSym":
-        return cls.from_scipy(sp.identity(n, format="csr"))
+        return cls._wrap(sp.identity(n, format="csr"))
 
     @classmethod
     def zeros(cls, n: int) -> "SparseSym":
-        return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
-                   np.empty(0), _validated=True)
+        return cls._wrap(sp.csr_matrix((n, n)))
 
     # -- views -------------------------------------------------------------
 
@@ -184,15 +196,13 @@ def load_edge_list(path, n: int | None = None) -> SparseSym:
     reversed pairs collapse to one edge. Node count is 1 + max id unless a
     larger n is given explicitly (trailing isolated nodes).
     """
-    edges = set()
+    edges = []
     max_id = -1
-    n_lines = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            n_lines += 1
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
@@ -206,7 +216,7 @@ def load_edge_list(path, n: int | None = None) -> SparseSym:
                 raise ValueError(f"{path}:{lineno}: node id overflow")
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop in input ({u} {v})")
-            edges.add((min(u, v), max(u, v)))
+            edges.append((u, v))
             max_id = max(max_id, u, v)
     if not edges:
         raise ValueError(f"{path}: empty edge list")
@@ -231,7 +241,7 @@ def add_self_loops(adj: SparseSym) -> SparseSym:
     """Return adj + I. Rejects inputs that already carry diagonal entries."""
     if adj.has_diagonal():
         raise ValueError("adjacency already has diagonal entries")
-    return SparseSym.from_scipy(adj._scipy() + sp.identity(adj.n, format="csr"))
+    return SparseSym._wrap(adj._scipy() + sp.identity(adj.n, format="csr"))
 
 
 def degree_normalize(adj: SparseSym) -> SparseSym:
@@ -241,13 +251,14 @@ def degree_normalize(adj: SparseSym) -> SparseSym:
         bad = int(np.argmin(deg))
         raise ValueError(f"node {bad} has zero degree; enable self-loops or connect it")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    data = adj.data * inv_sqrt[adj._row_ids()] * inv_sqrt[adj.indices]
-    return SparseSym(adj.n, adj.indptr.copy(), adj.indices.copy(), data)
+    m = adj._scipy().copy()
+    m.data *= inv_sqrt[adj._row_ids()] * inv_sqrt[adj.indices]  # same scale for (i, j), (j, i)
+    return SparseSym._wrap(m)
 
 
 def laplacian(w_norm: SparseSym) -> SparseSym:
     """L = I - W for a degree-normalized W."""
-    return SparseSym.from_scipy(sp.identity(w_norm.n, format="csr") - w_norm._scipy())
+    return SparseSym._wrap(sp.identity(w_norm.n, format="csr") - w_norm._scipy())
 
 
 def normalized_adjacency(adj: SparseSym, self_loops: bool = True) -> SparseSym:

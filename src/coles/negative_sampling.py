@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .graph_core import SparseSym, add_self_loops, degree_normalize
+from .graph_core import SparseSym, normalized_adjacency
 from .rng import Xoshiro256StarStar, splitmix64_uniforms
 
 MODES = ("per-node-k", "erdos-renyi")
@@ -59,11 +60,8 @@ def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> np.ndar
 
 
 def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
-    """Sample negative graph k and return it degree-normalized.
-
-    Self-loops are added before normalization, matching the positive-graph
-    pipeline, so positive and negative matrices live on the same scale.
-    """
+    """Sample negative graph k and normalize it like the positive graph
+    (self-loops, then degree normalization), so both share one scale."""
     if n < 2:
         raise ValueError("need at least 2 nodes to sample a negative graph")
     if k < 0 or (cfg.kappa and k >= cfg.kappa):
@@ -75,22 +73,20 @@ def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
         edges = _raw_edges(n, cfg, rng)  # one resample for degenerate draws
         if not len(edges):
             raise ValueError(f"empty negative graph twice in a row (p_prime={cfg.p_prime})")
-    raw = SparseSym.from_edges(n, edges)
-    return degree_normalize(add_self_loops(raw))
+    return normalized_adjacency(SparseSym.from_edges(n, edges))
 
 
 def build_delta_w(w_pos: SparseSym, w_negs: list[SparseSym], eta_prime: float) -> SparseSym:
-    """delta_w = w_pos - (eta'/kappa) * sum of negatives (w_pos when kappa=0)."""
+    """delta_w = w_pos - (eta'/kappa) * sum of negatives (w_pos itself when kappa=0)."""
     if not w_negs:
-        return SparseSym(w_pos.n, w_pos.indptr.copy(), w_pos.indices.copy(), w_pos.data.copy())
+        return w_pos
     for w in w_negs:
         if w.n != w_pos.n:
             raise ValueError(f"negative graph is {w.n}x{w.n}, expected {w_pos.n}x{w_pos.n}")
-    acc = w_negs[0]._scipy().copy()
+    acc = w_negs[0]._scipy()
     for w in w_negs[1:]:
         acc = acc + w._scipy()
-    delta = w_pos._scipy() - (eta_prime / len(w_negs)) * acc
-    return SparseSym.from_scipy(delta)
+    return SparseSym._wrap(w_pos._scipy() - (eta_prime / len(w_negs)) * acc)
 
 
 class PsdMargin(NamedTuple):
@@ -98,24 +94,19 @@ class PsdMargin(NamedTuple):
     converged: bool
 
 
-def psd_margin(l_pos: SparseSym, l_negs: list[SparseSym], eta_prime: float) -> PsdMargin:
-    """Smallest eigenvalue of S = L - (eta'/kappa) * sum L_neg_k.
+def psd_margin(delta_w: SparseSym, eta_prime: float) -> PsdMargin:
+    """Smallest eigenvalue of S = (1 - eta') I - delta_w.
 
-    Computed by ARPACK's implicitly restarted Lanczos (scipy eigsh, which="SA")
-    from a fixed splitmix64 start vector, so the value is deterministic; a
-    negative value means the contrastive combination lost positive
-    semidefiniteness. An all-zero S has margin 0; an ARPACK failure gives
-    converged=False and a NaN value.
+    As L = I - W for every graph, S = L_pos - (eta'/kappa) * sum_k L_neg_k;
+    with kappa = 0 pass eta' = 0, so that S = L_pos. Computed by ARPACK's
+    implicitly restarted Lanczos (scipy eigsh, which="SA") from a fixed
+    splitmix64 start vector, so the value is deterministic; a negative value
+    means the contrastive combination lost positive semidefiniteness. An
+    all-zero S has margin 0; an ARPACK failure gives converged=False and a
+    NaN value.
     """
-    n = l_pos.n
-    s = l_pos._scipy().copy()
-    if l_negs:
-        coef = eta_prime / len(l_negs)
-        for l in l_negs:
-            if l.n != n:
-                raise ValueError("Laplacian size mismatch")
-            s = s - coef * l._scipy()
-    s = s.tocsr()
+    n = delta_w.n
+    s = (1.0 - eta_prime) * sp.identity(n, format="csr") - delta_w._scipy()
     if not s.count_nonzero():
         return PsdMargin(0.0, True)
     # deterministic pseudo-random start, biased away from exact eigenvectors

@@ -59,11 +59,8 @@ def load_planetoid(root: str, name: str) -> LabeledGraph:
     labels = np.argmax(onehot, axis=1).astype(np.int64)
 
     n = n_base + tx.shape[0]
-    edges = set()
-    for u, nbrs in graph.items():
-        for v in nbrs:
-            if u != v and 0 <= u < n and 0 <= v < n:
-                edges.add((min(int(u), int(v)), max(int(u), int(v))))
+    edges = [(int(u), int(v)) for u, nbrs in graph.items() for v in nbrs
+             if u != v and 0 <= u < n and 0 <= v < n]
     adjacency = SparseSym.from_edges(n, edges)
     return LabeledGraph(adjacency=adjacency,
                         features=np.asarray(features.todense(), dtype=np.float64),

@@ -58,7 +58,7 @@ def generate_sbm(spec: SbmSpec) -> LabeledGraph:
 
     edges = rng.bernoulli_pairs(
         n, lambda rows, cols: np.where(labels[rows] == labels[cols], spec.p_in, spec.p_out))
-    adjacency = SparseSym.from_edges(n, edges) if len(edges) else SparseSym.zeros(n)
+    adjacency = SparseSym.from_edges(n, edges)
 
     means = simplex_means(spec.n_classes, spec.feature_dim, spec.mean_sep)
     noise = rng.normals(n * spec.feature_dim).reshape(n, spec.feature_dim)

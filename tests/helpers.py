@@ -5,6 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from coles import rng as rng_module
 from coles.graph_core import SparseSym
@@ -19,6 +20,15 @@ def random_graph(n, extra_per_node, seed):
         for j in rng.distinct(n, extra_per_node, exclude=i):
             edges.append((min(i, j), max(i, j)))
     return SparseSym.from_edges(n, edges)
+
+
+def weighted_graph(n, extra_per_node, seed):
+    """random_graph's pattern with symmetric weights drawn from [0.1, 2.1)."""
+    upper = sp.triu(random_graph(n, extra_per_node, seed)._scipy(), format="coo")
+    rng = Xoshiro256StarStar(seed + 1)
+    weights = np.array([0.1 + 2.0 * rng.random() for _ in range(upper.nnz)])
+    m = sp.coo_matrix((weights, (upper.row, upper.col)), shape=(n, n))
+    return SparseSym.from_scipy(m + m.T)
 
 
 def rand_x(n, d, seed=0):

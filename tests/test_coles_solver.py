@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from coles import coles_solver, graph_core
 from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objective,
                                 general_objective, hash_features,
                                 orthogonality_penalty, solve_linear_coles,
                                 solve_projection, sym_eig)
-from coles.graph_core import SparseSym, laplacian, normalized_adjacency
+from coles.graph_core import SparseSym, normalized_adjacency
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
 from coles.rng import Xoshiro256StarStar
 from coles.spectral_filters import FilterConfig
-from helpers import rand_x, random_graph
+from helpers import rand_x, random_graph, weighted_graph
 
 
 def random_sym(n, seed):
@@ -210,8 +211,39 @@ def test_solver_objective_self_consistency():
     assert abs(res.objective - coles_objective(res.Y, delta)) < 1e-8
     assert abs(res.objective - float(res.eigenvalues.sum())) < 1e-12
     # the margin comes from the same negatives the embedding used
-    assert res.psd_margin == psd_margin(laplacian(w), [laplacian(g) for g in negs],
-                                        cfg.negatives.eta_prime)
+    assert res.psd_margin == psd_margin(delta, cfg.negatives.eta_prime)
+
+
+def test_solver_accepts_weighted_graph():
+    adj = weighted_graph(16, 2, seed=68)
+    cfg = ColesConfig(d_prime=3, negatives=NegSampleConfig(kappa=2, per_node=3, seed=4))
+    res = solve_linear_coles(rand_x(16, 6, seed=69), adj, cfg)
+    assert res.converged and res.psd_margin.converged
+    assert np.all(np.isfinite(res.Y))
+
+
+def test_solver_checks_only_the_negative_graphs(monkeypatch):
+    # the inputs were checked on entry; only each negative graph's from_edges checks again
+    adj = random_graph(12, 2, seed=61)
+    x = rand_x(12, 6, seed=62)
+    checks = []
+    validate = SparseSym._validate
+
+    def counted_validate(s):
+        checks.append(s.n)
+        validate(s)
+
+    def no_laplacian(w):
+        raise AssertionError("the solver builds no Laplacian")
+
+    monkeypatch.setattr(SparseSym, "_validate", counted_validate)
+    for module in (graph_core, coles_solver):
+        monkeypatch.setattr(module, "laplacian", no_laplacian, raising=False)
+    for kappa in (0, 1, 3):
+        checks.clear()
+        cfg = ColesConfig(d_prime=3, negatives=NegSampleConfig(kappa=kappa, per_node=3, seed=5))
+        solve_linear_coles(x, adj, cfg)
+        assert len(checks) == kappa
 
 
 def test_solver_rows_orthonormal_and_values_sorted():

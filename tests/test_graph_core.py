@@ -5,7 +5,7 @@ from coles.graph_core import (LabeledGraph, SparseSym, add_self_loops, as_dense,
                               degree_normalize, laplacian, load_edge_list,
                               normalized_adjacency, save_edge_list, spmm)
 from coles.rng import Xoshiro256StarStar
-from helpers import random_graph
+from helpers import random_graph, weighted_graph
 
 
 def path3():
@@ -27,6 +27,19 @@ def test_asymmetric_rejected():
     m = sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="symmetric"):
         SparseSym(2, m.indptr, m.indices, m.data)
+
+
+def test_from_scipy_leaves_input_unchanged():
+    import scipy.sparse as sp
+    # row 0 stores an explicit zero that canonicalization drops
+    m = sp.csr_matrix((np.array([0.0, 1.0, 1.0]), np.array([0, 1, 0]), np.array([0, 2, 3])),
+                      shape=(2, 2))
+    before = (m.indptr.copy(), m.indices.copy(), m.data.copy())
+    s = SparseSym.from_scipy(m)
+    assert s.nnz == 2
+    assert m.nnz == 3
+    for got, want in zip((m.indptr, m.indices, m.data), before):
+        assert np.array_equal(got, want)
 
 
 def test_nonfinite_rejected():
@@ -186,6 +199,17 @@ def test_degree_normalize_triangle_uniform():
     tri = add_self_loops(SparseSym.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
     out = degree_normalize(tri)
     assert np.allclose(out.toarray(), np.full((3, 3), 1.0 / 3.0), atol=1e-15)
+    assert np.array_equal(out.toarray(), out.toarray().T)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_normalized_adjacency_of_weighted_graph_matches_dense(seed):
+    adj = weighted_graph(20, 2, seed)
+    a = adj.toarray() + np.eye(20)
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    expected = inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    out = normalized_adjacency(adj)
+    assert np.max(np.abs(out.toarray() - expected)) < 1e-15
     assert np.array_equal(out.toarray(), out.toarray().T)
 
 

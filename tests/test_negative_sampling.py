@@ -201,31 +201,33 @@ def test_delta_w_dimension_mismatch():
 
 # -- psd margin --------------------------------------------------------------------
 
-def ring_laplacian(n, seed=0):
+def ring_w(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return laplacian(degree_normalize(add_self_loops(SparseSym.from_edges(n, edges))))
+    return degree_normalize(add_self_loops(SparseSym.from_edges(n, edges)))
 
 
 def test_psd_margin_of_plain_laplacian():
-    l = ring_laplacian(8)
-    margin = psd_margin(l, [], eta_prime=0.0)
+    w = ring_w(8)
+    margin = psd_margin(build_delta_w(w, [], 0.0), eta_prime=0.0)
     assert margin.converged
     assert margin.value >= -1e-9  # normalized Laplacian is PSD
 
 
 def test_psd_margin_zero_matrix():
-    l = ring_laplacian(6)
-    margin = psd_margin(l, [l], eta_prime=1.0)
+    w = ring_w(6)
+    margin = psd_margin(build_delta_w(w, [w], 1.0), eta_prime=1.0)
     assert margin.converged
     assert abs(margin.value) < 1e-9
 
 
 def test_psd_margin_matches_dense_eigensolve():
-    l = ring_laplacian(6, seed=1)
-    negs = [laplacian(sample_negative_graph(6, cfg_pn(per_node=2, kappa=2, seed=7), k))
-            for k in range(2)]
+    w = ring_w(6)
+    l = laplacian(w)
+    w_negs = [sample_negative_graph(6, cfg_pn(per_node=2, kappa=2, seed=7), k)
+              for k in range(2)]
+    negs = [laplacian(g) for g in w_negs]
     eta = 0.9
-    margin = psd_margin(l, negs, eta)
+    margin = psd_margin(build_delta_w(w, w_negs, eta), eta)
     explicit = l.toarray() - (eta / 2) * sum(n.toarray() for n in negs)
     oracle = float(np.min(np.linalg.eigvalsh(explicit)))
     assert margin.converged
@@ -237,6 +239,6 @@ def test_psd_margin_arpack_failure_is_not_converged(monkeypatch):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(negative_sampling, "eigsh", stalled)
-    margin = psd_margin(ring_laplacian(8), [], eta_prime=0.0)
+    margin = psd_margin(build_delta_w(ring_w(8), [], 0.0), eta_prime=0.0)
     assert not margin.converged
     assert np.isnan(margin.value)

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from coles.coles_solver import (build_quadratic_form, coles_objective, solve_projection,
                                 sym_eig)
-from coles.graph_core import laplacian, normalized_adjacency
+from coles.graph_core import (SparseSym, add_self_loops, degree_normalize, laplacian,
+                              normalized_adjacency)
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
 from coles.rng import Xoshiro256StarStar
 from coles.synthetic import SbmSpec, generate_sbm
-from helpers import rand_x, random_graph
+from helpers import rand_x, random_graph, weighted_graph
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -66,6 +67,29 @@ def test_sym_eig_zero_matrix_property(n):
     assert np.array_equal(eig.values, np.zeros(n))
 
 
+def assert_checked_rebuild(out):
+    """An unchecked result passes the entry check unchanged and stores no zeros."""
+    rebuilt = SparseSym(out.n, out.indptr, out.indices, out.data)
+    assert rebuilt.equals(out)
+    assert np.all(out.data != 0)
+
+
+@PROPERTY
+@given(n=st.integers(6, 40), seed=SEEDS, kappa=st.integers(0, 4),
+       mode=st.sampled_from(["per-node-k", "erdos-renyi"]),
+       eta_prime=st.sampled_from([0.0, 0.8, 1.0]))
+def test_graph_ops_keep_symmetry_by_construction(n, seed, kappa, mode, eta_prime):
+    for adj in (random_graph(n, 1, seed), weighted_graph(n, 1, seed)):
+        looped = add_self_loops(adj)
+        w = degree_normalize(looped)
+        for out in (looped, w, laplacian(w)):
+            assert_checked_rebuild(out)
+    cfg = NegSampleConfig(kappa=kappa, per_node=2, mode=mode, p_prime=0.3, seed=seed)
+    negs = [sample_negative_graph(n, cfg, k) for k in range(kappa)]
+    for out in negs + [build_delta_w(w, negs, eta_prime)]:
+        assert_checked_rebuild(out)
+
+
 def delta_instance(n, seed, kappa, mode):
     adj = random_graph(n, 2, seed=seed)
     cfg = NegSampleConfig(kappa=kappa, per_node=2, mode=mode, p_prime=0.3,
@@ -105,7 +129,8 @@ def dense_margin(l_pos, l_negs, eta_prime):
 def test_psd_margin_matches_dense(n, seed, kappa, mode):
     w_pos, negs, cfg = delta_instance(n, seed, kappa, mode)
     l_pos, l_negs = laplacian(w_pos), [laplacian(w) for w in negs]
-    margin = psd_margin(l_pos, l_negs, cfg.eta_prime)
+    eta_prime = cfg.eta_prime if negs else 0.0
+    margin = psd_margin(build_delta_w(w_pos, negs, eta_prime), eta_prime)
     assert margin.converged
     assert abs(margin.value - dense_margin(l_pos, l_negs, cfg.eta_prime)) < 1e-9
 
@@ -117,7 +142,8 @@ def test_psd_margin_three_block_sbm(seed, eta_prime):
     g = generate_sbm(SbmSpec(n_classes=3, per_block=60, p_in=0.1, p_out=0.01, seed=seed))
     cfg = NegSampleConfig(kappa=3, per_node=5, eta_prime=eta_prime, seed=seed)
     w_pos = normalized_adjacency(g.adjacency)
-    l_negs = [laplacian(sample_negative_graph(g.adjacency.n, cfg, k)) for k in range(3)]
-    margin = psd_margin(laplacian(w_pos), l_negs, eta_prime)
+    w_negs = [sample_negative_graph(g.adjacency.n, cfg, k) for k in range(3)]
+    l_negs = [laplacian(w) for w in w_negs]
+    margin = psd_margin(build_delta_w(w_pos, w_negs, eta_prime), eta_prime)
     assert margin.converged
     assert abs(margin.value - dense_margin(laplacian(w_pos), l_negs, eta_prime)) < 1e-9
