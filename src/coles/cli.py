@@ -2,10 +2,11 @@
 
 Every setting is declared once, in build_parser. argparse resolves the
 configuration (defaults < --config JSON file < explicit flags), checking
-config-file values exactly as it checks flags. Each subcommand echoes the
-resolved values to <out>/config.json and exits 0 on success, 1 on
-configuration/input errors, 2 on numerical failure.
-COLES_LOG={error|info|debug} controls verbosity.
+config-file values exactly as it checks flags. Each subcommand is straight-line
+code that returns its resolved configuration; main alone maps exceptions to
+exit codes (0 success, 1 configuration, input, file or memory errors, 2
+numerical failure) and echoes the resolved values to <out>/config.json only
+on success. COLES_LOG={error|info|debug} controls verbosity.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from . import io
 from .coles_solver import ColesConfig, hash_features, solve_linear_coles
 from .diagnostics import (expected_negative_homophily, homophily, js_from_densities,
-                          pair_scores, parzen_density, shared_grid,
-                          silverman_bandwidth, wasserstein1)
+                          pair_scores, score_densities, wasserstein1)
 from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_split, score
 from .graph_core import load_edge_list, save_edge_list
 from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
@@ -62,11 +62,11 @@ def _require_file(path, key: str) -> str:
     return path
 
 
-def _read_input(reader, path, key: str):
-    """reader(path) for a required input file; malformed content is a config error."""
+def _read_input(reader, path, key: str, **kwargs):
+    """reader(path, **kwargs) for a required input file; any failure names the flag."""
     try:
-        return reader(_require_file(path, key))
-    except ValueError as exc:
+        return reader(_require_file(path, key), **kwargs)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -75,7 +75,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # not UTF-8, malformed or nested too deep
         raise ConfigError(f"--config {path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"--config {path}: expected a JSON object")
@@ -126,32 +126,22 @@ def _write_json(obj: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _echo_config(cfg: dict, out: str) -> None:
-    _write_json(cfg, os.path.join(out, "config.json"))
-
-
 # -- synth --------------------------------------------------------------------
 
-def cmd_synth(cfg: dict) -> int:
+def cmd_synth(cfg: dict) -> dict:
     out = cfg["out"]
-    spec = SbmSpec(n_classes=cfg["classes"], per_block=cfg["per_block"],
-                   p_in=cfg["p_in"], p_out=cfg["p_out"], feature_dim=cfg["feat_dim"],
-                   mean_sep=cfg["mean_sep"], noise_sigma=cfg["noise_sigma"],
-                   seed=cfg["seed"])
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    graph = generate_sbm(spec)
+    graph = generate_sbm(SbmSpec(n_classes=cfg["classes"], per_block=cfg["per_block"],
+                                 p_in=cfg["p_in"], p_out=cfg["p_out"],
+                                 feature_dim=cfg["feat_dim"], mean_sep=cfg["mean_sep"],
+                                 noise_sigma=cfg["noise_sigma"], seed=cfg["seed"]))
     if graph.adjacency.nnz == 0:
         raise NumericalError("generated graph has no edges; raise p_in/p_out")
     save_edge_list(graph.adjacency, os.path.join(out, "edges.txt"))
     io.write_csv(graph.features, os.path.join(out, "features.csv"))
     io.write_labels(graph.labels, os.path.join(out, "labels.txt"))
-    _echo_config(cfg, out)
     log.info("wrote %s nodes / %s edges under %s", graph.adjacency.n,
              graph.adjacency.nnz // 2, out)
-    return EXIT_OK
+    return cfg
 
 
 # -- embed ---------------------------------------------------------------------
@@ -167,18 +157,14 @@ def _coles_config(cfg: dict, d: int) -> ColesConfig:
     )
 
 
-def cmd_embed(cfg: dict) -> int:
+def cmd_embed(cfg: dict) -> dict:
     out = cfg["out"]
     t0 = time.perf_counter()
     features = _read_input(io.read_dense, cfg["features"], "--features")
-    try:
-        if cfg["hash_dim"]:
-            features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
-        adjacency = load_edge_list(_require_file(cfg["edges"], "--edges"),
-                                   n=features.shape[0])
-        result = solve_linear_coles(features, adjacency, _coles_config(cfg, features.shape[1]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if cfg["hash_dim"]:
+        features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
+    adjacency = _read_input(load_edge_list, cfg["edges"], "--edges", n=features.shape[0])
+    result = solve_linear_coles(features, adjacency, _coles_config(cfg, features.shape[1]))
     if not result.converged:
         raise NumericalError("eigensolver failed on the d x d quadratic form")
     margin = result.psd_margin
@@ -187,7 +173,6 @@ def cmd_embed(cfg: dict) -> int:
     if cfg["write_csv"]:
         io.write_csv(result.Y, os.path.join(out, "embeddings.csv"))
     resolved = {**cfg, "dim": int(result.Y.shape[1])}
-    _echo_config(resolved, out)
     sidecar = {
         "config": resolved,
         "eigenvalues": [float(v) for v in result.eigenvalues],
@@ -201,7 +186,7 @@ def cmd_embed(cfg: dict) -> int:
         log.info("psd margin is negative (%.3g): eta_prime may be too large", margin.value)
     log.info("embedded %d nodes into %d dims, objective %.6g",
              result.Y.shape[0], result.Y.shape[1], result.objective)
-    return EXIT_OK
+    return resolved
 
 
 # -- eval ------------------------------------------------------------------------
@@ -214,104 +199,90 @@ def _summary(records: list[dict]) -> tuple[dict, dict]:
     return mean, std
 
 
-def cmd_eval_classify(cfg: dict) -> int:
+def _read_labeled_embeddings(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
     labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     if labels.shape[0] != y.shape[0]:
         raise ConfigError(f"--labels: {labels.shape[0]} labels for {y.shape[0]} embeddings")
+    return y, labels
+
+
+def cmd_eval_classify(cfg: dict) -> dict:
+    y, labels = _read_labeled_embeddings(cfg)
     if cfg["n_splits"] < 1:
         raise ConfigError("n_splits must be >= 1")
     records = []
     for s in range(cfg["n_splits"]):
         spec = SplitSpec(per_class=cfg["per_class"], val_size=cfg["val_size"],
                          seed=stream_key(cfg["seed"], s))
-        try:
-            train, _val, test = random_split(labels, spec)
-            if test.size == 0:
-                raise ValueError("test set is empty; lower --val-size or --per-class")
-            weights = logreg_fit(y[train], labels[train], l2=cfg["l2"],
-                                 lr=cfg["lr"], epochs=cfg["epochs"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        train, _val, test = random_split(labels, spec)
+        if test.size == 0:
+            raise ConfigError("test set is empty; lower --val-size or --per-class")
+        weights = logreg_fit(y[train], labels[train], l2=cfg["l2"],
+                             lr=cfg["lr"], epochs=cfg["epochs"])
         pred = logreg_predict(weights, y[test])
         metrics = score(pred, labels[test], mode="classification")
         records.append({"split": s, **metrics.as_dict()})
     mean, std = _summary(records)
-    out = cfg["out"]
-    _echo_config(cfg, out)
     _write_json({"config": cfg, "n_splits": cfg["n_splits"],
                  "per_split": records, "mean": mean, "std": std},
-                os.path.join(out, "metrics.json"))
+                os.path.join(cfg["out"], "metrics.json"))
     log.info("classification over %d splits: acc %.4f +- %.4f",
              cfg["n_splits"], mean["accuracy"], std["accuracy"])
-    return EXIT_OK
+    return cfg
 
 
-def cmd_eval_cluster(cfg: dict) -> int:
-    y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
-    labels = _read_input(io.read_labels, cfg["labels"], "--labels")
-    if labels.shape[0] != y.shape[0]:
-        raise ConfigError(f"--labels: {labels.shape[0]} labels for {y.shape[0]} embeddings")
+def cmd_eval_cluster(cfg: dict) -> dict:
+    y, labels = _read_labeled_embeddings(cfg)
     k = cfg["k"] or int(labels.max()) + 1
     if cfg["n_runs"] < 1:
         raise ConfigError("n_runs must be >= 1")
     records = []
     for r in range(cfg["n_runs"]):
-        try:
-            assign = kmeans(y, k, seed=stream_key(cfg["seed"], r))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        assign = kmeans(y, k, seed=stream_key(cfg["seed"], r))
         metrics = score(assign, labels, mode="clustering")
         records.append({"run": r, **metrics.as_dict()})
     mean, std = _summary(records)
-    out = cfg["out"]
     resolved = {**cfg, "k": k}
-    _echo_config(resolved, out)
     _write_json({"config": resolved, "n_runs": cfg["n_runs"],
                  "per_run": records, "mean": mean, "std": std},
-                os.path.join(out, "metrics.json"))
+                os.path.join(cfg["out"], "metrics.json"))
     log.info("clustering over %d runs: acc %.4f, nmi %.4f",
              cfg["n_runs"], mean["accuracy"], mean["nmi"])
-    return EXIT_OK
+    return resolved
 
 
 # -- diagnose --------------------------------------------------------------------
 
-def cmd_diagnose(cfg: dict) -> int:
+def cmd_diagnose(cfg: dict) -> dict:
     y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
     labels = _read_input(io.read_labels, cfg["labels"], "--labels")
-    try:
-        adjacency = load_edge_list(_require_file(cfg["edges"], "--edges"), n=y.shape[0])
-        neg_cfg = NegSampleConfig(per_node=cfg["per_node"], mode=cfg["mode"],
-                                  p_prime=cfg["p_prime"], seed=cfg["seed"])
-        negative = sample_negative_graph(y.shape[0], neg_cfg, 0)
-        pos_scores = pair_scores(y, adjacency, normalize=cfg["normalize"], tau=cfg["tau"])
-        neg_scores = pair_scores(y, negative, normalize=cfg["normalize"], tau=cfg["tau"])
-        bw = cfg["bandwidth"] if cfg["bandwidth"] > 0 else None
-        h_pos = bw if bw else silverman_bandwidth(pos_scores)
-        h_neg = bw if bw else silverman_bandwidth(neg_scores)
-        grid = shared_grid(pos_scores, neg_scores, h_pos, h_neg, cfg["grid_points"])
-        dens_pos = parzen_density(pos_scores, h_pos, grid)
-        dens_neg = parzen_density(neg_scores, h_neg, grid)
-        js = js_from_densities(dens_pos, dens_neg, grid)
-        w1 = wasserstein1(pos_scores, neg_scores)
-        h_graph = homophily(adjacency, labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    adjacency = _read_input(load_edge_list, cfg["edges"], "--edges", n=y.shape[0])
+    neg_cfg = NegSampleConfig(per_node=cfg["per_node"], mode=cfg["mode"],
+                              p_prime=cfg["p_prime"], seed=cfg["seed"])
+    negative = sample_negative_graph(y.shape[0], neg_cfg, 0)
+    pos_scores = pair_scores(y, adjacency, normalize=cfg["normalize"], tau=cfg["tau"])
+    neg_scores = pair_scores(y, negative, normalize=cfg["normalize"], tau=cfg["tau"])
+    dens = score_densities(pos_scores, neg_scores, cfg["bandwidth"] or None, cfg["grid_points"])
+    js = js_from_densities(dens.p, dens.q, dens.grid)
+    w1 = wasserstein1(pos_scores, neg_scores)
+    if not all(np.isfinite(v).all() for v in (js, w1, *dens)):
+        raise NumericalError(f"non-finite score densities (js {js}, w1 {w1}); "
+                             "the bandwidth or the scores are out of range")
+    h_graph = homophily(adjacency, labels)
     counts = np.bincount(labels, minlength=int(labels.max()) + 1)
     h_neg_expected = expected_negative_homophily(counts / counts.sum())
 
     out = cfg["out"]
     with open(os.path.join(out, "densities.csv"), "w", encoding="utf-8") as fh:
         fh.write("grid,density_pos,density_neg\n")
-        for g, dp, dn in zip(grid, dens_pos, dens_neg):
+        for g, dp, dn in zip(dens.grid, dens.p, dens.q):
             fh.write(f"{float(g)!r},{float(dp)!r},{float(dn)!r}\n")
-    _echo_config(cfg, out)
     _write_json({"config": cfg, "js": js, "w1": w1,
                  "homophily_pos": h_graph, "homophily_neg_expected": h_neg_expected},
                 os.path.join(out, "diagnostics.json"))
     log.info("diagnose: js %.4f (log2=%.4f), w1 %.4f", js, np.log(2.0), w1)
-    return EXIT_OK
+    return cfg
 
 
 # -- parser ------------------------------------------------------------------------
@@ -408,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place that turns an exception into an exit code."""
     try:
         _setup_logging()
         args = _parse_args(argv)
@@ -415,12 +387,17 @@ def main(argv=None) -> int:
         if cfg["out"] is None:
             raise ConfigError("missing required option: --out")
         os.makedirs(cfg["out"], exist_ok=True)
-        return args.func(cfg)
-    except ConfigError as exc:
+        resolved = args.func(cfg)
+        _write_json(resolved, os.path.join(cfg["out"], "config.json"))
+        return EXIT_OK
+    except (ConfigError, ValueError) as exc:
         print(f"coles: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"coles: file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"coles: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"coles: numerical failure: {exc}", file=sys.stderr)

@@ -61,21 +61,41 @@ def shared_grid(p, q, bandwidth_p: float, bandwidth_q: float,
     return np.linspace(lo, hi, grid_points)
 
 
-def js_divergence(p, q, bandwidth: float | None = None, grid_points: int = 512) -> float:
-    """JS divergence (natural log) between Parzen densities of two samples.
+class ScoreDensities(NamedTuple):
+    grid: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+
+def score_densities(p, q, bandwidth: float | None = None,
+                    grid_points: int = 512) -> ScoreDensities:
+    """Parzen densities of two samples on one shared grid.
 
     With bandwidth=None each sample gets its own Silverman bandwidth;
-    a given bandwidth applies to both. The value is clipped to
-    [0, log 2 + 1e-6].
+    a given bandwidth must be finite and > 0 and applies to both.
     """
     p = _clean_sample(p, "p")
     q = _clean_sample(q, "q")
-    if bandwidth is not None and bandwidth <= 0:
-        raise ValueError("bandwidth must be > 0")
+    if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     h_p = bandwidth if bandwidth is not None else silverman_bandwidth(p)
     h_q = bandwidth if bandwidth is not None else silverman_bandwidth(q)
-    grid = shared_grid(p, q, h_p, h_q, grid_points)
-    return js_from_densities(parzen_density(p, h_p, grid), parzen_density(q, h_q, grid), grid)
+    try:
+        grid = shared_grid(p, q, h_p, h_q, grid_points)
+        return ScoreDensities(grid, parzen_density(p, h_p, grid), parzen_density(q, h_q, grid))
+    except MemoryError as exc:  # the kernel sums hold grid_points x sample size values
+        raise MemoryError(f"grid_points={grid_points} for {max(p.size, q.size)} "
+                          f"scores: {exc}") from None
+
+
+def js_divergence(p, q, bandwidth: float | None = None, grid_points: int = 512) -> float:
+    """JS divergence (natural log) between Parzen densities of two samples.
+
+    The densities are score_densities(p, q, bandwidth, grid_points); the
+    value is clipped to [0, log 2 + 1e-6].
+    """
+    dens = score_densities(p, q, bandwidth, grid_points)
+    return js_from_densities(dens.p, dens.q, dens.grid)
 
 
 def js_from_densities(fp: np.ndarray, fq: np.ndarray, grid: np.ndarray) -> float:
@@ -181,7 +201,7 @@ def pair_scores(y: np.ndarray, graph: SparseSym, normalize: bool = True,
         norms = np.linalg.norm(y, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         y = tau * y / norms
-    edges = graph.edge_list()
-    if not edges:
+    u, v = np.array(graph.edge_list(), dtype=np.int64).reshape(-1, 2).T
+    if not u.size:
         raise ValueError("graph has no off-diagonal edges to score")
-    return np.array([float(y[i] @ y[j]) for i, j in edges])
+    return np.vecdot(y[u], y[v])

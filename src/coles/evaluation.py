@@ -176,6 +176,8 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
         if inertia < best_inertia:
             best_inertia = inertia
             best_assign = assign.copy()
+    if best_assign is None:
+        raise ValueError("k-means inertia is not finite: values of y too large to square")
     return best_assign
 
 

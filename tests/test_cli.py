@@ -377,3 +377,60 @@ def test_embed_eigensolver_failure_exits_2(synth_dir, tmp_path, monkeypatch, cap
     assert "eigensolver failed" in err
     assert "Traceback" not in err
     assert not (out / "embeddings.clsm").exists()
+
+
+# -- the exit-code contract: hostile inputs end in one "coles:" line ----------------
+
+def assert_refused(code, err, expected, named, out):
+    assert code == expected
+    assert err.startswith("coles: ") and named in err
+    assert "Traceback" not in err
+    assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["out-is-file", "out-below-file"])
+def test_out_blocked_by_file_is_file_error(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x\n")
+    out = blocker / "sub" if below else blocker
+    code = run("synth", "--out", out, "--per-block", 4, "--feat-dim", 3)
+    err = capsys.readouterr().err
+    assert_refused(code, err, 1, str(out), tmp_path)
+    assert "coles: file error" in err
+    assert blocker.read_text() == "x\n"
+
+
+@pytest.mark.parametrize("content", [b'{"classes": 3, "seed": "\xff"}', b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_config_file_names_it(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "o"
+    code = run("synth", "--config", cfg, "--out", out)
+    assert_refused(code, capsys.readouterr().err, 1, str(cfg), out)
+    assert not out.exists()
+
+
+@pytest.fixture()
+def diagnose_args(synth_dir, tmp_path):
+    emb = tmp_path / "emb"
+    assert run(*embed_args(synth_dir, emb)) == 0
+    return ["diagnose", "--embeddings", emb / "embeddings.clsm",
+            "--edges", synth_dir / "edges.txt", "--labels", synth_dir / "labels.txt",
+            "--seed", 7]
+
+
+@pytest.mark.parametrize("extra,expected,named", [
+    # numpy refuses the 8 TiB grid when it is requested; nothing is allocated
+    (("--grid-points", 2**40), 1, "grid_points"),
+    (("--bandwidth", "inf"), 1, "bandwidth"),
+    (("--bandwidth", "-1"), 1, "bandwidth"),
+    (("--bandwidth", "1e-320"), 2, "non-finite"),
+], ids=["oversized-grid", "infinite-bandwidth", "negative-bandwidth", "subnormal-bandwidth"])
+def test_diagnose_refuses_unusable_densities(diagnose_args, tmp_path, capsys, extra,
+                                             expected, named):
+    out = tmp_path / "diag"
+    code = run(*diagnose_args, "--out", out, *extra)
+    assert_refused(code, capsys.readouterr().err, expected, named, out)
+    assert not (out / "densities.csv").exists()
+    assert not (out / "diagnostics.json").exists()

@@ -6,11 +6,12 @@ import scipy.stats
 
 from coles.diagnostics import (LOG2, expected_negative_homophily, homophily,
                                js_divergence, js_from_densities, lipschitz_check, pair_scores,
-                               parzen_density, separation, shared_grid,
+                               parzen_density, score_densities, separation, shared_grid,
                                silverman_bandwidth, wasserstein1)
 from coles.graph_core import SparseSym, add_self_loops, normalized_adjacency
+from coles.negative_sampling import NegSampleConfig, sample_negative_graph
 from coles.rng import Xoshiro256StarStar
-from helpers import random_graph
+from helpers import rand_x, random_graph
 
 INV_SQRT_2PI = 0.3989422804014327  # 1/sqrt(2*pi)
 
@@ -97,13 +98,22 @@ def test_js_from_densities_matches_js_divergence():
     q = np.linspace(0.5, 2.0, 30)
     h_p, h_q = silverman_bandwidth(p), silverman_bandwidth(q)
     grid = shared_grid(p, q, h_p, h_q, 128)
-    js = js_from_densities(parzen_density(p, h_p, grid), parzen_density(q, h_q, grid), grid)
-    assert js == js_divergence(p, q, grid_points=128)
+    fp, fq = parzen_density(p, h_p, grid), parzen_density(q, h_q, grid)
+    dens = score_densities(p, q, grid_points=128)
+    assert dens.grid.tobytes() == grid.tobytes()
+    assert dens.p.tobytes() == fp.tobytes() and dens.q.tobytes() == fq.tobytes()
+    assert js_from_densities(fp, fq, grid) == js_divergence(p, q, grid_points=128)
 
 
 def test_js_rejects_nonpositive_bandwidth():
     with pytest.raises(ValueError, match="bandwidth"):
         js_divergence([0.0, 1.0], [2.0, 3.0], bandwidth=-1.0)
+
+
+@pytest.mark.parametrize("bandwidth", [math.inf, math.nan])
+def test_score_densities_rejects_non_finite_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        score_densities([0.0, 1.0], [2.0, 3.0], bandwidth=bandwidth)
 
 
 # -- Wasserstein ----------------------------------------------------------------------
@@ -262,3 +272,25 @@ def test_pair_scores_normalized():
     assert np.allclose(sorted(scores), [0.0, 1.0], atol=1e-12)
     raw = pair_scores(y, adj, normalize=False)
     assert np.allclose(sorted(raw), [0.0, 8.0], atol=0)
+
+
+def loop_pair_scores(y, graph, normalize, tau):
+    """The per-edge loop pair_scores ran before it was vectorised."""
+    y = np.asarray(y, dtype=np.float64)
+    if normalize:
+        norms = np.linalg.norm(y, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        y = tau * y / norms
+    return np.array([float(y[i] @ y[j]) for i, j in graph.edge_list()])
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 16, 64])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_pair_scores_equal_edge_loop(d, normalize):
+    # bit for bit: the diagnose outputs must not move when the loop is replaced
+    n = 200
+    y = rand_x(n, d, seed=d)
+    er = NegSampleConfig(mode="erdos-renyi", p_prime=0.05, seed=d)
+    for graph in (random_graph(n, 3, seed=d), sample_negative_graph(n, er, 0)):
+        got = pair_scores(y, graph, normalize=normalize, tau=0.7)
+        assert got.tobytes() == loop_pair_scores(y, graph, normalize, 0.7).tobytes()

@@ -162,6 +162,13 @@ def test_kmeans_k_larger_than_n():
         kmeans(np.ones((3, 2)), 4, seed=0)
 
 
+def test_kmeans_overflowing_inertia_is_value_error():
+    # squared distances overflow to inf, so no restart has a finite inertia
+    y = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
+    with pytest.raises(ValueError, match="inertia is not finite"):
+        kmeans(y, 2, seed=0)
+
+
 def test_kmeans_more_clusters_than_distinct_points():
     # forces empty-cluster re-seeding
     y = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5)

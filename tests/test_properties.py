@@ -14,7 +14,7 @@ from coles.rng import Xoshiro256StarStar
 from coles.synthetic import SbmSpec, generate_sbm
 from helpers import rand_x, random_graph, weighted_graph
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -135,7 +135,7 @@ def test_psd_margin_matches_dense(n, seed, kappa, mode):
     assert abs(margin.value - dense_margin(l_pos, l_negs, cfg.eta_prime)) < 1e-9
 
 
-@settings(max_examples=6, deadline=None, derandomize=True)
+@settings(max_examples=6)
 @given(seed=SEEDS, eta_prime=st.sampled_from([0.5, 1.0]))
 def test_psd_margin_three_block_sbm(seed, eta_prime):
     # the spectrum bottom clusters here: a power method needed thousands of steps

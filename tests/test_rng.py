@@ -7,7 +7,7 @@ from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, _
                        splitmix64, splitmix64_uniforms, stream_key)
 from helpers import bulk_everywhere, loop_distinct, loop_normals, loop_shuffle
 
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=30)
 SEEDS64 = st.integers(0, MASK64)
 
 # Vectors from the canonical C implementations (splitmix64 and xoshiro256**
