@@ -22,7 +22,7 @@ from .graph_core import (LabeledGraph, SparseSym, add_self_loops, as_dense,
                          degree_normalize, laplacian, load_edge_list,
                          normalized_adjacency, save_edge_list, spmm)
 from .io import (read_clsm, read_csv, read_dense, read_labels, write_clsm,
-                 write_csv, write_labels)
+                 write_csv, write_fixture, write_labels)
 from .losses import (AlignUniform, BlockForm, ContrastiveBatch, align_uniform,
                      block_form, coles_pointwise, generalized_mean, log_sigmoid,
                      sampled_nce_sigmoid)

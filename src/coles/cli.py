@@ -25,7 +25,7 @@ from .coles_solver import ColesConfig, hash_features, solve_linear_coles
 from .diagnostics import (expected_negative_homophily, homophily, js_from_densities,
                           pair_scores, score_densities, wasserstein1)
 from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_split, score
-from .graph_core import load_edge_list, save_edge_list
+from .graph_core import load_edge_list
 from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
 from .rng import stream_key
 from .spectral_filters import KINDS, FilterConfig
@@ -129,18 +129,15 @@ def _write_json(obj: dict, path: str) -> None:
 # -- synth --------------------------------------------------------------------
 
 def cmd_synth(cfg: dict) -> dict:
-    out = cfg["out"]
     graph = generate_sbm(SbmSpec(n_classes=cfg["classes"], per_block=cfg["per_block"],
                                  p_in=cfg["p_in"], p_out=cfg["p_out"],
                                  feature_dim=cfg["feat_dim"], mean_sep=cfg["mean_sep"],
                                  noise_sigma=cfg["noise_sigma"], seed=cfg["seed"]))
     if graph.adjacency.nnz == 0:
         raise NumericalError("generated graph has no edges; raise p_in/p_out")
-    save_edge_list(graph.adjacency, os.path.join(out, "edges.txt"))
-    io.write_csv(graph.features, os.path.join(out, "features.csv"))
-    io.write_labels(graph.labels, os.path.join(out, "labels.txt"))
+    io.write_fixture(graph, cfg["out"])
     log.info("wrote %s nodes / %s edges under %s", graph.adjacency.n,
-             graph.adjacency.nnz // 2, out)
+             graph.adjacency.nnz // 2, cfg["out"])
     return cfg
 
 
@@ -191,11 +188,14 @@ def cmd_embed(cfg: dict) -> dict:
 
 # -- eval ------------------------------------------------------------------------
 
-def _summary(records: list[dict]) -> tuple[dict, dict]:
+def _write_metrics(cfg: dict, unit: str, records: list[dict]) -> tuple[dict, dict]:
+    """metrics.json: the config, the per-<unit> records and their mean and std."""
     keys = ("accuracy", "macro_f1", "micro_f1", "nmi")
     mean = {k: float(np.mean([r[k] for r in records])) for k in keys}
     std = {k: float(np.std([r[k] for r in records], ddof=1)) if len(records) > 1 else 0.0
            for k in keys}
+    _write_json({"config": cfg, f"n_{unit}s": len(records), f"per_{unit}": records,
+                 "mean": mean, "std": std}, os.path.join(cfg["out"], "metrics.json"))
     return mean, std
 
 
@@ -223,10 +223,7 @@ def cmd_eval_classify(cfg: dict) -> dict:
         pred = logreg_predict(weights, y[test])
         metrics = score(pred, labels[test], mode="classification")
         records.append({"split": s, **metrics.as_dict()})
-    mean, std = _summary(records)
-    _write_json({"config": cfg, "n_splits": cfg["n_splits"],
-                 "per_split": records, "mean": mean, "std": std},
-                os.path.join(cfg["out"], "metrics.json"))
+    mean, std = _write_metrics(cfg, "split", records)
     log.info("classification over %d splits: acc %.4f +- %.4f",
              cfg["n_splits"], mean["accuracy"], std["accuracy"])
     return cfg
@@ -242,11 +239,8 @@ def cmd_eval_cluster(cfg: dict) -> dict:
         assign = kmeans(y, k, seed=stream_key(cfg["seed"], r))
         metrics = score(assign, labels, mode="clustering")
         records.append({"run": r, **metrics.as_dict()})
-    mean, std = _summary(records)
     resolved = {**cfg, "k": k}
-    _write_json({"config": resolved, "n_runs": cfg["n_runs"],
-                 "per_run": records, "mean": mean, "std": std},
-                os.path.join(cfg["out"], "metrics.json"))
+    mean, _ = _write_metrics(resolved, "run", records)
     log.info("clustering over %d runs: acc %.4f, nmi %.4f",
              cfg["n_runs"], mean["accuracy"], mean["nmi"])
     return resolved
@@ -255,32 +249,29 @@ def cmd_eval_cluster(cfg: dict) -> dict:
 # -- diagnose --------------------------------------------------------------------
 
 def cmd_diagnose(cfg: dict) -> dict:
-    y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
-    labels = _read_input(io.read_labels, cfg["labels"], "--labels")
+    y, labels = _read_labeled_embeddings(cfg)
     adjacency = _read_input(load_edge_list, cfg["edges"], "--edges", n=y.shape[0])
     neg_cfg = NegSampleConfig(per_node=cfg["per_node"], mode=cfg["mode"],
                               p_prime=cfg["p_prime"], seed=cfg["seed"])
     negative = sample_negative_graph(y.shape[0], neg_cfg, 0)
     pos_scores = pair_scores(y, adjacency, normalize=cfg["normalize"], tau=cfg["tau"])
     neg_scores = pair_scores(y, negative, normalize=cfg["normalize"], tau=cfg["tau"])
-    dens = score_densities(pos_scores, neg_scores, cfg["bandwidth"] or None, cfg["grid_points"])
-    js = js_from_densities(dens.p, dens.q, dens.grid)
-    w1 = wasserstein1(pos_scores, neg_scores)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        dens = score_densities(pos_scores, neg_scores, cfg["bandwidth"] or None,
+                               cfg["grid_points"])
+        js = js_from_densities(dens.p, dens.q, dens.grid)
+        w1 = wasserstein1(pos_scores, neg_scores)
     if not all(np.isfinite(v).all() for v in (js, w1, *dens)):
         raise NumericalError(f"non-finite score densities (js {js}, w1 {w1}); "
                              "the bandwidth or the scores are out of range")
     h_graph = homophily(adjacency, labels)
-    counts = np.bincount(labels, minlength=int(labels.max()) + 1)
-    h_neg_expected = expected_negative_homophily(counts / counts.sum())
+    h_neg_expected = expected_negative_homophily(np.bincount(labels) / labels.size)
 
-    out = cfg["out"]
-    with open(os.path.join(out, "densities.csv"), "w", encoding="utf-8") as fh:
-        fh.write("grid,density_pos,density_neg\n")
-        for g, dp, dn in zip(dens.grid, dens.p, dens.q):
-            fh.write(f"{float(g)!r},{float(dp)!r},{float(dn)!r}\n")
+    io.write_csv(np.column_stack(dens), os.path.join(cfg["out"], "densities.csv"),
+                 header="grid,density_pos,density_neg")
     _write_json({"config": cfg, "js": js, "w1": w1,
                  "homophily_pos": h_graph, "homophily_neg_expected": h_neg_expected},
-                os.path.join(out, "diagnostics.json"))
+                os.path.join(cfg["out"], "diagnostics.json"))
     log.info("diagnose: js %.4f (log2=%.4f), w1 %.4f", js, np.log(2.0), w1)
     return cfg
 

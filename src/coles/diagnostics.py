@@ -197,11 +197,16 @@ def pair_scores(y: np.ndarray, graph: SparseSym, normalize: bool = True,
                 tau: float = 1.0) -> np.ndarray:
     """Dot-product scores y_i . y_j over the graph's (i < j) edges."""
     y = np.asarray(y, dtype=np.float64)
-    if normalize:
-        norms = np.linalg.norm(y, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        y = tau * y / norms
     u, v = np.array(graph.edge_list(), dtype=np.int64).reshape(-1, 2).T
     if not u.size:
         raise ValueError("graph has no off-diagonal edges to score")
-    return np.vecdot(y[u], y[v])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
+        if normalize:
+            norms = np.linalg.norm(y, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            norms[norms == np.inf] = np.nan  # an overflowed norm must not scale its row to 0
+            y = tau * y / norms
+        scores = np.vecdot(y[u], y[v])
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("pair scores overflow: the embeddings (or tau) are too large")
+    return scores

@@ -88,6 +88,8 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("labels length must match row count")
+    if not (math.isfinite(lr) and math.isfinite(l2)):
+        raise ValueError(f"lr and l2 must be finite, got lr={lr!r}, l2={l2!r}")
     n_classes = int(labels.max()) + 1
     if np.unique(labels).size < 2:
         raise ValueError("training set contains a single class")
@@ -96,13 +98,16 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     onehot[np.arange(x.shape[0]), labels] = 1.0
     w = np.zeros((xb.shape[1], n_classes))
     losses = []
-    for _ in range(epochs):
-        probs = _softmax(xb @ w)
-        if return_losses:
-            ce = -float(np.mean(np.log(np.maximum(probs[np.arange(len(labels)), labels], 1e-300))))
-            losses.append(ce + l2 * float(np.sum(w * w)))
-        grad = xb.T @ (probs - onehot) / x.shape[0] + 2.0 * l2 * w
-        w = w - lr * grad
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
+        for _ in range(epochs):
+            probs = _softmax(xb @ w)
+            if return_losses:
+                ce = -float(np.mean(np.log(np.maximum(probs[onehot == 1.0], 1e-300))))
+                losses.append(ce + l2 * float(np.sum(w * w)))
+            grad = xb.T @ (probs - onehot) / x.shape[0] + 2.0 * l2 * w
+            w = w - lr * grad
+    if not np.all(np.isfinite(w)):
+        raise ValueError("logistic regression weights are not finite: lower lr or rescale")
     return (w, losses) if return_losses else w
 
 
@@ -151,8 +156,10 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    best_assign = None
-    best_inertia = math.inf
+    scale = float(np.max(np.abs(y), initial=0.0))  # every d2 and inertia <= 4 y.size scale^2
+    if 4.0 * y.size * scale * scale > np.finfo(np.float64).max:
+        raise ValueError(f"k-means inertia is not finite: |y| up to {scale:.3g} is too large")
+    best_inertia, best_assign = math.inf, None
     for restart in range(n_restarts):
         rng = Xoshiro256StarStar(stream_key(seed, restart))
         centroids = _kmeanspp(y, k, rng)
@@ -174,10 +181,7 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
             assign = new_assign
         inertia = float(np.sum((y - centroids[assign]) ** 2))
         if inertia < best_inertia:
-            best_inertia = inertia
-            best_assign = assign.copy()
-    if best_assign is None:
-        raise ValueError("k-means inertia is not finite: values of y too large to square")
+            best_inertia, best_assign = inertia, assign.copy()
     return best_assign
 
 
@@ -202,13 +206,11 @@ def nmi_score(pred, truth) -> float:
     cp, pi = np.unique(pred, return_inverse=True)
     ct, ti = np.unique(truth, return_inverse=True)
     cont = _contingency(pi, ti, (cp.size, ct.size)).astype(np.float64)
-    hp = _entropy(cont.sum(axis=1))
-    ht = _entropy(cont.sum(axis=0))
+    rows, cols = cont.sum(axis=1), cont.sum(axis=0)
+    hp, ht = _entropy(rows), _entropy(cols)
     if hp == 0.0 and ht == 0.0:
         return 1.0  # both labelings constant, hence identical partitions
     mi = 0.0
-    rows = cont.sum(axis=1)
-    cols = cont.sum(axis=0)
     for a in range(cp.size):
         for b in range(ct.size):
             if cont[a, b] > 0:

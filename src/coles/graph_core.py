@@ -2,9 +2,11 @@
 
 SparseSym is the single sparse type used everywhere: it stores a symmetric
 n x n matrix in canonical CSR form (sorted column indices, no duplicates,
-no explicit zeros). Symmetry is checked bit-exactly where data enters; the
-graph operations of this package keep it by construction and do not recheck.
+no explicit zeros). Symmetry is checked bit-exactly where a foreign matrix
+enters (the constructor and from_scipy); from_edges and the graph operations
+of this package keep it by construction and do not recheck.
 Dense matrices are plain 2-D float64 C-contiguous numpy arrays.
+_parse_lines reads every text format: edge lists here, CSV and labels in io.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class SparseSym:
     Immutable by convention: operations return new instances. The stored
     pattern always satisfies (i, j, w) present iff (j, i, w) present with
     bit-identical w, indices sorted per row, no duplicates, finite weights:
-    the constructor, from_scipy and from_edges check it, _wrap trusts it.
+    the constructor and from_scipy check it; from_edges checks its pairs and
+    weight, and it and _wrap trust the symmetry of what they build.
     """
 
     __slots__ = ("n", "indptr", "indices", "data")
@@ -96,25 +99,27 @@ class SparseSym:
 
     @classmethod
     def from_edges(cls, n: int, edges, weight: float = 1.0) -> "SparseSym":
-        """Build a binary symmetric matrix from undirected (u, v) pairs, given
-        as an iterable of pairs or an (m, 2) integer array.
+        """Build a symmetric matrix with one finite weight from undirected
+        (u, v) pairs, given as an iterable of pairs or an (m, 2) integer array.
 
-        Pairs are deduplicated; (u, v) and (v, u) count once. Self pairs
-        are rejected.
+        Pairs are deduplicated; (u, v) and (v, u) count once. Ids outside
+        [0, n) and self pairs are rejected. The result is symmetric by
+        construction, so no transpose check runs.
         """
-        if not isinstance(edges, np.ndarray):
-            edges = [(u, v) for u, v in edges]
-        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                         dtype=np.int64).reshape(-1, 2)
+        if not np.isfinite(weight):
+            raise ValueError(f"non-finite weight {weight}")
+        outside = pairs[(pairs < 0) | (pairs >= n)]
+        if outside.size:
+            raise ValueError(f"node id {outside[0]} outside [0, {n})")
+        loops = pairs[pairs[:, 0] == pairs[:, 1], 0]
         if loops.size:
-            u = int(pairs[loops[0], 0])
-            raise ValueError(f"self-loop ({u}, {u}) not allowed here")
+            raise ValueError(f"self-loop ({loops[0]}, {loops[0]}) not allowed here")
         uniq = np.unique(np.sort(pairs, axis=1), axis=0)
-        rows = np.concatenate([uniq[:, 0], uniq[:, 1]])
-        cols = np.concatenate([uniq[:, 1], uniq[:, 0]])
+        rows, cols = np.concatenate([uniq, uniq[:, ::-1]]).T  # both orientations
         vals = np.full(rows.shape, float(weight))
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return cls.from_scipy(m)
+        return cls._wrap(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
 
     @classmethod
     def identity(cls, n: int) -> "SparseSym":
@@ -144,9 +149,7 @@ class SparseSym:
 
     def degrees(self) -> np.ndarray:
         """Row sums (weighted degrees, diagonal included)."""
-        out = np.zeros(self.n)
-        np.add.at(out, self._row_ids(), self.data)
-        return out
+        return np.bincount(self._row_ids(), weights=self.data, minlength=self.n)
 
     def has_diagonal(self) -> bool:
         return bool(np.any(self.indices == self._row_ids()))
@@ -187,7 +190,40 @@ class LabeledGraph:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-# -- edge-list files --------------------------------------------------------
+# -- text files ---------------------------------------------------------------
+
+def _parse_lines(path, parse, what: str) -> list:
+    """parse(line) for each stripped line of a UTF-8 text file but blank and '#'
+    lines; errors name "path:line", or "path: empty <what>" if no line is left."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
+            if line and not line.startswith("#"):
+                try:
+                    out.append(parse(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not out:
+        raise ValueError(f"{path}: empty {what}")
+    return out
+
+
+def _edge(line: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected 'u v', got {line!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"non-integer node id in {line!r}") from None
+    if u < 0 or v < 0:
+        raise ValueError("negative node id")
+    if u > MAX_NODE_ID or v > MAX_NODE_ID:
+        raise ValueError("node id overflow")
+    if u == v:
+        raise ValueError(f"self-loop in input ({u} {v})")
+    return u, v
+
 
 def load_edge_list(path, n: int | None = None) -> SparseSym:
     """Read an undirected binary graph from a "u v" text file.
@@ -196,36 +232,11 @@ def load_edge_list(path, n: int | None = None) -> SparseSym:
     reversed pairs collapse to one edge. Node count is 1 + max id unless a
     larger n is given explicitly (trailing isolated nodes).
     """
-    edges = []
-    max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id")
-            if u > MAX_NODE_ID or v > MAX_NODE_ID:
-                raise ValueError(f"{path}:{lineno}: node id overflow")
-            if u == v:
-                raise ValueError(f"{path}:{lineno}: self-loop in input ({u} {v})")
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
-    if not edges:
-        raise ValueError(f"{path}: empty edge list")
-    inferred = max_id + 1
-    if n is None:
-        n = inferred
-    elif n < inferred:
+    pairs = np.array(_parse_lines(path, _edge, "edge list"), dtype=np.int64)
+    max_id = int(pairs.max())
+    if n is not None and n <= max_id:
         raise ValueError(f"{path}: node id {max_id} exceeds requested n={n}")
-    return SparseSym.from_edges(n, edges)
+    return SparseSym.from_edges(max_id + 1 if n is None else n, pairs)
 
 
 def save_edge_list(adj: SparseSym, path) -> None:

@@ -1,9 +1,9 @@
-"""Dense-matrix and label file formats.
+"""Dense-matrix and label file formats, and the fixture file trio.
 
 CLSM binary layout: magic b"CLSM", u32 version (=1), u64 rows, u64 cols,
 then rows*cols little-endian float64 values in row-major order.
-CSV is comma-separated with no header. Labels files hold one non-negative
-integer per line ('#' comments allowed).
+CSV is comma-separated with no header, values in round-trip repr. Labels
+files hold one non-negative integer per line. Both skip blank and '#' lines.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .graph_core import as_dense
+from .graph_core import LabeledGraph, _parse_lines, as_dense, save_edge_list
 
 CLSM_MAGIC = b"CLSM"
 CLSM_VERSION = 1
@@ -47,34 +47,31 @@ def read_clsm(path) -> np.ndarray:
     return as_dense(data.reshape(rows, cols), path)
 
 
-def write_csv(x: np.ndarray, path) -> None:
+def write_csv(x: np.ndarray, path, header: str | None = None) -> None:
+    """Write x as CSV, after one header line if given (read_csv takes none)."""
     x = as_dense(x, "matrix")
     with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
         for row in x:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path) -> np.ndarray:
-    rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    return as_dense(np.array(rows), path)
+
+    def row(line: str) -> list:
+        nonlocal width
+        try:
+            values = list(map(float, line.split(",")))
+        except ValueError:
+            raise ValueError("non-numeric value") from None
+        width = len(values) if width is None else width
+        if len(values) != width:
+            raise ValueError(f"expected {width} columns, got {len(values)}")
+        return values
+
+    return as_dense(np.array(_parse_lines(path, row, "matrix file")), path)
 
 
 def read_dense(path) -> np.ndarray:
@@ -85,26 +82,29 @@ def read_dense(path) -> np.ndarray:
 
 
 def write_labels(labels, path) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+        fh.writelines(f"{v}\n" for v in np.asarray(labels, dtype=np.int64).tolist())
+
+
+def _label(line: str) -> int:
+    try:
+        label = int(line)
+    except ValueError:
+        raise ValueError(f"non-integer label {line!r}") from None
+    if label < 0:
+        raise ValueError(f"negative label {label}")
+    if label > 2**63 - 1:
+        raise ValueError(f"label {label} does not fit in int64")
+    return label
 
 
 def read_labels(path) -> np.ndarray:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                label = int(line)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer label {line!r}") from None
-            if label < 0:
-                raise ValueError(f"{path}:{lineno}: negative label {label}")
-            out.append(label)
-    if not out:
-        raise ValueError(f"{path}: empty labels file")
-    return np.array(out, dtype=np.int64)
+    return np.array(_parse_lines(path, _label, "labels file"), dtype=np.int64)
+
+
+def write_fixture(graph: LabeledGraph, out_dir) -> None:
+    """Write the edges.txt / features.csv / labels.txt trio the CLI consumes."""
+    os.makedirs(out_dir, exist_ok=True)
+    save_edge_list(graph.adjacency, os.path.join(out_dir, "edges.txt"))
+    write_csv(graph.features, os.path.join(out_dir, "features.csv"))
+    write_labels(graph.labels, os.path.join(out_dir, "labels.txt"))

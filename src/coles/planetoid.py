@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph_core import LabeledGraph, SparseSym
+from .io import read_labels, write_fixture
 
 PARTS = ("x", "y", "tx", "ty", "allx", "ally", "graph", "test.index")
 
@@ -37,8 +38,7 @@ def load_planetoid(root: str, name: str) -> LabeledGraph:
         raise FileNotFoundError(f"planetoid dataset {name!r} incomplete under {root}: "
                                 f"missing {missing[0]}")
     x, y, tx, ty, allx, ally, graph = (_load_pickle(p) for p in dataset_files(root, name)[:7])
-    with open(dataset_files(root, name)[7], "r", encoding="utf-8") as fh:
-        test_idx = np.array([int(line.strip()) for line in fh if line.strip()], dtype=np.int64)
+    test_idx = read_labels(dataset_files(root, name)[7])
     test_sorted = np.sort(test_idx)
 
     n_base = allx.shape[0]
@@ -67,20 +67,10 @@ def load_planetoid(root: str, name: str) -> LabeledGraph:
                         labels=labels)
 
 
-def export_to_files(graph: LabeledGraph, out_dir: str) -> None:
-    """Write the edges/features/labels triplet the CLI consumes."""
-    from .graph_core import save_edge_list
-    from .io import write_csv, write_labels
-    os.makedirs(out_dir, exist_ok=True)
-    save_edge_list(graph.adjacency, os.path.join(out_dir, "edges.txt"))
-    write_csv(graph.features, os.path.join(out_dir, "features.csv"))
-    write_labels(graph.labels, os.path.join(out_dir, "labels.txt"))
-
-
 if __name__ == "__main__":  # python -m coles.planetoid <root> <name> <out_dir>
     import sys
 
     if len(sys.argv) != 4:
         print("usage: python -m coles.planetoid <root> <name> <out_dir>", file=sys.stderr)
         sys.exit(1)
-    export_to_files(load_planetoid(sys.argv[1], sys.argv[2]), sys.argv[3])
+    write_fixture(load_planetoid(sys.argv[1], sys.argv[2]), sys.argv[3])

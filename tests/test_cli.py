@@ -9,7 +9,7 @@ from numpy.linalg import LinAlgError
 from coles import coles_solver
 from coles.cli import main
 from coles.coles_solver import ColesConfig, solve_linear_coles
-from coles.graph_core import load_edge_list
+from coles.graph_core import SparseSym, load_edge_list
 from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
 from coles.negative_sampling import NegSampleConfig
 from coles.spectral_filters import FilterConfig
@@ -230,6 +230,26 @@ def test_diagnose_outputs(synth_dir, tmp_path):
     assert abs(diag["homophily_neg_expected"] - 1.0 / 3.0) < 1e-12
 
 
+def test_graph_commands_run_no_transpose_check(tmp_path, monkeypatch):
+    # every graph synth, embed and diagnose hold is built symmetric by from_edges
+    checks = []
+    validate = SparseSym._validate
+
+    def counted_validate(s):
+        checks.append(s.n)
+        validate(s)
+
+    monkeypatch.setattr(SparseSym, "_validate", counted_validate)
+    data, emb = tmp_path / "data", tmp_path / "emb"
+    assert run("synth", "--out", data, "--classes", 3, "--per-block", 12,
+               "--p-in", "0.4", "--feat-dim", 6, "--seed", 5) == 0
+    assert run(*embed_args(data, emb)) == 0
+    assert run("diagnose", "--embeddings", emb / "embeddings.clsm", "--edges",
+               data / "edges.txt", "--labels", data / "labels.txt",
+               "--out", tmp_path / "diag") == 0
+    assert checks == []
+
+
 def test_embed_hash_dim_folds_features(synth_dir, tmp_path):
     out = tmp_path / "hashed"
     assert run("embed", "--edges", synth_dir / "edges.txt",
@@ -386,6 +406,22 @@ def assert_refused(code, err, expected, named, out):
     assert err.startswith("coles: ") and named in err
     assert "Traceback" not in err
     assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("extra,scale,named", [
+    (("--lr", "nan"), 1.0, "lr"),
+    (("--l2", "nan"), 1.0, "l2"),
+    ((), 1e200, "weights are not finite"),
+], ids=["nan-lr", "nan-l2", "huge-embeddings"])
+def test_eval_classify_refuses_a_nan_model(separable_embedding, tmp_path, capsys, extra,
+                                           scale, named):
+    emb, lab = separable_embedding
+    write_csv(scale * read_dense(emb), emb)
+    out = tmp_path / "ev"
+    code = run("eval-classify", "--embeddings", emb, "--labels", lab, "--out", out,
+               "--per-class", 5, "--n-splits", 2, "--val-size", 15, "--epochs", 20, *extra)
+    assert_refused(code, capsys.readouterr().err, 1, named, out)
+    assert not (out / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["out-is-file", "out-below-file"])

@@ -294,3 +294,11 @@ def test_pair_scores_equal_edge_loop(d, normalize):
     for graph in (random_graph(n, 3, seed=d), sample_negative_graph(n, er, 0)):
         got = pair_scores(y, graph, normalize=normalize, tau=0.7)
         assert got.tobytes() == loop_pair_scores(y, graph, normalize, 0.7).tobytes()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_pair_scores_overflow_is_value_error(normalize):
+    # normalized, the row norms overflow; raw, the dot products do
+    y = np.array([[1e200, 0.0], [1e200, 1.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="pair scores overflow"):
+        pair_scores(y, SparseSym.from_edges(3, [(0, 1), (1, 2)]), normalize=normalize)

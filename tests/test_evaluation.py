@@ -124,6 +124,20 @@ def test_logreg_single_class_rejected():
         logreg_fit(np.ones((3, 2)), np.zeros(3, dtype=int))
 
 
+@pytest.mark.parametrize("setting", [{"lr": np.nan}, {"l2": np.nan}, {"lr": np.inf},
+                                     {"l2": -np.inf}])
+def test_logreg_rejects_non_finite_settings(setting):
+    with pytest.raises(ValueError, match="lr and l2 must be finite"):
+        logreg_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), **setting)
+
+
+def test_logreg_diverged_fit_is_value_error():
+    # the logits overflow within a few epochs; the weights turn NaN, not a model
+    x = np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1e200]])
+    with pytest.raises(ValueError, match="weights are not finite"):
+        logreg_fit(x, np.array([0, 1, 2]), epochs=20)
+
+
 def test_logreg_fit_deterministic():
     rng = Xoshiro256StarStar(22)
     x = np.array(rng.normals(40)).reshape(20, 2)
@@ -167,6 +181,14 @@ def test_kmeans_overflowing_inertia_is_value_error():
     y = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
     with pytest.raises(ValueError, match="inertia is not finite"):
         kmeans(y, 2, seed=0)
+
+
+def test_kmeans_refuses_values_whose_distances_overflow():
+    # the squared norms overflow though the inertia of a split would be finite
+    y = np.array([[1e155, 0.0], [1e155, 1.0], [-1e155, 0.0]])
+    with pytest.raises(ValueError, match="inertia is not finite"):
+        kmeans(y, 2, seed=0)
+    assert np.unique(kmeans(y * 1e-10, 2, seed=0)).size == 2
 
 
 def test_kmeans_more_clusters_than_distinct_points():

@@ -52,6 +52,21 @@ def test_self_pair_rejected_in_from_edges():
         SparseSym.from_edges(2, [(1, 1)])
 
 
+@pytest.mark.parametrize("edges,bad", [([(0, 1), (-1, 2)], -1), ([(0, 3)], 3),
+                                       ([(2, 7), (0, 1)], 7)])
+def test_from_edges_rejects_ids_outside_range(edges, bad):
+    with pytest.raises(ValueError, match=rf"node id {bad} outside \[0, 3\)"):
+        SparseSym.from_edges(3, edges)
+
+
+def test_from_edges_runs_no_transpose_check(monkeypatch):
+    def no_check(s):
+        raise AssertionError("from_edges builds symmetric matrices")
+
+    monkeypatch.setattr(SparseSym, "_validate", no_check)
+    assert SparseSym.from_edges(3, [(0, 1), (2, 1)]).nnz == 4
+
+
 def test_unsorted_or_duplicate_row_rejected():
     # rows: [1], [2, 0], [1] -- row 1 is out of order
     with pytest.raises(ValueError, match="row 1: unsorted or duplicate"):

@@ -66,3 +66,12 @@ def test_reader_handles_index_gaps(tmp_path):
     assert np.array_equal(g.features[6], [6.0, 6.0, 6.0])
     assert np.array_equal(g.features[4], [4.0, 4.0, 4.0])
     assert np.array_equal(g.features[5], [0.0, 0.0, 0.0])  # widened gap row
+
+
+def test_test_index_errors_name_the_line(tmp_path):
+    write_fixture(tmp_path, "bad", test_index=[5, 4])
+    index = dataset_files(str(tmp_path), "bad")[7]
+    with open(index, "w") as fh:
+        fh.write("5\n# comment\nfour\n")
+    with pytest.raises(ValueError, match=r"test\.index:3: non-integer label 'four'"):
+        load_planetoid(str(tmp_path), "bad")

@@ -90,6 +90,20 @@ def test_graph_ops_keep_symmetry_by_construction(n, seed, kappa, mode, eta_prime
         assert_checked_rebuild(out)
 
 
+@PROPERTY
+@given(data=st.data(), n=st.integers(2, 12),
+       weight=st.sampled_from([1.0, 0.5, -2.0, 1e-300, 3e300, 0.0]))
+def test_from_edges_passes_the_checked_constructor(data, n, weight):
+    # duplicates, reversed pairs and empty input; the unchecked wrap must agree
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]), max_size=30))
+    k = data.draw(st.integers(0, len(pairs)), label="k")
+    pairs = pairs + pairs[:k] + [(v, u) for u, v in pairs[k:]]
+    out = SparseSym.from_edges(n, pairs, weight=weight)
+    assert_checked_rebuild(out)
+    assert out.nnz == (0 if weight == 0.0 else 2 * len({tuple(sorted(p)) for p in pairs}))
+
+
 def delta_instance(n, seed, kappa, mode):
     adj = random_graph(n, 2, seed=seed)
     cfg = NegSampleConfig(kappa=kappa, per_node=2, mode=mode, p_prime=0.3,
