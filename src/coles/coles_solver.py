@@ -88,8 +88,9 @@ def build_quadratic_form(fx: np.ndarray, delta_w: SparseSym) -> np.ndarray:
     fx = as_dense(fx, "fx")
     if fx.shape[0] != delta_w.n:
         raise ValueError(f"fx has {fx.shape[0]} rows, delta_w is {delta_w.n}x{delta_w.n}")
-    m = fx.T @ spmm(delta_w, fx)
-    return 0.5 * (m + m.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eig reports a non-finite form
+        m = fx.T @ spmm(delta_w, fx)
+        return 0.5 * (m + m.T)
 
 
 def coles_objective(y: np.ndarray, delta_w: SparseSym) -> float:
@@ -166,10 +167,13 @@ def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
     out = np.zeros((x.shape[0], n_buckets))
-    for j in range(x.shape[1]):
-        state, h1 = splitmix64(stream_key(seed, j))
-        _, h2 = splitmix64(state)
-        bucket = (h1 * n_buckets) >> 64
-        sign = 1.0 if (h2 & 1) == 0 else -1.0
-        out[:, bucket] += sign * x[:, j]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bucket raises below
+        for j in range(x.shape[1]):
+            state, h1 = splitmix64(stream_key(seed, j))
+            _, h2 = splitmix64(state)
+            bucket = (h1 * n_buckets) >> 64
+            sign = 1.0 if (h2 & 1) == 0 else -1.0
+            out[:, bucket] += sign * x[:, j]
+    if not np.all(np.isfinite(out)):
+        raise ValueError("hashed features overflow float64: rescale the features")
     return out

@@ -90,6 +90,8 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
         raise ValueError("labels length must match row count")
     if not (math.isfinite(lr) and math.isfinite(l2)):
         raise ValueError(f"lr and l2 must be finite, got lr={lr!r}, l2={l2!r}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     n_classes = int(labels.max()) + 1
     if np.unique(labels).size < 2:
         raise ValueError("training set contains a single class")
@@ -187,35 +189,35 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
 
 # -- metrics -----------------------------------------------------------------
 
+def _contingency(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, pred codes, table): table[a, b] counts the items predicted
+    labels[a] whose truth is labels[b], over the sorted labels either side uses."""
+    labels, codes = np.unique(np.concatenate([pred, truth]), return_inverse=True)
+    k = labels.size
+    table = np.bincount(codes[:pred.size] * k + codes[pred.size:], minlength=k * k)
+    return labels, codes[:pred.size], table.reshape(k, k)
+
+
 def _entropy(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
     return float(-np.sum(p * np.log(p)))
 
 
-def _contingency(pred: np.ndarray, truth: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Counts of each (pred, truth) pair of non-negative codes, as a shape table."""
-    flat = np.bincount(pred * shape[1] + truth, minlength=shape[0] * shape[1])
-    return flat.reshape(shape)
+def _nmi(table: np.ndarray) -> float:
+    table = table.astype(np.float64)
+    n, rows, cols = table.sum(), table.sum(axis=1), table.sum(axis=0)
+    hp, ht = _entropy(rows), _entropy(cols)
+    if hp == 0.0 and ht == 0.0:
+        return 1.0  # both labelings constant, hence identical partitions
+    a, b = np.nonzero(table)
+    mi = np.sum(table[a, b] / n * np.log(n * table[a, b] / (rows[a] * cols[b])))
+    return float(np.clip(mi / (0.5 * (hp + ht)), 0.0, 1.0))
 
 
 def nmi_score(pred, truth) -> float:
     """Mutual information normalized by the arithmetic mean of entropies."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    n = pred.shape[0]
-    cp, pi = np.unique(pred, return_inverse=True)
-    ct, ti = np.unique(truth, return_inverse=True)
-    cont = _contingency(pi, ti, (cp.size, ct.size)).astype(np.float64)
-    rows, cols = cont.sum(axis=1), cont.sum(axis=0)
-    hp, ht = _entropy(rows), _entropy(cols)
-    if hp == 0.0 and ht == 0.0:
-        return 1.0  # both labelings constant, hence identical partitions
-    mi = 0.0
-    for a in range(cp.size):
-        for b in range(ct.size):
-            if cont[a, b] > 0:
-                mi += (cont[a, b] / n) * math.log(n * cont[a, b] / (rows[a] * cols[b]))
-    return float(np.clip(mi / (0.5 * (hp + ht)), 0.0, 1.0))
+    return _nmi(_contingency(np.asarray(pred, dtype=np.int64),
+                             np.asarray(truth, dtype=np.int64))[2])
 
 
 def hungarian_accuracy(pred, truth) -> tuple[float, np.ndarray]:
@@ -224,37 +226,19 @@ def hungarian_accuracy(pred, truth) -> tuple[float, np.ndarray]:
     Returns (accuracy, relabeled predictions).
     """
     pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    size = int(max(pred.max(), truth.max())) + 1
-    cont = _contingency(pred, truth, (size, size))
-    rows, cols = linear_sum_assignment(cont, maximize=True)
-    mapping = np.empty(size, dtype=np.int64)
-    mapping[rows] = cols
-    relabeled = mapping[pred]
-    acc = float(cont[rows, cols].sum()) / pred.shape[0]
-    return acc, relabeled
-
-
-def _f1_scores(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """(macro_f1, micro_f1); classes absent from truth are excluded from macro."""
-    classes = np.unique(truth)
-    f1s = []
-    for c in classes:
-        tp = int(np.sum((pred == c) & (truth == c)))
-        fp = int(np.sum((pred == c) & (truth != c)))
-        fn = int(np.sum((pred != c) & (truth == c)))
-        f1s.append(2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
-    macro = float(np.mean(f1s))
-    # single-label micro-F1: global tp / (tp + 0.5*(fp+fn)) over all classes,
-    # which collapses to plain accuracy
-    correct = int(np.sum(pred == truth))
-    wrong = pred.shape[0] - correct
-    micro = 2 * correct / (2 * correct + wrong + wrong) if pred.shape[0] else 0.0
-    return macro, micro
+    labels, codes, table = _contingency(pred, np.asarray(truth, dtype=np.int64))
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return float(table[rows, cols].sum() / pred.size), labels[cols[codes]]
 
 
 def score(pred, truth, mode: str = "classification") -> Metrics:
-    """All four metrics; clustering first maps clusters to classes optimally."""
+    """All four metrics, read off one square contingency table.
+
+    Accuracy is its trace over n, and single-label micro-F1 is the accuracy
+    by definition. Macro-F1 averages the per-class F1 over the classes
+    present in truth. Clustering first permutes the rows by the optimal
+    cluster-to-class assignment, which leaves NMI unchanged.
+    """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
@@ -263,11 +247,12 @@ def score(pred, truth, mode: str = "classification") -> Metrics:
         raise ValueError("cannot score empty predictions")
     if mode not in ("classification", "clustering"):
         raise ValueError("mode must be 'classification' or 'clustering'")
-    nmi = nmi_score(pred, truth)
+    table = _contingency(pred, truth)[2]
+    nmi = _nmi(table)
     if mode == "clustering":
-        acc, pred = hungarian_accuracy(pred, truth)
-    else:
-        acc = float(np.mean(pred == truth))
-    macro, micro = _f1_scores(pred, truth)
-    assert abs(micro - acc) < 1e-12, "micro-F1 must equal accuracy for single-label data"
-    return Metrics(accuracy=acc, macro_f1=macro, micro_f1=micro, nmi=nmi)
+        table = table[np.argsort(linear_sum_assignment(table, maximize=True)[1])]
+    hits, truth_sizes = np.diag(table), table.sum(axis=0)
+    present = truth_sizes > 0
+    f1 = 2 * hits[present] / (table.sum(axis=1)[present] + truth_sizes[present])
+    acc = float(hits.sum() / pred.size)
+    return Metrics(accuracy=acc, macro_f1=float(np.mean(f1)), micro_f1=acc, nmi=nmi)

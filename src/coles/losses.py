@@ -8,11 +8,11 @@ responses (p=1 arithmetic/SoftMax, p=0 geometric, p=-1 harmonic, ...).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import log_expit, logsumexp
 
 
 @dataclass
@@ -34,31 +34,28 @@ class ContrastiveBatch:
             raise ValueError("eta must be >= 0")
 
 
-def log_sigmoid(x: float) -> float:
-    """Numerically stable log(sigmoid(x)) = -log(1 + exp(-x))."""
-    if x >= 0:
-        return -math.log1p(math.exp(-x))
-    return x - math.log1p(math.exp(x))
+log_sigmoid = log_expit  # log(sigmoid(x)) = -log(1 + exp(-x)), stable for any x
 
 
-def _mean_scores(anchor: np.ndarray, vectors: list[np.ndarray], f) -> float:
-    """Mean of f(u . anchor) over vectors; empty lists contribute 0."""
+def _mean_scores(anchor: np.ndarray, vectors: list[np.ndarray], f=None) -> float:
+    """Mean of f(u . anchor) over vectors by one matrix-vector product; 0 if empty."""
     if not vectors:
         return 0.0
-    return float(np.mean([f(float(u @ anchor)) for u in vectors]))
+    scores = np.array(vectors) @ anchor
+    return float(np.mean(scores if f is None else f(scores)))
 
 
 def sampled_nce_sigmoid(batch: ContrastiveBatch) -> float:
     """mean log sigma(u.v) over positives + eta * mean log sigma(-u'.v)."""
-    pos = _mean_scores(batch.anchor, batch.positives, log_sigmoid)
-    neg = _mean_scores(batch.anchor, batch.negatives, lambda s: log_sigmoid(-s))
+    pos = _mean_scores(batch.anchor, batch.positives, log_expit)
+    neg = _mean_scores(batch.anchor, batch.negatives, lambda s: log_expit(-s))
     return pos + batch.eta * neg
 
 
 def coles_pointwise(batch: ContrastiveBatch) -> float:
     """mean u.v over positives - eta * mean u'.v over negatives."""
-    pos = _mean_scores(batch.anchor, batch.positives, lambda s: s)
-    neg = _mean_scores(batch.anchor, batch.negatives, lambda s: s)
+    pos = _mean_scores(batch.anchor, batch.positives)
+    neg = _mean_scores(batch.anchor, batch.negatives)
     return pos - batch.eta * neg
 
 
@@ -100,15 +97,6 @@ class AlignUniform(NamedTuple):
     total: float
 
 
-def _log_mp_of_exp(scores: np.ndarray, p: float) -> float:
-    """log M_p(exp(s_i)) with max-shift; exact mean(s) at p=0."""
-    if p == 0:
-        return float(np.mean(scores))
-    z = p * scores
-    m = float(np.max(z))
-    return (m + math.log(np.mean(np.exp(z - m)))) / p
-
-
 def align_uniform(batch: ContrastiveBatch, p: float, softmax: bool = False,
                   normalize: bool = True, tau: float = 1.0) -> AlignUniform:
     """Alignment/uniformity split of the contrastive loss for one anchor.
@@ -137,13 +125,13 @@ def align_uniform(batch: ContrastiveBatch, p: float, softmax: bool = False,
     v = prep(batch.anchor)
     u = prep(batch.positives[0])
     pos_score = float(u @ v)
-    neg_scores = np.array([float(prep(w) @ v) for w in batch.negatives])
+    neg_scores = np.array([prep(w) for w in batch.negatives]) @ v
 
     l_align = -pos_score
     if softmax:
-        allscores = np.append(neg_scores, pos_score)
-        m = float(np.max(allscores))
-        l_uniform = m + math.log(np.sum(np.exp(allscores - m)))
-    else:
-        l_uniform = _log_mp_of_exp(neg_scores, p)
+        l_uniform = float(logsumexp(np.append(neg_scores, pos_score)))
+    elif p == 0:
+        l_uniform = float(np.mean(neg_scores))  # log of the geometric mean of exp(s)
+    else:  # log M_p(exp(s)) = log(mean(exp(p s))) / p
+        l_uniform = float(logsumexp(p * neg_scores, b=1.0 / neg_scores.size)) / p
     return AlignUniform(l_align, l_uniform, l_align + l_uniform)

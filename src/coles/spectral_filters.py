@@ -35,13 +35,19 @@ class FilterConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
+def _checked(fx: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(fx)):
+        raise ValueError("filtered features overflow float64: rescale the features")
+    return fx
+
+
 def sgc_filter(w: SparseSym, x: np.ndarray, k_steps: int) -> np.ndarray:
     """Apply W k_steps times; k_steps=0 returns X unchanged."""
     if k_steps < 0:
         raise ValueError("k_steps must be >= 0")
     out = as_dense(x, "x").copy()
     for _ in range(k_steps):
-        out = spmm(w, out)
+        out = _checked(spmm(w, out))
     return out
 
 
@@ -54,10 +60,12 @@ def s2gc_filter(w: SparseSym, x: np.ndarray, k_steps: int, alpha: float) -> np.n
     x = as_dense(x, "x")
     prop = x
     acc = np.zeros_like(x)
-    for _ in range(k_steps):
-        prop = spmm(w, prop)
-        acc += prop
-    return alpha * x + ((1.0 - alpha) / k_steps) * acc
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for _ in range(k_steps):
+            prop = _checked(spmm(w, prop))
+            acc += prop
+        out = alpha * x + ((1.0 - alpha) / k_steps) * acc
+    return _checked(out)
 
 
 def apply_filter(w: SparseSym, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:

@@ -470,3 +470,36 @@ def test_diagnose_refuses_unusable_densities(diagnose_args, tmp_path, capsys, ex
     assert_refused(code, capsys.readouterr().err, expected, named, out)
     assert not (out / "densities.csv").exists()
     assert not (out / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("extra,expected,named", [
+    ((), 1, "filtered features overflow"),
+    (("--filter", "sgc"), 1, "filtered features overflow"),
+    (("--hash-dim", 1), 1, "hashed features overflow"),
+    (("--filter", "identity"), 2, "eigensolver failed"),  # the d x d form overflows
+], ids=["s2gc", "sgc", "hash-dim", "identity"])
+def test_embed_overflowing_features_print_no_warning(synth_dir, tmp_path, capsys, extra,
+                                                     expected, named):
+    # every column signed as hash_features folds it, so no bucket sum cancels
+    signs = coles_solver.hash_features(np.eye(6), 1, seed=1)[:, 0]
+    features = tmp_path / "huge.csv"
+    write_csv(np.tile(1.7e308 * signs, (36, 1)), features)
+    out = tmp_path / "emb"
+    args = embed_args(synth_dir, out, k_steps=8)
+    args[args.index("--features") + 1] = features
+    code = run(*args, *extra)
+    err = capsys.readouterr().err
+    assert_refused(code, err, expected, named, out)
+    assert "Warning" not in err and err.count("\n") == 1
+    assert not (out / "embeddings.clsm").exists()
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_eval_classify_refuses_fewer_than_one_epoch(separable_embedding, tmp_path, capsys,
+                                                    epochs):
+    emb, lab = separable_embedding
+    out = tmp_path / "ev"
+    code = run("eval-classify", "--embeddings", emb, "--labels", lab, "--out", out,
+               "--per-class", 5, "--n-splits", 2, "--val-size", 15, "--epochs", epochs)
+    assert_refused(code, capsys.readouterr().err, 1, "epochs", out)
+    assert not (out / "metrics.json").exists()

@@ -313,3 +313,9 @@ def test_hash_features_linear():
     lhs = hash_features(a + b, 4, seed=0)
     rhs = hash_features(a, 4, seed=0) + hash_features(b, 4, seed=0)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_hash_features_refuses_overflowing_buckets():
+    signs = hash_features(np.eye(4), 1, seed=0)[:, 0]  # every column's sign in bucket 0
+    with pytest.raises(ValueError, match="hashed features overflow"):
+        hash_features(np.tile(1e308 * signs, (2, 1)), 1, seed=0)

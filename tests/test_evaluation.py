@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coles.evaluation import (Metrics, SplitSpec, hungarian_accuracy, kmeans,
                               logreg_fit, logreg_predict, nmi_score, random_split,
@@ -273,3 +278,76 @@ def test_macro_f1_excludes_classes_absent_from_truth():
 def test_score_length_mismatch():
     with pytest.raises(ValueError, match="equal length"):
         score(np.array([0, 1]), np.array([0]))
+
+
+def test_logreg_rejects_fewer_than_one_epoch():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    for epochs in (0, -3):
+        with pytest.raises(ValueError, match="epochs"):
+            logreg_fit(x, [0, 0, 1, 1], epochs=epochs)
+
+
+# -- score against its per-class and per-cell definitions ------------------------------
+
+def loop_f1(pred, truth):
+    """(macro_f1, micro_f1): per-class F1 over the classes in truth, and the
+    global 2 TP / (2 TP + FP + FN) over every class either side uses."""
+    f1s, total = [], [0, 0, 0]
+    for c in sorted(set(pred) | set(truth)):
+        tp = sum(1 for p, t in zip(pred, truth) if p == c and t == c)
+        fp = sum(1 for p, t in zip(pred, truth) if p == c and t != c)
+        fn = sum(1 for p, t in zip(pred, truth) if p != c and t == c)
+        if c in truth:
+            f1s.append(2 * tp / (2 * tp + fp + fn))
+        total = [total[0] + tp, total[1] + fp, total[2] + fn]
+    tp, fp, fn = total
+    return float(np.mean(f1s)), 2 * tp / (2 * tp + fp + fn)
+
+
+def loop_nmi(pred, truth):
+    """Mutual information over the cells, normalized by the mean of the entropies."""
+    n = len(truth)
+    rows = {a: pred.count(a) for a in set(pred)}
+    cols = {b: truth.count(b) for b in set(truth)}
+    hp = -sum(c / n * math.log(c / n) for c in rows.values())
+    ht = -sum(c / n * math.log(c / n) for c in cols.values())
+    if hp == 0.0 and ht == 0.0:
+        return 1.0
+    mi = 0.0
+    for a in sorted(rows):
+        for b in sorted(cols):
+            cell = sum(1 for p, t in zip(pred, truth) if p == a and t == b)
+            if cell:
+                mi += cell / n * math.log(n * cell / (rows[a] * cols[b]))
+    return min(max(mi / (0.5 * (hp + ht)), 0.0), 1.0)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), ids=st.lists(st.integers(-5, 10**12), min_size=1, max_size=5,
+                                    unique=True))
+def test_score_matches_loop_definitions(data, ids):
+    """Labels are sparse ids; either side may use labels the other never does."""
+    truth_ids = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True), label="t")
+    pred_ids = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True), label="p")
+    size = data.draw(st.integers(1, 40), label="size")
+    truth = data.draw(st.lists(st.sampled_from(truth_ids), min_size=size, max_size=size))
+    pred = data.draw(st.lists(st.sampled_from(pred_ids), min_size=size, max_size=size))
+    n = len(truth)
+
+    m = score(pred, truth, mode="classification")
+    assert m.accuracy == sum(p == t for p, t in zip(pred, truth)) / n
+    assert (m.macro_f1, m.micro_f1) == loop_f1(pred, truth)
+    assert abs(m.nmi - loop_nmi(pred, truth)) <= 1e-12
+    assert m.nmi == nmi_score(pred, truth)
+
+    c = score(pred, truth, mode="clustering")
+    acc, relabeled = hungarian_accuracy(pred, truth)
+    relabeled = relabeled.tolist()
+    # one relabel per cluster, no two clusters on one class
+    assert len(set(zip(pred, relabeled))) == len(set(pred)) == len(set(relabeled))
+    union = sorted(set(pred) | set(truth))
+    best = max(sum(perm[union.index(p)] == t for p, t in zip(pred, truth))
+               for perm in itertools.permutations(union))
+    assert c.accuracy == acc == sum(p == t for p, t in zip(relabeled, truth)) / n == best / n
+    assert (c.macro_f1, c.micro_f1) == loop_f1(relabeled, truth)
+    assert c.nmi == m.nmi

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coles.coles_solver import coles_objective
 from coles.graph_core import normalized_adjacency
 from coles.losses import (ContrastiveBatch, align_uniform, block_form,
                           coles_pointwise, generalized_mean, log_sigmoid,
@@ -128,6 +131,38 @@ def test_block_losses_sum_to_negated_trace():
     dense = delta.toarray()
     oracle = -sum(dense[i, j] * float(y[i] @ y[j]) for i in range(n) for j in range(n))
     assert abs(total - oracle) < 1e-9
+
+
+@settings(max_examples=40)
+@given(n=st.integers(6, 24), d_prime=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kappa=st.integers(1, 4), eta_prime=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["per-node-k", "erdos-renyi"]))
+def test_trace_form_equals_block_form(n, d_prime, seed, kappa, eta_prime, mode):
+    """Criterion 1 over random instances: anchor-summed block losses equal
+    -trace(Y^T delta_w Y) for kappa negative graphs of either mode and any eta'.
+
+    Each anchor's block means hold n weight-scaled positives and n * kappa
+    negatives scaled by n * eta', so mu_minus is (eta'/kappa) sum_k W_k y.
+    Tolerance: 1e-12 of the objective's magnitude, the sum over (u, v) of
+    |delta_w[u, v] * y_u . y_v|; the objective itself can cancel to near 0.
+    """
+    w_pos = normalized_adjacency(random_graph(n, 1, seed=seed))
+    cfg = NegSampleConfig(kappa=kappa, per_node=1, mode=mode, p_prime=0.3,
+                          eta_prime=eta_prime, seed=seed)
+    negs = [sample_negative_graph(n, cfg, k) for k in range(kappa)]
+    delta = build_delta_w(w_pos, negs, eta_prime)
+    y = rand_x(n, d_prime, seed=seed + 1)
+
+    wp = w_pos.toarray()
+    wns = [neg.toarray() for neg in negs]
+    total = 0.0
+    for v in range(n):
+        pos_vecs = [n * wp[u, v] * y[u] for u in range(n)]
+        neg_vecs = [n * eta_prime * wn[u, v] * y[u] for wn in wns for u in range(n)]
+        total += block_form(ContrastiveBatch(y[v], pos_vecs, neg_vecs)).loss
+
+    magnitude = float(np.sum(np.abs(delta.toarray() * (y @ y.T))))
+    assert abs(total + coles_objective(y, delta)) <= 1e-12 * magnitude
 
 
 # -- generalized mean ----------------------------------------------------------------

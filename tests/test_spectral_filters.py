@@ -91,3 +91,14 @@ def test_filter_config_validation():
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         sgc_filter(projector_w(), np.ones((3, 2)), 1)
+
+
+@pytest.mark.parametrize("k_steps", [1, 3])
+def test_filters_refuse_overflow(k_steps):
+    # the hub row of a star's normalized adjacency sums to 1/5 + 4/sqrt(10) > 1
+    w = normalized_adjacency(SparseSym.from_edges(5, [(0, j) for j in range(1, 5)]))
+    x = np.full((5, 2), 1.7e308)
+    with pytest.raises(ValueError, match="filtered features overflow"):
+        sgc_filter(w, x, k_steps)
+    with pytest.raises(ValueError, match="filtered features overflow"):
+        s2gc_filter(w, x, k_steps, 0.05)
