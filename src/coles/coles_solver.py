@@ -13,30 +13,27 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 from scipy.linalg import eigh
 
 from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
 from .negative_sampling import (NegSampleConfig, PsdMargin, build_delta_w, psd_margin,
                                 sample_negative_graph)
-from .rng import splitmix64, stream_key
+from .rng import GOLDEN64, MASK64, _mul_high, _splitmix64_outputs
 from .spectral_filters import FilterConfig, apply_filter
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColesConfig:
     d_prime: int = 16
     filter: FilterConfig = field(default_factory=FilterConfig)
     negatives: NegSampleConfig = field(default_factory=NegSampleConfig)
     self_loops: bool = True
 
-    def validate(self, d: int | None = None) -> None:
+    def __post_init__(self) -> None:
         if self.d_prime < 1:
             raise ValueError("d_prime must be >= 1")
-        if d is not None and self.d_prime > d:
-            raise ValueError(f"d_prime={self.d_prime} exceeds feature dimension {d}")
-        self.filter.validate()
-        self.negatives.validate()
 
 
 @dataclass
@@ -45,7 +42,6 @@ class EmbeddingResult:
     Y: np.ndarray            # n x d'
     eigenvalues: np.ndarray  # d' values, descending
     objective: float
-    converged: bool = True
     rank_warning: bool = False  # fewer than d' positive eigenvalues
     psd_margin: PsdMargin | None = None  # set by solve_linear_coles only
 
@@ -53,7 +49,6 @@ class EmbeddingResult:
 class EigResult(NamedTuple):
     values: np.ndarray   # descending
     vectors: np.ndarray  # orthonormal columns, vectors[:, i] pairs values[i]
-    converged: bool
 
 
 def sym_eig(m: np.ndarray) -> EigResult:
@@ -61,36 +56,39 @@ def sym_eig(m: np.ndarray) -> EigResult:
 
     Eigenvalues are returned in descending order; each eigenvector's
     largest-magnitude component is made positive so signs are reproducible.
-    A non-finite matrix or a LAPACK failure gives converged=False with NaN
-    values and vectors.
+    A non-finite matrix or a LAPACK failure raises LinAlgError.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
     n = m.shape[0]
-    failed = EigResult(np.full(n, np.nan), np.full((n, n), np.nan), False)
     if not np.all(np.isfinite(m)):
-        return failed
+        raise LinAlgError("eigensolver failed: matrix has non-finite entries")
     if n and np.max(np.abs(m - m.T)) > 1e-9:
         raise ValueError("matrix is not symmetric within 1e-9")
     try:
         values, vectors = eigh(0.5 * (m + m.T), driver="evr", check_finite=False)
-    except LinAlgError:
-        return failed
+    except LinAlgError as exc:
+        raise LinAlgError(f"eigensolver failed: {exc}") from None
     values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
     vectors[:, lead < 0] *= -1.0
-    return EigResult(values, vectors, True)
+    return EigResult(values, vectors)
 
 
 def build_quadratic_form(fx: np.ndarray, delta_w: SparseSym) -> np.ndarray:
-    """M = fx^T (delta_w fx), explicitly symmetrized."""
+    """M = fx^T (delta_w fx), explicitly symmetrized; LinAlgError if it overflows."""
     fx = as_dense(fx, "fx")
     if fx.shape[0] != delta_w.n:
         raise ValueError(f"fx has {fx.shape[0]} rows, delta_w is {delta_w.n}x{delta_w.n}")
-    with np.errstate(over="ignore", invalid="ignore"):  # sym_eig reports a non-finite form
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         m = fx.T @ spmm(delta_w, fx)
-        return 0.5 * (m + m.T)
+        m = 0.5 * (m + m.T)
+    if not np.all(np.isfinite(m)):
+        d = m.shape[0]
+        raise LinAlgError(f"eigensolver failed: the {d} x {d} quadratic form overflows "
+                          "float64; rescale the features")
+    return m
 
 
 def coles_objective(y: np.ndarray, delta_w: SparseSym) -> float:
@@ -129,7 +127,6 @@ def solve_projection(fx: np.ndarray, delta_w: SparseSym, d_prime: int) -> Embedd
         Y=np.ascontiguousarray(y),
         eigenvalues=top,
         objective=float(top.sum()),
-        converged=eig.converged,
         rank_warning=bool(np.sum(eig.values > 0) < d_prime),
     )
 
@@ -143,7 +140,6 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
     (x, adjacency, cfg).
     """
     x = as_dense(x, "x")
-    cfg.validate(d=x.shape[1])
     if adjacency.n != x.shape[0]:
         raise ValueError(f"adjacency has {adjacency.n} nodes, features have {x.shape[0]} rows")
     w_pos = normalized_adjacency(adjacency, self_loops=cfg.self_loops)
@@ -166,14 +162,15 @@ def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:
     x = as_dense(x, "x")
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
-    out = np.zeros((x.shape[0], n_buckets))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bucket raises below
-        for j in range(x.shape[1]):
-            state, h1 = splitmix64(stream_key(seed, j))
-            _, h2 = splitmix64(state)
-            bucket = (h1 * n_buckets) >> 64
-            sign = 1.0 if (h2 & 1) == 0 else -1.0
-            out[:, bucket] += sign * x[:, j]
+    d = x.shape[1]
+    # stream_key(seed, j), then the first two splitmix64 outputs after it
+    keys = np.uint64(seed & MASK64) ^ (np.arange(d, dtype=np.uint64) * np.uint64(GOLDEN64))
+    h1 = _splitmix64_outputs(keys + np.uint64(GOLDEN64))
+    h2 = _splitmix64_outputs(keys + np.uint64(2 * GOLDEN64 & MASK64))
+    signs = np.where(h2 & np.uint64(1), -1.0, 1.0)
+    fold = sp.csr_matrix((signs, (np.arange(d), _mul_high(h1, n_buckets).astype(np.int64))),
+                         shape=(d, n_buckets))
+    out = np.ascontiguousarray(x @ fold)  # each bucket sums its columns in ascending j
     if not np.all(np.isfinite(out)):
         raise ValueError("hashed features overflow float64: rescale the features")
     return out

@@ -19,13 +19,13 @@ from .graph_core import as_dense
 from .rng import Xoshiro256StarStar, stream_key
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitSpec:
     per_class: int = 20
     val_size: int = 500
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
         if self.val_size < 0:
@@ -46,7 +46,6 @@ class Metrics:
 
 def random_split(labels, spec: SplitSpec):
     """(train, val, test) index arrays; per_class train nodes per class."""
-    spec.validate()
     labels = np.asarray(labels, dtype=np.int64)
     rng = Xoshiro256StarStar(spec.seed)
     classes = np.unique(labels)

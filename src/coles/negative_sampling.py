@@ -25,7 +25,7 @@ from .rng import Xoshiro256StarStar, splitmix64_uniforms
 MODES = ("per-node-k", "erdos-renyi")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NegSampleConfig:
     kappa: int = 10
     per_node: int = 5
@@ -34,16 +34,13 @@ class NegSampleConfig:
     eta_prime: float = 1.0
     seed: int = 0
 
-    def validate(self, n: int | None = None) -> None:
+    def __post_init__(self) -> None:
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.mode == "per-node-k":
-            if self.per_node < 1:
-                raise ValueError("per_node must be >= 1")
-            if n is not None and self.per_node >= n:
-                raise ValueError(f"per_node={self.per_node} must be < n={n}")
+        if self.mode == "per-node-k" and self.per_node < 1:
+            raise ValueError("per_node must be >= 1")
         if self.mode == "erdos-renyi" and not (0.0 < self.p_prime < 1.0):
             raise ValueError("p_prime must lie in (0, 1)")
         if not (0.0 <= self.eta_prime <= 1.0):
@@ -66,7 +63,8 @@ def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
         raise ValueError("need at least 2 nodes to sample a negative graph")
     if k < 0 or (cfg.kappa and k >= cfg.kappa):
         raise ValueError(f"graph index {k} out of range for kappa={cfg.kappa}")
-    cfg.validate(n)
+    if cfg.mode == "per-node-k" and cfg.per_node >= n:
+        raise ValueError(f"per_node={cfg.per_node} must be < n={n}")
     rng = Xoshiro256StarStar.keyed(cfg.seed, k)
     edges = _raw_edges(n, cfg, rng)
     if not len(edges) and cfg.mode == "erdos-renyi":

@@ -50,14 +50,19 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _splitmix64_outputs(states: np.ndarray) -> np.ndarray:
+    """The splitmix64 output of each advanced uint64 state; splitmix64's
+    finaliser applied elementwise."""
+    z = (states ^ (states >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def splitmix64_uniforms(state: int, count: int) -> np.ndarray:
     """Doubles in [0, 1) from the top 53 bits of the next count splitmix64
     outputs after state; equal to count scalar splitmix64() steps."""
     z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN64) + np.uint64(state & MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)) * 2.0 ** -53
+    return (_splitmix64_outputs(z) >> np.uint64(11)) * 2.0 ** -53
 
 
 def stream_key(seed: int, index: int) -> int:

@@ -16,7 +16,7 @@ from .graph_core import LabeledGraph, SparseSym
 from .rng import Xoshiro256StarStar
 
 
-@dataclass
+@dataclass(frozen=True)
 class SbmSpec:
     n_classes: int = 3
     per_block: int = 100
@@ -27,7 +27,7 @@ class SbmSpec:
     noise_sigma: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_classes < 1:
             raise ValueError("need at least one class")
         if self.per_block < 2:
@@ -51,7 +51,6 @@ def simplex_means(n_classes: int, dim: int, sep: float) -> np.ndarray:
 
 
 def generate_sbm(spec: SbmSpec) -> LabeledGraph:
-    spec.validate()
     n = spec.n_classes * spec.per_block
     labels = np.repeat(np.arange(spec.n_classes), spec.per_block)
     rng = Xoshiro256StarStar(spec.seed)
@@ -60,7 +59,10 @@ def generate_sbm(spec: SbmSpec) -> LabeledGraph:
         n, lambda rows, cols: np.where(labels[rows] == labels[cols], spec.p_in, spec.p_out))
     adjacency = SparseSym.from_edges(n, edges)
 
-    means = simplex_means(spec.n_classes, spec.feature_dim, spec.mean_sep)
     noise = rng.normals(n * spec.feature_dim).reshape(n, spec.feature_dim)
-    features = means[labels] + spec.noise_sigma * noise
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        means = simplex_means(spec.n_classes, spec.feature_dim, spec.mean_sep)
+        features = means[labels] + spec.noise_sigma * noise
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features overflow float64: lower noise_sigma or mean_sep")
     return LabeledGraph(adjacency=adjacency, features=features, labels=labels)

@@ -503,3 +503,15 @@ def test_eval_classify_refuses_fewer_than_one_epoch(separable_embedding, tmp_pat
                "--per-class", 5, "--n-splits", 2, "--val-size", 15, "--epochs", epochs)
     assert_refused(code, capsys.readouterr().err, 1, "epochs", out)
     assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("extra", [("--noise-sigma", "1e308"),
+                                   ("--mean-sep", "1.7e308", "--noise-sigma", "1e308")],
+                         ids=["noise-sigma", "mean-sep"])
+def test_synth_overflowing_features_print_no_warning(tmp_path, capsys, extra):
+    out = tmp_path / "data"
+    code = run("synth", "--out", out, "--classes", 3, "--per-block", 4, "--feat-dim", 4, *extra)
+    err = capsys.readouterr().err
+    assert_refused(code, err, 1, "features overflow float64: lower noise_sigma or mean_sep", out)
+    assert "Warning" not in err and err.count("\n") == 1
+    assert not (out / "features.csv").exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.linalg import LinAlgError
 
 from coles import coles_solver, graph_core
 from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objective,
@@ -10,7 +11,7 @@ from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objecti
 from coles.graph_core import SparseSym, normalized_adjacency
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
-from coles.rng import Xoshiro256StarStar
+from coles.rng import Xoshiro256StarStar, splitmix64, stream_key
 from coles.spectral_filters import FilterConfig
 from helpers import rand_x, random_graph, weighted_graph
 
@@ -25,7 +26,6 @@ def random_sym(n, seed):
 def test_sym_eig_identity():
     eig = sym_eig(np.eye(3))
     assert np.allclose(eig.values, [1, 1, 1], atol=0)
-    assert eig.converged
 
 
 def test_sym_eig_diagonal_sorted_with_permutation_vectors():
@@ -48,7 +48,6 @@ def test_sym_eig_reconstruction_and_orthonormality():
         n = 2 + Xoshiro256StarStar(seed).below(63)
         m = random_sym(n, seed + 100)
         eig = sym_eig(m)
-        assert eig.converged
         recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
         scale = np.linalg.norm(m)
         assert np.linalg.norm(recon - m) < 1e-8 * max(scale, 1e-30)
@@ -87,15 +86,13 @@ def test_sym_eig_rejects_rectangular():
 
 def test_sym_eig_zero_matrix():
     eig = sym_eig(np.zeros((4, 4)))
-    assert eig.converged
     assert np.array_equal(eig.values, np.zeros(4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sym_eig_non_finite_is_not_converged(bad):
-    eig = sym_eig(np.array([[1.0, 0.0], [0.0, bad]]))
-    assert not eig.converged
-    assert np.all(np.isnan(eig.values))
+    with pytest.raises(LinAlgError, match="eigensolver failed"):
+        sym_eig(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 # -- quadratic form -------------------------------------------------------------
@@ -104,6 +101,12 @@ def delta_fixture(n=6, seed=2):
     w = normalized_adjacency(random_graph(n, 2, seed=seed))
     neg = sample_negative_graph(n, NegSampleConfig(kappa=1, per_node=2, seed=seed + 50), 0)
     return build_delta_w(w, [neg], eta_prime=1.0)
+
+
+def test_quadratic_form_overflow_names_the_form():
+    with pytest.raises(LinAlgError, match="eigensolver failed: the 3 x 3 quadratic form "
+                                          "overflows float64; rescale the features"):
+        build_quadratic_form(np.full((5, 3), 1e200), delta_fixture(5))
 
 
 def test_quadratic_form_identity_sandwich():
@@ -218,7 +221,7 @@ def test_solver_accepts_weighted_graph():
     adj = weighted_graph(16, 2, seed=68)
     cfg = ColesConfig(d_prime=3, negatives=NegSampleConfig(kappa=2, per_node=3, seed=4))
     res = solve_linear_coles(rand_x(16, 6, seed=69), adj, cfg)
-    assert res.converged and res.psd_margin.converged
+    assert res.psd_margin.converged
     assert np.all(np.isfinite(res.Y))
 
 
@@ -305,6 +308,24 @@ def test_hash_features_shape_and_determinism():
     assert a.shape == (9, 8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, hash_features(x, 8, seed=2))
+
+
+def loop_hash_features(x, n_buckets, seed):
+    """One column at a time, in ascending j: the reference for the one-product fold."""
+    out = np.zeros((x.shape[0], n_buckets))
+    for j in range(x.shape[1]):
+        state, h1 = splitmix64(stream_key(seed, j))
+        _, h2 = splitmix64(state)
+        out[:, (h1 * n_buckets) >> 64] += (1.0 if (h2 & 1) == 0 else -1.0) * x[:, j]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 411, 2**64 - 1, 12345678901234])
+def test_hash_features_matches_column_loop(seed):
+    x = rand_x(7, 300, seed=83)
+    for n_buckets in (1, 3, 64, 1000):
+        assert np.array_equal(hash_features(x, n_buckets, seed=seed),
+                              loop_hash_features(x, n_buckets, seed))
 
 
 def test_hash_features_linear():

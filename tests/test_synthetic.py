@@ -108,8 +108,8 @@ def test_homophily_above_negative_baseline():
 
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError, match="p_out"):
-        SbmSpec(p_in=0.1, p_out=0.5).validate()
+        SbmSpec(p_in=0.1, p_out=0.5)
     with pytest.raises(ValueError, match="per_block"):
-        SbmSpec(per_block=1).validate()
+        SbmSpec(per_block=1)
     with pytest.raises(ValueError, match="simplex"):
-        SbmSpec(n_classes=5, feature_dim=3).validate()
+        SbmSpec(n_classes=5, feature_dim=3)
