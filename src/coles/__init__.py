@@ -10,14 +10,13 @@ classification/clustering protocol.
 """
 
 from .coles_solver import (ColesConfig, EmbeddingResult, build_quadratic_form,
-                           coles_objective, general_objective, hash_features,
-                           orthogonality_penalty, solve_linear_coles,
+                           coles_objective, hash_features, solve_linear_coles,
                            solve_projection, sym_eig)
 from .diagnostics import (expected_negative_homophily, homophily, js_divergence,
                           lipschitz_check, pair_scores, parzen_density, separation,
                           silverman_bandwidth, wasserstein1)
 from .evaluation import (Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict,
-                         nmi_score, random_split, score)
+                         nmi_score, random_split, random_splits, score)
 from .graph_core import (LabeledGraph, SparseSym, add_self_loops, as_dense,
                          degree_normalize, laplacian, load_edge_list,
                          normalized_adjacency, save_edge_list, spmm)

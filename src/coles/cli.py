@@ -25,7 +25,7 @@ from . import io
 from .coles_solver import ColesConfig, hash_features, solve_linear_coles
 from .diagnostics import (expected_negative_homophily, homophily, js_from_densities,
                           pair_scores, score_densities, wasserstein1)
-from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_split, score
+from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_splits, score
 from .graph_core import load_edge_list
 from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
 from .rng import stream_key
@@ -118,6 +118,12 @@ def _parse_args(argv) -> argparse.Namespace:
             args = parser.parse_args(argv[:1] + flags + argv[1:])
         except ConfigError as exc:
             raise ConfigError(f"--config {args.config}: {exc}") from None
+    # sizes and counts reach numpy as int64; the seed is taken modulo 2**64
+    for action in parser.subcommands[args.subcommand]._actions:
+        value = getattr(args, action.dest, None)
+        if action.type is int and action.dest != "seed" and not -2**63 <= value < 2**63:
+            raise ConfigError(f"{action.option_strings[0]} must lie in [-2**63, 2**63), "
+                              f"got {value}")
     return args
 
 
@@ -210,17 +216,16 @@ def cmd_eval_classify(cfg: dict) -> dict:
     y, labels = _read_labeled_embeddings(cfg)
     if cfg["n_splits"] < 1:
         raise ConfigError("n_splits must be >= 1")
+    spec = SplitSpec(per_class=cfg["per_class"], val_size=cfg["val_size"], seed=cfg["seed"])
+    train, _val, test = random_splits(labels, spec, cfg["n_splits"])
+    if test.shape[1] == 0:
+        raise ConfigError("test set is empty; lower --val-size or --per-class")
+    weights = logreg_fit(y[train], labels[train], l2=cfg["l2"], lr=cfg["lr"],
+                         epochs=cfg["epochs"])
     records = []
     for s in range(cfg["n_splits"]):
-        spec = SplitSpec(per_class=cfg["per_class"], val_size=cfg["val_size"],
-                         seed=stream_key(cfg["seed"], s))
-        train, _val, test = random_split(labels, spec)
-        if test.size == 0:
-            raise ConfigError("test set is empty; lower --val-size or --per-class")
-        weights = logreg_fit(y[train], labels[train], l2=cfg["l2"],
-                             lr=cfg["lr"], epochs=cfg["epochs"])
-        pred = logreg_predict(weights, y[test])
-        metrics = score(pred, labels[test], mode="classification")
+        pred = logreg_predict(weights[s], y[test[s]])
+        metrics = score(pred, labels[test[s]], mode="classification")
         records.append({"split": s, **metrics.as_dict()})
     mean, std = _write_metrics(cfg, "split", records)
     log.info("classification over %d splits: acc %.4f +- %.4f",

@@ -99,18 +99,6 @@ def coles_objective(y: np.ndarray, delta_w: SparseSym) -> float:
     return float(np.sum(y * spmm(delta_w, y)))
 
 
-def orthogonality_penalty(y: np.ndarray) -> float:
-    """||Y^T Y - I||_F^2, the soft orthogonality penalty."""
-    y = as_dense(y, "y")
-    g = y.T @ y - np.eye(y.shape[1])
-    return float(np.sum(g * g))
-
-
-def general_objective(y: np.ndarray, delta_w: SparseSym, beta: float) -> float:
-    """Trace objective with the orthogonality penalty subtracted at weight beta."""
-    return coles_objective(y, delta_w) - beta * orthogonality_penalty(y)
-
-
 def solve_projection(fx: np.ndarray, delta_w: SparseSym, d_prime: int) -> EmbeddingResult:
     """Top-d' eigenvector projection of the quadratic form of (fx, delta_w)."""
     fx = as_dense(fx, "fx")

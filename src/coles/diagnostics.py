@@ -82,6 +82,8 @@ def score_densities(p, q, bandwidth: float | None = None,
     h_p = bandwidth if bandwidth is not None else silverman_bandwidth(p)
     h_q = bandwidth if bandwidth is not None else silverman_bandwidth(q)
     try:
+        if grid_points * max(p.size, q.size) > np.iinfo(np.intp).max // 8:
+            raise MemoryError("more values than a float64 array can hold")
         grid = shared_grid(p, q, h_p, h_q, grid_points)
         return ScoreDensities(grid, parzen_density(p, h_p, grid), parzen_density(q, h_q, grid))
     except MemoryError as exc:  # the kernel sums hold grid_points x sample size values

@@ -9,6 +9,7 @@ clustering accuracy uses the optimal cluster-to-class assignment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .graph_core import as_dense
-from .rng import Xoshiro256StarStar, stream_key
+from .rng import Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key
 
 
 @dataclass(frozen=True)
@@ -44,36 +45,63 @@ class Metrics:
                 "micro_f1": self.micro_f1, "nmi": self.nmi}
 
 
-def random_split(labels, spec: SplitSpec):
-    """(train, val, test) index arrays; per_class train nodes per class."""
+def random_splits(labels, spec: SplitSpec, n_splits: int):
+    """n_splits (train, val, test) splits as three (n_splits, size) index
+    arrays, row s drawn from the stream stream_key(spec.seed, s).
+
+    Each split takes per_class train nodes per class, by a shuffle of each
+    class, then val_size of the rest, by a shuffle of the rest. Every split
+    makes the same number of draws, so all streams are drawn at once.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    rng = Xoshiro256StarStar(spec.seed)
-    classes = np.unique(labels)
-    train: list[int] = []
-    for c in classes:
-        members = np.flatnonzero(labels == c).tolist()
-        if len(members) < spec.per_class + 1:
-            raise ValueError(f"class {c} has {len(members)} nodes, "
+    members = []
+    for c in np.unique(labels):
+        members.append(np.flatnonzero(labels == c).tolist())
+        if len(members[-1]) < spec.per_class + 1:
+            raise ValueError(f"class {c} has {len(members[-1])} nodes, "
                              f"need at least per_class+1 = {spec.per_class + 1}")
-        rng.shuffle(members)
-        train.extend(members[:spec.per_class])
-    train_arr = np.array(sorted(train), dtype=np.int64)
-    untaken = np.ones(labels.shape[0], dtype=bool)
-    untaken[train_arr] = False
-    rest = np.flatnonzero(untaken).tolist()
-    rng.shuffle(rest)
-    n_val = min(spec.val_size, len(rest))
-    val = np.array(sorted(rest[:n_val]), dtype=np.int64)
-    test = np.array(sorted(rest[n_val:]), dtype=np.int64)
-    return train_arr, val, test
+    n_train = spec.per_class * len(members)
+    n_rest = labels.size - n_train
+    n_val = min(spec.val_size, n_rest)
+    train = np.empty((n_splits, n_train), dtype=np.int64)
+    val = np.empty((n_splits, n_val), dtype=np.int64)
+    test = np.empty((n_splits, n_rest - n_val), dtype=np.int64)
+    generators = [Xoshiro256StarStar(stream_key(spec.seed, s)) for s in range(n_splits)]
+    # a shuffle of k items takes k - 1 draws; every class has at least 2 members
+    n_draws = sum(len(items) - 1 for items in members) + max(n_rest - 1, 0)
+    for s, row in enumerate(draw_u64s(generators, n_draws)):
+        picked, start = [], 0
+        for items in members:
+            shuffled = items.copy()
+            shuffle_with(shuffled, row[start:start + len(items) - 1])
+            start += len(items) - 1
+            picked.extend(shuffled[:spec.per_class])
+        train[s] = sorted(picked)
+        untaken = np.ones(labels.size, dtype=bool)
+        untaken[train[s]] = False
+        rest = np.flatnonzero(untaken).tolist()
+        shuffle_with(rest, row[start:])
+        val[s] = sorted(rest[:n_val])
+        test[s] = sorted(rest[n_val:])
+    return train, val, test
+
+
+def random_split(labels, spec: SplitSpec):
+    """(train, val, test) index arrays; per_class train nodes per class.
+
+    The one-split case of random_splits: stream_key(seed, 0) is the seed.
+    """
+    return tuple(part[0] for part in random_splits(labels, spec, 1))
 
 
 # -- logistic regression -----------------------------------------------------
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    # the row max is exact in any order; column by column beats reducing a
+    # short last axis
+    z = logits - functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
@@ -82,33 +110,49 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
 
     Zero-initialized weights of shape (d+1, C); the trailing row is the bias
     (a constant feature is appended) and is regularized with the rest.
+    y_train may also be an (S, m, d) stack of S training sets with (S, m)
+    labels: the S fits run as one batched loop, each bit for bit the 2-D
+    fit of its set, except that C is one more than the largest label of
+    any set. Weights are then (S, d+1, C), and losses one (S,) array per
+    epoch.
     """
-    x = as_dense(y_train, "y_train")
+    x = np.asarray(y_train)
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != x.shape[0]:
+    stacked = x.ndim == 3
+    if stacked:
+        x = as_dense(x.reshape(-1, x.shape[-1]), "y_train").reshape(x.shape)
+    else:
+        x, labels = as_dense(x, "y_train")[None], labels[None]
+    if labels.shape != x.shape[:2]:
         raise ValueError("labels length must match row count")
     if not (math.isfinite(lr) and math.isfinite(l2)):
         raise ValueError(f"lr and l2 must be finite, got lr={lr!r}, l2={l2!r}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    n_sets, m, _ = x.shape
     n_classes = int(labels.max()) + 1
-    if np.unique(labels).size < 2:
-        raise ValueError("training set contains a single class")
-    xb = np.hstack([x, np.ones((x.shape[0], 1))])
-    onehot = np.zeros((x.shape[0], n_classes))
-    onehot[np.arange(x.shape[0]), labels] = 1.0
-    w = np.zeros((xb.shape[1], n_classes))
+    for set_labels in labels:
+        if np.unique(set_labels).size < 2:
+            raise ValueError("training set contains a single class")
+    xb = np.concatenate([x, np.ones((n_sets, m, 1))], axis=2)
+    xb_t = xb.transpose(0, 2, 1)  # a view: its products must match the 2-D xb.T's bits
+    onehot = np.zeros((n_sets, m, n_classes))
+    np.put_along_axis(onehot, labels[:, :, None], 1.0, axis=2)
+    w = np.zeros((n_sets, xb.shape[2], n_classes))
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
         for _ in range(epochs):
             probs = _softmax(xb @ w)
             if return_losses:
-                ce = -float(np.mean(np.log(np.maximum(probs[onehot == 1.0], 1e-300))))
-                losses.append(ce + l2 * float(np.sum(w * w)))
-            grad = xb.T @ (probs - onehot) / x.shape[0] + 2.0 * l2 * w
+                hit = np.maximum(probs[onehot == 1.0], 1e-300).reshape(n_sets, m)
+                penalty = (w * w).reshape(n_sets, -1).sum(axis=1)
+                losses.append(-np.mean(np.log(hit), axis=1) + l2 * penalty)
+            grad = xb_t @ (probs - onehot) / m + 2.0 * l2 * w
             w = w - lr * grad
     if not np.all(np.isfinite(w)):
         raise ValueError("logistic regression weights are not finite: lower lr or rescale")
+    if not stacked:
+        w, losses = w[0], [float(loss[0]) for loss in losses]
     return (w, losses) if return_losses else w
 
 

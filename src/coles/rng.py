@@ -9,17 +9,19 @@ they agree to rounding. Streams for independent tasks
 (negative graph k, k-means restart r, split s, ...) are keyed by mixing the
 task index into the seed with the 64-bit golden-ratio constant.
 
-Bulk draws (`next_u64s` and everything built on it: `uniforms`, `normals`,
-`shuffle`, `distinct_runs`, `bernoulli_pairs`) return exactly the values the
-scalar `next_u64` would, in the same order, and leave the generator in the
-same state, so the stream is unchanged; only the arithmetic is batched.
+Bulk draws (`draw_u64s`, `next_u64s` and everything built on them:
+`uniforms`, `normals`, `shuffle`, `distinct_runs`, `bernoulli_pairs`) return
+exactly the values the scalar `next_u64` would, in the same order, and leave
+the generator in the same state, so the stream is unchanged; only the
+arithmetic is batched.
 The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
 "Scrambled linear pseudorandom number generators", 2021), so the state
 `_LANE` steps ahead is a fixed 256x256 bit matrix times the current state
 (the jump-ahead of Haramoto et al., 2008). The matrix is found once per
 process and applied by XOR through byte lookup tables, which is exact. A
 bulk draw jumps to the start of each lane of `_LANE` consecutive outputs
-and steps all lanes at once in numpy.
+and steps all lanes at once in numpy; `draw_u64s` steps the lanes of many
+generators (one per split, say) in the same loop.
 """
 
 from __future__ import annotations
@@ -136,6 +138,68 @@ def _mul_high(x: np.ndarray, n) -> np.ndarray:
     return x_hi * n_hi + (cross >> np.uint64(32)) + (mid >> np.uint64(32))
 
 
+def _lane_draws(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next count outputs of each of the (k, 4) uint64 xoshiro256**
+    states as a (k, count) array, and the (k, 4) states they end in.
+
+    Each generator's draw is cut into lanes of _LANE consecutive outputs:
+    lane j starts j * _LANE steps ahead, and lane `full` holds the last
+    `rest` outputs and the state the draw ends in. All lanes of all
+    generators step together.
+    """
+    k = states.shape[0]
+    full, rest = divmod(count, _LANE)
+    lanes = full + 1
+    starts = np.empty((k, lanes, 4), dtype=np.uint64)
+    starts[:, 0] = states
+    for j in range(full):
+        starts[:, j + 1] = _apply(_lane_jump(), starts[:, j])
+    s0, s1, s2, s3 = starts.reshape(-1, 4).T.copy()  # lane j of generator i at i * lanes + j
+    steps = _LANE if full else rest
+    scratch = np.empty(k * lanes, dtype=np.uint64)
+    seen = np.empty((k * lanes, steps), dtype=np.uint64)  # row: one lane's s1 values
+    for step in range(steps + 1):
+        if step == rest:
+            ends = np.column_stack([s[full::lanes] for s in (s0, s1, s2, s3)])
+        if step == steps:
+            break
+        seen[:, step] = s1
+        _advance(s0, s1, s2, s3, scratch)
+    out = seen.reshape(k, lanes * steps)[:, :count]  # each generator's lanes end to end: draw order
+    out *= np.uint64(5)  # the ** scrambler: rotl(s1 * 5, 7) * 9
+    high = out >> np.uint64(57)
+    out <<= np.uint64(7)
+    out |= high
+    out *= np.uint64(9)
+    return out, ends
+
+
+def draw_u64s(generators: Sequence[Xoshiro256StarStar], count: int) -> np.ndarray:
+    """The next count next_u64() outputs of each generator as a
+    (len(generators), count) uint64 array; each generator ends in the state
+    count next_u64() calls would leave it in."""
+    if len(generators) * count < _BULK_MIN:
+        return np.array([[g.next_u64() for _ in range(count)] for g in generators],
+                        dtype=np.uint64).reshape(len(generators), count)
+    states = np.array([(g.s0, g.s1, g.s2, g.s3) for g in generators],
+                      dtype=np.uint64).reshape(-1, 4)
+    out, ends = _lane_draws(states, count)
+    for g, end in zip(generators, ends.tolist()):
+        g.s0, g.s1, g.s2, g.s3 = end
+    return out
+
+
+def shuffle_with(items: list, draws: np.ndarray) -> None:
+    """In-place Fisher-Yates shuffle from len(items) - 1 next_u64() outputs:
+    for i from len-1 down to 1, swap items[i] with items[(draw * (i + 1)) >> 64],
+    the draws taken in order."""
+    size = len(items)
+    bounds = np.arange(size, 1, -1, dtype=np.uint64)
+    picks = _mul_high(draws, bounds).tolist()
+    for i, j in zip(range(size - 1, 0, -1), picks):
+        items[i], items[j] = items[j], items[i]
+
+
 class Xoshiro256StarStar:
     """xoshiro256** generator, state seeded via splitmix64 of a 64-bit key."""
 
@@ -169,31 +233,7 @@ class Xoshiro256StarStar:
         Afterwards the generator is in the state count next_u64() calls
         would leave it in, so scalar and bulk draws mix freely.
         """
-        if count < _BULK_MIN:
-            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
-        full, rest = divmod(count, _LANE)
-        # lane j starts j * _LANE steps ahead; lane `full` holds the last
-        # `rest` outputs and the state the draw ends in
-        jump = _lane_jump()
-        starts = np.empty((full + 1, 4), dtype=np.uint64)
-        starts[0] = (self.s0, self.s1, self.s2, self.s3)
-        for j in range(full):
-            starts[j + 1] = _apply(jump, starts[j:j + 1])
-        s0, s1, s2, s3 = starts.T.copy()
-        scratch = np.empty(full + 1, dtype=np.uint64)
-        seen = np.empty((full + 1, _LANE), dtype=np.uint64)  # row j: lane j's s1 values
-        for k in range(_LANE):
-            if k == rest:
-                self.s0, self.s1, self.s2, self.s3 = (int(s[full]) for s in (s0, s1, s2, s3))
-            seen[:, k] = s1
-            _advance(s0, s1, s2, s3, scratch)
-        out = seen.reshape(-1)[:count]  # lanes end to end: draw order
-        out *= np.uint64(5)  # the ** scrambler: rotl(s1 * 5, 7) * 9
-        high = out >> np.uint64(57)
-        out <<= np.uint64(7)
-        out |= high
-        out *= np.uint64(9)
-        return out
+        return draw_u64s((self,), count)[0]
 
     def random(self) -> float:
         """Uniform double in [0, 1) using the top 53 bits."""
@@ -214,13 +254,7 @@ class Xoshiro256StarStar:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: for i from len-1 down to 1, swap
         items[i] with items[below(i + 1)]."""
-        size = len(items)
-        if size < 2:
-            return
-        bounds = np.arange(size, 1, -1, dtype=np.uint64)
-        picks = _mul_high(self.next_u64s(size - 1), bounds).tolist()
-        for i, j in zip(range(size - 1, 0, -1), picks):
-            items[i], items[j] = items[j], items[i]
+        shuffle_with(items, self.next_u64s(max(len(items) - 1, 0)))
 
     def distinct(self, n: int, count: int, exclude: int = -1) -> list[int]:
         """count distinct integers from [0, n) \\ {exclude}, uniform without

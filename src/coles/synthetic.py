@@ -8,6 +8,7 @@ equidistant at distance mean_sep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ class SbmSpec:
             raise ValueError("need 0 <= p_out <= p_in <= 1")
         if self.feature_dim < self.n_classes:
             raise ValueError("feature_dim must be >= n_classes for simplex means")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if not math.isfinite(self.mean_sep):
+            raise ValueError(f"mean_sep must be finite, got {self.mean_sep!r}")
 
 
 def simplex_means(n_classes: int, dim: int, sep: float) -> np.ndarray:

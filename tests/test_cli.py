@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -196,6 +197,25 @@ def test_eval_classify_seed_changes_splits(separable_embedding, tmp_path):
                    "--epochs", 20, "--seed", seed) == 0
         outs.append(json.loads((out / "metrics.json").read_text()))
     assert set(outs[0]) == set(outs[1])  # same schema
+
+
+def test_eval_classify_metrics_digest(tmp_path):
+    # pins the splits and fits through their predictions; recorded before the
+    # splits and the fits were batched
+    rng = Xoshiro256StarStar(17)
+    labels = np.repeat(np.arange(3), [25, 30, 35])
+    centers = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 2.0, -1.0]])
+    y = centers[labels] + np.array(rng.normals(90 * 3)).reshape(90, 3)
+    write_csv(y, tmp_path / "emb.csv")
+    write_labels(labels, tmp_path / "labels.txt")
+    out = tmp_path / "ev"
+    assert run("eval-classify", "--embeddings", tmp_path / "emb.csv",
+               "--labels", tmp_path / "labels.txt", "--out", out, "--per-class", 5,
+               "--n-splits", 30, "--val-size", 20, "--epochs", 40, "--seed", 9) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    del metrics["config"]  # it echoes tmp_path
+    assert hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest() == (
+        "e542bdec6397b236498aef83367c5d89e2a86233aa54fd296a8f247c17e7c604")
 
 
 def test_eval_cluster(separable_embedding, tmp_path):
@@ -515,3 +535,45 @@ def test_synth_overflowing_features_print_no_warning(tmp_path, capsys, extra):
     assert_refused(code, err, 1, "features overflow float64: lower noise_sigma or mean_sep", out)
     assert "Warning" not in err and err.count("\n") == 1
     assert not (out / "features.csv").exists()
+
+
+@pytest.mark.parametrize("extra,named", [
+    (("--noise-sigma", "nan"), "noise_sigma must be finite and >= 0, got nan"),
+    (("--mean-sep", "nan"), "mean_sep must be finite, got nan"),
+    (("--mean-sep", "inf"), "mean_sep must be finite, got inf"),
+], ids=["nan-noise-sigma", "nan-mean-sep", "inf-mean-sep"])
+def test_synth_refuses_non_finite_feature_settings(tmp_path, capsys, extra, named):
+    out = tmp_path / "data"
+    code = run("synth", "--out", out, "--classes", 3, "--per-block", 4, "--feat-dim", 4, *extra)
+    err = capsys.readouterr().err
+    assert_refused(code, err, 1, named, out)
+    assert err.count("\n") == 1 and not (out / "features.csv").exists()
+
+
+TWO_POW_63 = 2**63
+
+
+@pytest.mark.parametrize("subcommand,flag,value,named", [
+    ("synth", "--per-block", TWO_POW_63, "--per-block must lie in [-2**63, 2**63)"),
+    ("embed", "--hash-dim", TWO_POW_63, "--hash-dim must lie in [-2**63, 2**63)"),
+    ("diagnose", "--grid-points", TWO_POW_63, "--grid-points must lie in [-2**63, 2**63)"),
+    ("diagnose", "--grid-points", TWO_POW_63 - 1, "more values than a float64 array can hold"),
+], ids=["synth-per-block", "embed-hash-dim", "diagnose-grid-points",
+        "diagnose-grid-points-below-2**63"])
+def test_huge_integer_settings_are_refused_in_one_line(synth_dir, tmp_path, capsys, subcommand,
+                                                       flag, value, named):
+    # each value is refused before anything of that size is allocated or started
+    emb = tmp_path / "emb"
+    assert run(*embed_args(synth_dir, emb)) == 0
+    inputs = {"synth": (),
+              "embed": ("--edges", synth_dir / "edges.txt",
+                        "--features", synth_dir / "features.csv"),
+              "diagnose": ("--edges", synth_dir / "edges.txt",
+                           "--embeddings", emb / "embeddings.clsm",
+                           "--labels", synth_dir / "labels.txt")}[subcommand]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run(subcommand, "--out", out, *inputs, flag, value)
+    err = capsys.readouterr().err
+    assert_refused(code, err, 1, named, out)
+    assert err.count("\n") == 1

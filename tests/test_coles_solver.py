@@ -5,9 +5,8 @@ from numpy.linalg import LinAlgError
 
 from coles import coles_solver, graph_core
 from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objective,
-                                general_objective, hash_features,
-                                orthogonality_penalty, solve_linear_coles,
-                                solve_projection, sym_eig)
+                                hash_features, solve_linear_coles, solve_projection,
+                                sym_eig)
 from coles.graph_core import SparseSym, normalized_adjacency
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
@@ -161,22 +160,6 @@ def test_objective_matches_pairwise_expansion():
         for j in range(7):
             oracle += dense[i, j] * float(y[i] @ y[j])
     assert abs(coles_objective(y, delta) - oracle) < 1e-10
-
-
-def test_orthogonality_penalty_cases():
-    q, _ = np.linalg.qr(rand_x(6, 3, seed=40))
-    assert orthogonality_penalty(q) < 1e-12
-    assert abs(orthogonality_penalty(2.0 * np.eye(2)) - 18.0) < 1e-12
-    assert abs(orthogonality_penalty(np.zeros((4, 2))) - 2.0) < 1e-12
-
-
-def test_general_objective_composition():
-    delta = delta_fixture(6)
-    y = rand_x(6, 2, seed=50)
-    assert general_objective(y, delta, 0.0) == coles_objective(y, delta)
-    q, _ = np.linalg.qr(rand_x(6, 2, seed=51))
-    assert abs(general_objective(q, delta, 3.7) - coles_objective(q, delta)) < 1e-10
-    assert abs(general_objective(np.zeros((6, 2)), delta, 1.0) - (-2.0)) < 1e-15
 
 
 # -- solver ------------------------------------------------------------------------

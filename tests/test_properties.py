@@ -1,4 +1,4 @@
-"""Property tests for the spectral kernels over random instances."""
+"""Property tests for the spectral kernels and the batched evaluation over random instances."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -10,10 +10,11 @@ from coles.graph_core import (SparseSym, add_self_loops, degree_normalize, lapla
                               normalized_adjacency)
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
-from coles.rng import Xoshiro256StarStar
+from coles.evaluation import SplitSpec, logreg_fit, random_split, random_splits
+from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, stream_key
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
 from coles.synthetic import SbmSpec, generate_sbm
-from helpers import rand_x, random_graph, weighted_graph
+from helpers import bulk_everywhere, rand_x, random_graph, weighted_graph
 
 PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -222,3 +223,52 @@ def test_relabelling_nodes_permutes_embedding_rows(seed, per_block, kind, d_prim
     assert np.max(np.abs(moved.Y - res.Y[perm])) <= tol
     assert np.max(np.abs(moved.P - res.P)) <= RELABEL_REL_TOL
     assert np.max(np.abs(moved.eigenvalues - res.eigenvalues)) <= RELABEL_REL_TOL * scale
+
+
+# -- batched evaluation: every split and fit bit for bit its one-at-a-time form -------
+
+@PROPERTY
+@given(seed=st.integers(0, 2**64 - 1), keys=st.integers(0, 6),
+       count=st.integers(0, 3 * _LANE), lanes=st.booleans())
+def test_lane_draws_equal_scalar_steps_of_each_generator(seed, keys, count, lanes):
+    generators = [Xoshiro256StarStar(stream_key(seed, s)) for s in range(keys)]
+    scalar = [Xoshiro256StarStar(stream_key(seed, s)) for s in range(keys)]
+    with bulk_everywhere(lanes):
+        got = draw_u64s(generators, count)
+    assert got.dtype == np.uint64 and got.shape == (keys, count)
+    assert got.tolist() == [[g.next_u64() for _ in range(count)] for g in scalar]
+    # each generator ends where count scalar steps leave it
+    assert [g.next_u64() for g in generators] == [g.next_u64() for g in scalar]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**64 - 1), per_class=st.integers(1, 5), data=st.data(),
+       n_splits=st.integers(1, 5), lanes=st.booleans())
+def test_random_splits_row_is_the_keyed_random_split(seed, per_class, data, n_splits, lanes):
+    sizes = data.draw(st.lists(st.integers(per_class + 1, per_class + 30), min_size=1,
+                               max_size=4), label="sizes")
+    labels = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    Xoshiro256StarStar(seed).shuffle(labels)
+    spec = SplitSpec(per_class=per_class, val_size=data.draw(st.integers(0, 40)), seed=seed)
+    with bulk_everywhere(lanes):
+        stacks = random_splits(labels, spec, n_splits)
+    for s in range(n_splits):
+        want = random_split(labels, SplitSpec(per_class, spec.val_size, stream_key(seed, s)))
+        for stack, part in zip(stacks, want):
+            assert np.array_equal(stack[s], part)
+
+
+@PROPERTY
+@given(seed=SEEDS, n_sets=st.integers(1, 6), m=st.integers(2, 30), d=st.integers(1, 6),
+       n_classes=st.integers(2, 5), l2=st.sampled_from([0.0, 1e-4, 0.1]))
+def test_stacked_logreg_fit_equals_per_set_fits(seed, n_sets, m, d, n_classes, l2):
+    x = rand_x(n_sets * m, d, seed=seed).reshape(n_sets, m, d)
+    rng = Xoshiro256StarStar(seed + 1)
+    labels = np.array([rng.below(n_classes) for _ in range(n_sets * m)]).reshape(n_sets, m)
+    labels[:, 0], labels[:, 1] = 0, n_classes - 1  # two classes, and C the same, in each set
+    w, losses = logreg_fit(x, labels, l2=l2, epochs=30, return_losses=True)
+    assert w.shape == (n_sets, d + 1, n_classes)
+    for s in range(n_sets):
+        w_s, losses_s = logreg_fit(x[s], labels[s], l2=l2, epochs=30, return_losses=True)
+        assert np.array_equal(w[s], w_s)
+        assert [float(loss[s]) for loss in losses] == losses_s
