@@ -12,6 +12,7 @@ on success. COLES_LOG={error|info|debug} controls verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -25,7 +26,7 @@ from . import io
 from .coles_solver import ColesConfig, hash_features, solve_linear_coles
 from .diagnostics import (expected_negative_homophily, homophily, js_from_densities,
                           pair_scores, score_densities, wasserstein1)
-from .evaluation import SplitSpec, kmeans, logreg_fit, logreg_predict, random_splits, score
+from .evaluation import Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict, random_splits, score
 from .graph_core import load_edge_list
 from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
 from .rng import stream_key
@@ -128,9 +129,9 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _write_json(obj: dict, path: str) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)  # no half-written file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- synth --------------------------------------------------------------------
@@ -179,7 +180,8 @@ def cmd_embed(cfg: dict) -> dict:
         "config": resolved,
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "objective": result.objective,
-        "psd_margin": {"value": margin.value, "converged": margin.converged},
+        "psd_margin": {"value": margin.value if margin.converged else None,
+                       "converged": margin.converged},
         "rank_warning": result.rank_warning,
         "wall_clock_sec": time.perf_counter() - t0,
     }
@@ -193,12 +195,12 @@ def cmd_embed(cfg: dict) -> dict:
 
 # -- eval ------------------------------------------------------------------------
 
-def _write_metrics(cfg: dict, unit: str, records: list[dict]) -> tuple[dict, dict]:
-    """metrics.json: the config, the per-<unit> records and their mean and std."""
-    keys = ("accuracy", "macro_f1", "micro_f1", "nmi")
-    mean = {k: float(np.mean([r[k] for r in records])) for k in keys}
-    std = {k: float(np.std([r[k] for r in records], ddof=1)) if len(records) > 1 else 0.0
-           for k in keys}
+def _write_metrics(cfg: dict, unit: str, scores: list[Metrics]) -> tuple[dict, dict]:
+    """metrics.json: the config, one record per <unit> and their mean and std."""
+    records = [{unit: i, **dataclasses.asdict(m)} for i, m in enumerate(scores)]
+    columns = {k: [r[k] for r in records] for k in records[0] if k != unit}
+    mean = {k: float(np.mean(v)) for k, v in columns.items()}
+    std = {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for k, v in columns.items()}
     _write_json({"config": cfg, f"n_{unit}s": len(records), f"per_{unit}": records,
                  "mean": mean, "std": std}, os.path.join(cfg["out"], "metrics.json"))
     return mean, std
@@ -222,12 +224,9 @@ def cmd_eval_classify(cfg: dict) -> dict:
         raise ConfigError("test set is empty; lower --val-size or --per-class")
     weights = logreg_fit(y[train], labels[train], l2=cfg["l2"], lr=cfg["lr"],
                          epochs=cfg["epochs"])
-    records = []
-    for s in range(cfg["n_splits"]):
-        pred = logreg_predict(weights[s], y[test[s]])
-        metrics = score(pred, labels[test[s]], mode="classification")
-        records.append({"split": s, **metrics.as_dict()})
-    mean, std = _write_metrics(cfg, "split", records)
+    scores = [score(logreg_predict(w, y[rows]), labels[rows], mode="classification")
+              for w, rows in zip(weights, test)]
+    mean, std = _write_metrics(cfg, "split", scores)
     log.info("classification over %d splits: acc %.4f +- %.4f",
              cfg["n_splits"], mean["accuracy"], std["accuracy"])
     return cfg
@@ -238,13 +237,10 @@ def cmd_eval_cluster(cfg: dict) -> dict:
     k = cfg["k"] or int(labels.max()) + 1
     if cfg["n_runs"] < 1:
         raise ConfigError("n_runs must be >= 1")
-    records = []
-    for r in range(cfg["n_runs"]):
-        assign = kmeans(y, k, seed=stream_key(cfg["seed"], r))
-        metrics = score(assign, labels, mode="clustering")
-        records.append({"run": r, **metrics.as_dict()})
+    scores = [score(kmeans(y, k, seed=stream_key(cfg["seed"], r)), labels, mode="clustering")
+              for r in range(cfg["n_runs"])]
     resolved = {**cfg, "k": k}
-    mean, _ = _write_metrics(resolved, "run", records)
+    mean, _ = _write_metrics(resolved, "run", scores)
     log.info("clustering over %d runs: acc %.4f, nmi %.4f",
              cfg["n_runs"], mean["accuracy"], mean["nmi"])
     return resolved
@@ -293,6 +289,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+    def _parse_optional(self, arg_string):
+        """A float literal such as -1e5 or -inf is a value, never an option."""
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

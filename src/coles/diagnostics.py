@@ -114,13 +114,10 @@ def js_from_densities(fp: np.ndarray, fq: np.ndarray, grid: np.ndarray) -> float
 def wasserstein1(p, q) -> float:
     """Exact 1-D Wasserstein distance between empirical measures.
 
-    Integral of |CDF_p - CDF_q|; for equal sizes this reduces to the mean
-    absolute difference of the sorted samples.
+    Integral of |CDF_p - CDF_q| over the pooled sample points.
     """
     p = np.sort(_clean_sample(p, "p"))
     q = np.sort(_clean_sample(q, "q"))
-    if p.size == q.size:
-        return float(np.mean(np.abs(p - q)))
     allv = np.sort(np.concatenate([p, q]))
     deltas = np.diff(allv)
     cdf_p = np.searchsorted(p, allv[:-1], side="right") / p.size
@@ -192,6 +189,8 @@ def separation(score_pos: float, score_neg: float) -> float:
 def pair_scores(y: np.ndarray, graph: SparseSym, normalize: bool = True,
                 tau: float = 1.0) -> np.ndarray:
     """Dot-product scores y_i . y_j over the graph's (i < j) edges."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     y = np.asarray(y, dtype=np.float64)
     u, v = np.array(graph.edge_list(), dtype=np.int64).reshape(-1, 2).T
     if not u.size:

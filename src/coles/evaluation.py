@@ -40,10 +40,6 @@ class Metrics:
     micro_f1: float
     nmi: float
 
-    def as_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "macro_f1": self.macro_f1,
-                "micro_f1": self.micro_f1, "nmi": self.nmi}
-
 
 def random_splits(labels, spec: SplitSpec, n_splits: int):
     """n_splits (train, val, test) splits as three (n_splits, size) index
@@ -51,39 +47,29 @@ def random_splits(labels, spec: SplitSpec, n_splits: int):
 
     Each split takes per_class train nodes per class, by a shuffle of each
     class, then val_size of the rest, by a shuffle of the rest. Every split
-    makes the same number of draws, so all streams are drawn at once.
+    makes the same number of draws, so all streams are drawn at once, and
+    each shuffle runs on all splits' rows together.
     """
     labels = np.asarray(labels, dtype=np.int64)
     members = []
     for c in np.unique(labels):
-        members.append(np.flatnonzero(labels == c).tolist())
-        if len(members[-1]) < spec.per_class + 1:
-            raise ValueError(f"class {c} has {len(members[-1])} nodes, "
+        members.append(np.flatnonzero(labels == c))
+        if members[-1].size < spec.per_class + 1:
+            raise ValueError(f"class {c} has {members[-1].size} nodes, "
                              f"need at least per_class+1 = {spec.per_class + 1}")
-    n_train = spec.per_class * len(members)
-    n_rest = labels.size - n_train
-    n_val = min(spec.val_size, n_rest)
-    train = np.empty((n_splits, n_train), dtype=np.int64)
-    val = np.empty((n_splits, n_val), dtype=np.int64)
-    test = np.empty((n_splits, n_rest - n_val), dtype=np.int64)
+    n_rest = labels.size - spec.per_class * len(members)
     generators = [Xoshiro256StarStar(stream_key(spec.seed, s)) for s in range(n_splits)]
-    # a shuffle of k items takes k - 1 draws; every class has at least 2 members
-    n_draws = sum(len(items) - 1 for items in members) + max(n_rest - 1, 0)
-    for s, row in enumerate(draw_u64s(generators, n_draws)):
-        picked, start = [], 0
-        for items in members:
-            shuffled = items.copy()
-            shuffle_with(shuffled, row[start:start + len(items) - 1])
-            start += len(items) - 1
-            picked.extend(shuffled[:spec.per_class])
-        train[s] = sorted(picked)
-        untaken = np.ones(labels.size, dtype=bool)
-        untaken[train[s]] = False
-        rest = np.flatnonzero(untaken).tolist()
-        shuffle_with(rest, row[start:])
-        val[s] = sorted(rest[:n_val])
-        test[s] = sorted(rest[n_val:])
-    return train, val, test
+    # a shuffle of k items takes k - 1 draws: n - C for all C classes, each of 2+ nodes
+    draws = draw_u64s(generators, labels.size - len(members) + max(n_rest - 1, 0))
+    chunks = np.split(draws, np.cumsum([items.size - 1 for items in members]), axis=1)
+    picked = [np.empty((n_splits, 0), dtype=np.int64)]  # empty labels: empty splits
+    for items, chunk in zip(members, chunks):
+        picked.append(shuffle_with(np.tile(items, (n_splits, 1)), chunk)[:, :spec.per_class])
+    train = np.sort(np.hstack(picked), axis=1)
+    untaken = np.ones((n_splits, labels.size), dtype=bool)
+    np.put_along_axis(untaken, train, False, axis=1)
+    rest = shuffle_with(np.nonzero(untaken)[1].reshape(n_splits, n_rest), chunks[-1])
+    return train, np.sort(rest[:, :spec.val_size], axis=1), np.sort(rest[:, spec.val_size:], axis=1)
 
 
 def random_split(labels, spec: SplitSpec):
@@ -167,6 +153,10 @@ def logreg_predict(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # -- k-means -----------------------------------------------------------------
 
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
+
+
 def _sq_dists(y: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(
         (y * y).sum(axis=1)[:, None] - 2.0 * y @ centroids.T
@@ -192,24 +182,21 @@ def _kmeanspp(y: np.ndarray, k: int, rng: Xoshiro256StarStar) -> np.ndarray:
     return centroids
 
 
-def kmeans(y: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
-           max_iter: int = 300) -> np.ndarray:
-    """Lloyd's algorithm, k-means++ init, best of n_restarts by inertia."""
+def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia."""
     y = as_dense(y, "y")
     n = y.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
     scale = float(np.max(np.abs(y), initial=0.0))  # every d2 and inertia <= 4 y.size scale^2
     if 4.0 * y.size * scale * scale > np.finfo(np.float64).max:
         raise ValueError(f"k-means inertia is not finite: |y| up to {scale:.3g} is too large")
     best_inertia, best_assign = math.inf, None
-    for restart in range(n_restarts):
+    for restart in range(KMEANS_RESTARTS):
         rng = Xoshiro256StarStar(stream_key(seed, restart))
         centroids = _kmeanspp(y, k, rng)
         assign = np.full(n, -1, dtype=np.int64)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = _sq_dists(y, centroids)
             new_assign = np.argmin(d2, axis=1)
             for c in range(k):

@@ -41,6 +41,8 @@ class NegSampleConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode == "per-node-k" and self.per_node < 1:
             raise ValueError("per_node must be >= 1")
+        if not np.isfinite(self.p_prime):
+            raise ValueError(f"p_prime must be finite, got {self.p_prime!r}")
         if self.mode == "erdos-renyi" and not (0.0 < self.p_prime < 1.0):
             raise ValueError("p_prime must lie in (0, 1)")
         if not (0.0 <= self.eta_prime <= 1.0):

@@ -189,15 +189,21 @@ def draw_u64s(generators: Sequence[Xoshiro256StarStar], count: int) -> np.ndarra
     return out
 
 
-def shuffle_with(items: list, draws: np.ndarray) -> None:
-    """In-place Fisher-Yates shuffle from len(items) - 1 next_u64() outputs:
-    for i from len-1 down to 1, swap items[i] with items[(draw * (i + 1)) >> 64],
-    the draws taken in order."""
-    size = len(items)
-    bounds = np.arange(size, 1, -1, dtype=np.uint64)
-    picks = _mul_high(draws, bounds).tolist()
-    for i, j in zip(range(size - 1, 0, -1), picks):
-        items[i], items[j] = items[j], items[i]
+def shuffle_with(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """A Fisher-Yates shuffle of each row of a (k, size) array, from that row
+    of the (k, size - 1) next_u64() outputs, as a new array: for i from
+    size-1 down to 1, swap columns i and (draw * (i + 1)) >> 64 of the row,
+    the draws taken in order. All rows step together."""
+    n_rows, size = rows.shape
+    tops = np.arange(size - 1, 0, -1)
+    picks = _mul_high(draws, (tops + 1).astype(np.uint64)).astype(np.int64)
+    starts = size * np.arange(n_rows)  # flat offset of each row
+    # step t swaps flat positions ends[t] and picked[t] of every row at once
+    ends, picked = tops[:, None] + starts, picks.T + starts
+    flat = rows.flatten()
+    for left, right in zip(np.hstack([ends, picked]), np.hstack([picked, ends])):
+        flat[left] = flat[right]
+    return flat.reshape(n_rows, size)
 
 
 class Xoshiro256StarStar:
@@ -254,7 +260,9 @@ class Xoshiro256StarStar:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: for i from len-1 down to 1, swap
         items[i] with items[below(i + 1)]."""
-        shuffle_with(items, self.next_u64s(max(len(items) - 1, 0)))
+        order = shuffle_with(np.arange(len(items))[None],
+                             self.next_u64s(max(len(items) - 1, 0))[None])
+        items[:] = [items[i] for i in order[0].tolist()]
 
     def distinct(self, n: int, count: int, exclude: int = -1) -> list[int]:
         """count distinct integers from [0, n) \\ {exclude}, uniform without

@@ -8,11 +8,11 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from coles import coles_solver
-from coles.cli import main
+from coles.cli import build_parser, main
 from coles.coles_solver import ColesConfig, solve_linear_coles
 from coles.graph_core import SparseSym, load_edge_list
 from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
-from coles.negative_sampling import NegSampleConfig
+from coles.negative_sampling import NegSampleConfig, PsdMargin
 from coles.spectral_filters import FilterConfig
 from coles.rng import Xoshiro256StarStar
 
@@ -577,3 +577,70 @@ def test_huge_integer_settings_are_refused_in_one_line(synth_dir, tmp_path, caps
     err = capsys.readouterr().err
     assert_refused(code, err, 1, named, out)
     assert err.count("\n") == 1
+
+
+# -- every float setting, walked from build_parser's own declarations --------------
+
+def strict_json(path):
+    """path parsed as RFC 8259 JSON: NaN, Infinity and -Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def subcommand_inputs(subcommand, synth_dir, emb):
+    """The input flags and small sizes that let subcommand run on the synth fixture."""
+    return {"synth": ["--classes", 3, "--per-block", 4, "--feat-dim", 4],
+            "embed": ["--edges", synth_dir / "edges.txt", "--features", synth_dir / "features.csv",
+                      "--dim", 3, "--kappa", 2, "--per-node", 2, "--k-steps", 2],
+            "eval-classify": ["--embeddings", emb / "embeddings.clsm",
+                              "--labels", synth_dir / "labels.txt", "--per-class", 5,
+                              "--n-splits", 2, "--val-size", 6, "--epochs", 20],
+            "eval-cluster": ["--embeddings", emb / "embeddings.clsm",
+                             "--labels", synth_dir / "labels.txt", "--n-runs", 2],
+            "diagnose": ["--embeddings", emb / "embeddings.clsm",
+                         "--edges", synth_dir / "edges.txt",
+                         "--labels", synth_dir / "labels.txt", "--grid-points", 64],
+            }[subcommand]
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["synth", "embed", "eval-classify", "eval-cluster", "diagnose"])
+def test_every_float_setting_takes_any_literal_and_refuses_non_finite(
+        synth_dir, tmp_path, capsys, subcommand):
+    emb = tmp_path / "emb"
+    assert run(*embed_args(synth_dir, emb)) == 0
+    inputs = subcommand_inputs(subcommand, synth_dir, emb)
+    parser = build_parser()
+    for action in parser.subcommands[subcommand]._actions:
+        if action.type is not float:
+            continue
+        flag = action.option_strings[0]
+        # a negative literal is the flag's value whether or not "=" joins them
+        assert (vars(parser.parse_args([subcommand, flag, "-1e5"]))
+                == vars(parser.parse_args([subcommand, f"{flag}=-1e5"])))
+        for value in ("nan", "inf", "-inf"):
+            out = tmp_path / f"{action.dest}_{value}"
+            capsys.readouterr()
+            code = run(subcommand, *inputs, "--out", out, flag, value)
+            err = capsys.readouterr().err
+            assert code == 1, (flag, value, err)
+            assert err.startswith("coles: ") and err.count("\n") == 1, (flag, value, err)
+            assert flag in err or action.dest in err, (flag, value, err)
+            assert "Traceback" not in err
+            assert not (out / "config.json").exists()
+    out = tmp_path / "ok"
+    assert run(subcommand, *inputs, "--out", out) == 0
+    written = sorted(out.glob("*.json"))
+    assert out / "config.json" in written
+    for path in written:
+        strict_json(path)
+
+
+def test_failed_psd_margin_is_written_as_null(synth_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(coles_solver, "psd_margin",
+                        lambda *args: PsdMargin(float("nan"), False))
+    out = tmp_path / "emb"
+    assert run(*embed_args(synth_dir, out)) == 0
+    assert strict_json(out / "embedding_meta.json")["psd_margin"] == {
+        "value": None, "converged": False}

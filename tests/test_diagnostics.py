@@ -296,6 +296,12 @@ def test_pair_scores_equal_edge_loop(d, normalize):
         assert got.tobytes() == loop_pair_scores(y, graph, normalize, 0.7).tobytes()
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+def test_pair_scores_refuse_a_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        pair_scores(np.eye(3), SparseSym.from_edges(3, [(0, 1), (1, 2)]), tau=tau)
+
+
 @pytest.mark.parametrize("normalize", [True, False])
 def test_pair_scores_overflow_is_value_error(normalize):
     # normalized, the row norms overflow; raw, the dot products do

@@ -147,6 +147,13 @@ def test_er_degenerate_probability_rejected():
         sample_negative_graph(10, cfg_er(p=0.0), 0)
 
 
+@pytest.mark.parametrize("mode", ["per-node-k", "erdos-renyi"])
+@pytest.mark.parametrize("p_prime", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_p_prime_rejected_in_every_mode(mode, p_prime):
+    with pytest.raises(ValueError, match="p_prime must be finite"):
+        NegSampleConfig(mode=mode, p_prime=p_prime)
+
+
 def test_graph_index_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         sample_negative_graph(10, cfg_pn(kappa=2), 5)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, _mul_high,
-                       splitmix64, splitmix64_uniforms, stream_key)
+                       draw_u64s, shuffle_with, splitmix64, splitmix64_uniforms, stream_key)
 from helpers import bulk_everywhere, loop_distinct, loop_normals, loop_shuffle
 
 PROPERTY = settings(max_examples=30)
@@ -188,3 +188,15 @@ def test_shuffle_matches_scalar_fisher_yates(size, lanes):
     loop_shuffle(scalar, want)
     assert got == want
     assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 300])
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_shuffle_with_shuffles_each_row_as_the_scalar_loop(size, n_rows):
+    keys = [stream_key(size, k) for k in range(n_rows)]
+    draws = draw_u64s([Xoshiro256StarStar(key) for key in keys], max(size - 1, 0))
+    got = shuffle_with(np.tile(np.arange(size), (n_rows, 1)), draws)
+    for key, row in zip(keys, got.tolist()):
+        want = list(range(size))
+        loop_shuffle(Xoshiro256StarStar(key), want)
+        assert row == want
