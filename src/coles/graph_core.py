@@ -154,11 +154,16 @@ class SparseSym:
     def has_diagonal(self) -> bool:
         return bool(np.any(self.indices == self._row_ids()))
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Upper-triangle (u < v) entry positions in sorted order."""
+    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column arrays of the upper-triangle (u < v) entries, sorted."""
         rows = self._row_ids()
         upper = rows < self.indices
-        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+        return rows[upper], self.indices[upper]
+
+    def edge_list(self) -> list[tuple[int, int]]:
+        """Upper-triangle (u < v) entry positions in sorted order."""
+        u, v = self._upper()
+        return list(zip(u.tolist(), v.tolist()))
 
     def equals(self, other: "SparseSym") -> bool:
         """Bit-identical structural and numerical equality."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ def test_parzen_rejects_bad_grid():
         parzen_density([0.0], 1.0, np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="bandwidth"):
         parzen_density([0.0], 0.0, np.array([0.0, 1.0]))
+
+
+def test_parzen_peak_memory_is_independent_of_grid_times_sample():
+    # tracemalloc sees numpy's buffers. The full 512 x 30 000 kernel matrix
+    # would be 117 MiB per temporary; two blocks of 2**16 values are 1 MiB.
+    v = rand_x(30_000, 1, seed=3).ravel()
+    grid = np.linspace(v.min() - 1.0, v.max() + 1.0, 512)
+    tracemalloc.start()
+    try:
+        parzen_density(v, 0.2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_silverman_rule_values():

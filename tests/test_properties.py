@@ -1,4 +1,5 @@
-"""Property tests for the spectral kernels and the batched evaluation over random instances."""
+"""Property tests for the spectral kernels, the batched evaluation and the blocked
+Parzen kernel over random instances."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objective,
                                 solve_linear_coles, solve_projection, sym_eig)
+from coles.diagnostics import _KERNEL_BLOCK, parzen_density
 from coles.graph_core import (SparseSym, add_self_loops, degree_normalize, laplacian,
                               normalized_adjacency)
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
@@ -272,3 +274,21 @@ def test_stacked_logreg_fit_equals_per_set_fits(seed, n_sets, m, d, n_classes, l
         w_s, losses_s = logreg_fit(x[s], labels[s], l2=l2, epochs=30, return_losses=True)
         assert np.array_equal(w[s], w_s)
         assert [float(loss[s]) for loss in losses] == losses_s
+
+
+# -- blocked Parzen kernel: bit for bit the full kernel matrix -------------------
+
+@PROPERTY
+@given(seed=SEEDS, data=st.data(), bandwidth=st.floats(1e-3, 10.0),
+       n=st.one_of(st.integers(1, 400), st.integers(2**10, _KERNEL_BLOCK - 2),
+                   st.sampled_from([_KERNEL_BLOCK - 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1,
+                                    2 * _KERNEL_BLOCK + 3])))
+def test_parzen_density_equals_the_full_kernel_matrix(seed, data, bandwidth, n):
+    # sizes on both sides of one block, and grids that leave a short last block
+    v = rand_x(n, 1, seed=seed).ravel()
+    grid_points = data.draw(st.integers(2, max(2, min(700, 2**21 // n))), label="grid_points")
+    grid = np.linspace(v.min() - 5 * bandwidth, v.max() + 5 * bandwidth, grid_points)
+    z = (grid[:, None] - v[None, :]) / bandwidth
+    dense = np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * np.sqrt(2.0 * np.pi))
+    got = parzen_density(v, bandwidth, grid)
+    assert np.array_equal(got.view(np.uint64), dense.view(np.uint64))

@@ -1,15 +1,18 @@
-"""Golden digests of the library's random streams at fixed seeds.
+"""Golden digests of the library's random streams and diagnose's numbers at fixed seeds.
 
 The SHA-256 pins were computed with the scalar draw loops, before draws were
 batched. Any change to what a seed produces (SBM edges and features,
 negative graphs, splits) fails here and has to be made deliberately. The
-sizes are large enough that every draw runs through the bulk paths.
+sizes are large enough that every draw runs through the bulk paths. The
+diagnose pin was computed with the full grid x sample kernel matrix, before
+the Parzen kernel was evaluated in blocks; its samples span several blocks.
 """
 
 import hashlib
 
 import numpy as np
 
+from coles.diagnostics import js_divergence, pair_scores, score_densities, wasserstein1
 from coles.evaluation import SplitSpec, random_split
 from coles.negative_sampling import NegSampleConfig, sample_negative_graph
 from coles.synthetic import SbmSpec, generate_sbm
@@ -50,3 +53,16 @@ def test_erdos_renyi_graph_digest():
 def test_random_split_digest():
     split = random_split(np.arange(30000) % 3, SplitSpec(per_class=20, val_size=500, seed=5))
     assert digest(*split) == "7681e054a79a06f37f4c1bcd8da95cdc13b7918ad94c35e5ff6e946ba95a21f7"
+
+
+def test_diagnose_numbers_digest():
+    g = generate_sbm(SbmSpec(n_classes=3, per_block=150, p_in=0.2, p_out=0.02,
+                             feature_dim=40, seed=1234))
+    negative = sample_negative_graph(450, NegSampleConfig(kappa=2, mode="erdos-renyi",
+                                                          p_prime=0.05, seed=99), 0)
+    pos = pair_scores(g.features, g.adjacency)
+    neg = pair_scores(g.features, negative)
+    assert (pos.size, neg.size) == (7955, 4954)  # 8 and 13 grid rows per kernel block
+    dens = score_densities(pos, neg)
+    assert digest(*dens, [js_divergence(pos, neg), wasserstein1(pos, neg)]) == (
+        "31b1a2b5d3902ade79520461a875e2353a63c50f2a3b7c9bf610836b0bd83432")
