@@ -16,7 +16,7 @@ from .diagnostics import (expected_negative_homophily, homophily, js_divergence,
                           lipschitz_check, pair_scores, parzen_density, separation,
                           silverman_bandwidth, wasserstein1)
 from .evaluation import (Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict,
-                         nmi_score, random_split, random_splits, score)
+                         nmi_score, random_splits, score)
 from .graph_core import (LabeledGraph, SparseSym, add_self_loops, as_dense,
                          degree_normalize, laplacian, load_edge_list,
                          normalized_adjacency, save_edge_list, spmm)

@@ -72,14 +72,6 @@ def random_splits(labels, spec: SplitSpec, n_splits: int):
     return train, np.sort(rest[:, :spec.val_size], axis=1), np.sort(rest[:, spec.val_size:], axis=1)
 
 
-def random_split(labels, spec: SplitSpec):
-    """(train, val, test) index arrays; per_class train nodes per class.
-
-    The one-split case of random_splits: stream_key(seed, 0) is the seed.
-    """
-    return tuple(part[0] for part in random_splits(labels, spec, 1))
-
-
 # -- logistic regression -----------------------------------------------------
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -117,9 +109,8 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     n_sets, m, _ = x.shape
     n_classes = int(labels.max()) + 1
-    for set_labels in labels:
-        if np.unique(set_labels).size < 2:
-            raise ValueError("training set contains a single class")
+    if np.any(np.all(labels == labels[:, :1], axis=1)):
+        raise ValueError("training set contains a single class")
     xb = np.concatenate([x, np.ones((n_sets, m, 1))], axis=2)
     xb_t = xb.transpose(0, 2, 1)  # a view: its products must match the 2-D xb.T's bits
     onehot = np.zeros((n_sets, m, n_classes))
@@ -204,7 +195,6 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
                 if not np.any(mask):
                     # re-seed an empty cluster at the point farthest from its centroid
                     far = int(np.argmax(d2[np.arange(n), new_assign]))
-                    centroids[c] = y[far]
                     new_assign[far] = c
                     mask = new_assign == c
                 centroids[c] = y[mask].mean(axis=0)

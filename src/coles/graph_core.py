@@ -116,10 +116,10 @@ class SparseSym:
         loops = pairs[pairs[:, 0] == pairs[:, 1], 0]
         if loops.size:
             raise ValueError(f"self-loop ({loops[0]}, {loops[0]}) not allowed here")
-        uniq = np.unique(np.sort(pairs, axis=1), axis=0)
-        rows, cols = np.concatenate([uniq, uniq[:, ::-1]]).T  # both orientations
-        vals = np.full(rows.shape, float(weight))
-        return cls._wrap(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T  # both orientations
+        # a boolean pattern: repeated pairs merge to one True when it is built
+        pattern = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
+        return cls._wrap(pattern * float(weight))
 
     @classmethod
     def identity(cls, n: int) -> "SparseSym":
@@ -189,10 +189,6 @@ class LabeledGraph:
             raise ValueError("adjacency, features and labels disagree on node count")
         if self.labels.size and self.labels.min() < 0:
             raise ValueError("labels must be non-negative")
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
 # -- text files ---------------------------------------------------------------

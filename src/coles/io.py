@@ -60,10 +60,10 @@ def write_csv(x: np.ndarray, path, header: str | None = None) -> None:
 def read_csv(path) -> np.ndarray:
     width = None
 
-    def row(line: str) -> list:
+    def row(line: str) -> np.ndarray:
         nonlocal width
         try:
-            values = list(map(float, line.split(",")))
+            values = np.array(line.split(","), dtype=np.float64)
         except ValueError:
             raise ValueError("non-numeric value") from None
         width = len(values) if width is None else width

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graph_core import SparseSym, normalized_adjacency
-from .rng import Xoshiro256StarStar, splitmix64_uniforms
+from .rng import Xoshiro256StarStar, splitmix64_uniforms, stream_key
 
 MODES = ("per-node-k", "erdos-renyi")
 
@@ -67,7 +67,7 @@ def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
         raise ValueError(f"graph index {k} out of range for kappa={cfg.kappa}")
     if cfg.mode == "per-node-k" and cfg.per_node >= n:
         raise ValueError(f"per_node={cfg.per_node} must be < n={n}")
-    rng = Xoshiro256StarStar.keyed(cfg.seed, k)
+    rng = Xoshiro256StarStar(stream_key(cfg.seed, k))
     edges = _raw_edges(n, cfg, rng)
     if not len(edges) and cfg.mode == "erdos-renyi":
         edges = _raw_edges(n, cfg, rng)  # one resample for degenerate draws

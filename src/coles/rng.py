@@ -10,10 +10,11 @@ they agree to rounding. Streams for independent tasks
 task index into the seed with the 64-bit golden-ratio constant.
 
 Bulk draws (`draw_u64s`, `next_u64s` and everything built on them:
-`uniforms`, `normals`, `shuffle`, `distinct_runs`, `bernoulli_pairs`) return
-exactly the values the scalar `next_u64` would, in the same order, and leave
-the generator in the same state, so the stream is unchanged; only the
-arithmetic is batched.
+`uniforms`, `normals`, `distinct_runs`, `bernoulli_pairs`) return exactly the
+values the scalar `next_u64` would, in the same order, and leave the
+generator in the same state, so the stream is unchanged; only the arithmetic
+is batched. `shuffle_with` is the one Fisher-Yates shuffle: it takes its
+draws as an array and shuffles many rows at once.
 The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
 "Scrambled linear pseudorandom number generators", 2021), so the state
 `_LANE` steps ahead is a fixed 256x256 bit matrix times the current state
@@ -218,10 +219,6 @@ class Xoshiro256StarStar:
         state, self.s2 = splitmix64(state)
         state, self.s3 = splitmix64(state)
 
-    @classmethod
-    def keyed(cls, seed: int, index: int) -> "Xoshiro256StarStar":
-        return cls(stream_key(seed, index))
-
     def next_u64(self) -> int:
         result = (_rotl((self.s1 * 5) & MASK64, 7) * 9) & MASK64
         t = (self.s1 << 17) & MASK64
@@ -257,22 +254,11 @@ class Xoshiro256StarStar:
             raise ValueError("below() needs n >= 1")
         return (self.next_u64() * n) >> 64
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: for i from len-1 down to 1, swap
-        items[i] with items[below(i + 1)]."""
-        order = shuffle_with(np.arange(len(items))[None],
-                             self.next_u64s(max(len(items) - 1, 0))[None])
-        items[:] = [items[i] for i in order[0].tolist()]
-
-    def distinct(self, n: int, count: int, exclude: int = -1) -> list[int]:
-        """count distinct integers from [0, n) \\ {exclude}, uniform without
-        replacement, in draw order."""
-        return self.distinct_runs(n, count, [exclude])[0]
-
     def distinct_runs(self, n: int, count: int, excludes: Sequence[int]) -> list[list[int]]:
-        """distinct(n, count, e) for each e of excludes in turn, with the
-        below(n) candidates drawn in bulk; values and final state are those
-        of the scalar calls."""
+        """count distinct integers from [0, n) \\ {e} for each e of excludes in
+        turn, uniform without replacement, in draw order; the below(n)
+        candidates are drawn in bulk, with the values and end state of the
+        scalar loop that skips repeats and e."""
         for exclude in excludes:
             limit = n - (1 if 0 <= exclude < n else 0)
             if count > limit:

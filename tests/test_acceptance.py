@@ -17,7 +17,7 @@ from coles import (ColesConfig, ContrastiveBatch, FilterConfig, NegSampleConfig,
                    SbmSpec, SplitSpec, block_form, build_delta_w, coles_objective,
                    expected_negative_homophily, generalized_mean, generate_sbm,
                    homophily, js_divergence, kmeans, logreg_fit, logreg_predict,
-                   random_split, sample_negative_graph, score, solve_linear_coles,
+                   random_splits, sample_negative_graph, score, solve_linear_coles,
                    sym_eig, wasserstein1)
 from coles.cli import main as cli_main
 from coles.graph_core import SparseSym, normalized_adjacency
@@ -172,8 +172,8 @@ def _sbm_metrics():
     for seed in range(10):
         for kappa in (0, 1):
             g, res = _sbm_run(seed, kappa)
-            train, _val, test = random_split(
-                g.labels, SplitSpec(per_class=5, val_size=50, seed=stream_key(seed, 1)))
+            (train,), _val, (test,) = random_splits(
+                g.labels, SplitSpec(per_class=5, val_size=50, seed=stream_key(seed, 1)), 1)
             w = logreg_fit(res.Y[train], g.labels[train])
             acc = float(np.mean(logreg_predict(w, res.Y[test]) == g.labels[test]))
             accs[kappa].append(acc)
@@ -232,8 +232,8 @@ def test_c7_cora_reproduction_conditional():
     embed_time = time.perf_counter() - t0
     accs = []
     for s in range(50):
-        train, _val, test = random_split(
-            g.labels, SplitSpec(per_class=20, val_size=500, seed=stream_key(0, s)))
+        (train,), _val, (test,) = random_splits(
+            g.labels, SplitSpec(per_class=20, val_size=500, seed=stream_key(0, s)), 1)
         w = logreg_fit(res.Y[train], g.labels[train])
         accs.append(float(np.mean(logreg_predict(w, res.Y[test]) == g.labels[test])))
     mean_acc = float(np.mean(accs))

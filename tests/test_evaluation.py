@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coles.evaluation import (Metrics, SplitSpec, hungarian_accuracy, kmeans,
-                              logreg_fit, logreg_predict, nmi_score, random_split,
+                              logreg_fit, logreg_predict, nmi_score, random_splits,
                               score)
 from coles.rng import Xoshiro256StarStar
 from helpers import bulk_everywhere, loop_shuffle
@@ -21,7 +21,8 @@ def three_class_labels(per_class=30):
 
 def test_split_sizes_and_disjointness():
     labels = three_class_labels(30)
-    train, val, test = random_split(labels, SplitSpec(per_class=5, val_size=20, seed=1))
+    spec = SplitSpec(per_class=5, val_size=20, seed=1)
+    (train,), (val,), (test,) = random_splits(labels, spec, 1)
     assert train.shape[0] == 15
     assert val.shape[0] == 20
     assert test.shape[0] == 90 - 15 - 20
@@ -33,16 +34,16 @@ def test_split_sizes_and_disjointness():
 
 def test_split_deterministic_per_seed():
     labels = three_class_labels()
-    a = random_split(labels, SplitSpec(per_class=5, seed=7))
-    b = random_split(labels, SplitSpec(per_class=5, seed=7))
-    c = random_split(labels, SplitSpec(per_class=5, seed=8))
+    a = random_splits(labels, SplitSpec(per_class=5, seed=7), 1)
+    b = random_splits(labels, SplitSpec(per_class=5, seed=7), 1)
+    c = random_splits(labels, SplitSpec(per_class=5, seed=8), 1)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
     assert not np.array_equal(a[0], c[0])
 
 
 def _loop_split(labels, spec):
-    """random_split with scalar Fisher-Yates shuffles and a set for the rest."""
+    """A one-row random_splits with scalar Fisher-Yates shuffles and a set for the rest."""
     rng = Xoshiro256StarStar(spec.seed)
     train = []
     for c in np.unique(labels):
@@ -62,13 +63,14 @@ def _loop_split(labels, spec):
 ])
 def test_split_matches_loops(labels, spec, bulk):
     with bulk_everywhere(bulk):
-        got = random_split(labels, spec)
-    assert [part.tolist() for part in got] == list(_loop_split(labels, spec))
+        got = random_splits(labels, spec, 1)
+    assert [part[0].tolist() for part in got] == list(_loop_split(labels, spec))
 
 
 def test_split_val_capped_at_availability():
     labels = three_class_labels(10)
-    train, val, test = random_split(labels, SplitSpec(per_class=5, val_size=500, seed=0))
+    spec = SplitSpec(per_class=5, val_size=500, seed=0)
+    (train,), (val,), (test,) = random_splits(labels, spec, 1)
     assert val.shape[0] == 30 - 15
     assert test.shape[0] == 0
 
@@ -76,7 +78,7 @@ def test_split_val_capped_at_availability():
 def test_split_class_too_small():
     labels = np.array([0, 0, 1])
     with pytest.raises(ValueError, match="class 0"):
-        random_split(labels, SplitSpec(per_class=2, seed=0))
+        random_splits(labels, SplitSpec(per_class=2, seed=0), 1)
 
 
 # -- logistic regression ----------------------------------------------------------

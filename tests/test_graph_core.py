@@ -315,8 +315,10 @@ def test_labeled_graph_validation():
     adj = path3()
     with pytest.raises(ValueError, match="node count"):
         LabeledGraph(adjacency=adj, features=np.zeros((2, 2)), labels=np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="non-negative"):
+        LabeledGraph(adjacency=adj, features=np.zeros((3, 2)), labels=np.array([0, -1, 1]))
     g = LabeledGraph(adjacency=adj, features=np.zeros((3, 2)), labels=np.array([0, 1, 1]))
-    assert g.n_classes == 2
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1, 1]
 
 
 def test_as_dense_rejects_nan():

@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -166,6 +166,40 @@ def bits_equal(a, b):
                 elements=FINITE))
 def test_csv_roundtrip_property(x):
     roundtrip(write_csv, read_csv, x, bits_equal)
+
+
+# a CSV field: float reprs, float-like text, and any text that fits in one field
+CSV_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.text(st.sampled_from(list("0123456789.eE+-_ \tinfatyINFATY") + ["１", "٣", "\xa0"]),
+            max_size=8),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"),
+            max_size=6))
+
+
+@settings(max_examples=200)
+@given(fields=st.lists(CSV_FIELD, min_size=1, max_size=5))
+@example(fields=["1e400", "-1e400", "1e-400"])
+@example(fields=["1_000", " ١٢ ", "+.5E-3", "-0"])
+def test_csv_parses_fields_as_float_does(fields):
+    line = ",".join(fields)
+    assume(line.strip() and not line.strip().startswith("#"))  # else a skipped line
+    try:
+        want = np.array([float(f) for f in fields])
+    except ValueError:
+        want = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "row.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        if want is None:
+            with pytest.raises(ValueError, match="non-numeric value"):
+                read_csv(path)
+        elif not np.all(np.isfinite(want)):
+            with pytest.raises(ValueError, match="non-finite"):
+                read_csv(path)
+        else:
+            assert bits_equal(read_csv(path), want[None])
 
 
 @ROUNDTRIP

@@ -6,7 +6,7 @@ from coles import negative_sampling
 from coles.graph_core import SparseSym, add_self_loops, degree_normalize, laplacian
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
-from coles.rng import Xoshiro256StarStar
+from coles.rng import Xoshiro256StarStar, stream_key
 from helpers import bulk_everywhere, loop_distinct
 
 
@@ -36,7 +36,7 @@ def _loop_raw_edges(n, cfg, rng):
 
 
 def _loop_negative_graph(n, cfg, k):
-    rng = Xoshiro256StarStar.keyed(cfg.seed, k)
+    rng = Xoshiro256StarStar(stream_key(cfg.seed, k))
     edges = _loop_raw_edges(n, cfg, rng)
     if not edges and cfg.mode == "erdos-renyi":
         edges = _loop_raw_edges(n, cfg, rng)
@@ -62,7 +62,7 @@ def test_negative_graph_matches_loops(n, cfg, k, bulk):
 
 def _resampled(n, cfg):
     """True when graph 0's first draw is empty and its second is not."""
-    rng = Xoshiro256StarStar.keyed(cfg.seed, 0)
+    rng = Xoshiro256StarStar(stream_key(cfg.seed, 0))
     return not _loop_raw_edges(n, cfg, rng) and bool(_loop_raw_edges(n, cfg, rng))
 
 

@@ -12,8 +12,8 @@ from coles.graph_core import (SparseSym, add_self_loops, degree_normalize, lapla
                               normalized_adjacency)
 from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
                                      sample_negative_graph)
-from coles.evaluation import SplitSpec, logreg_fit, random_split, random_splits
-from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, stream_key
+from coles.evaluation import SplitSpec, logreg_fit, random_splits
+from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
 from coles.synthetic import SbmSpec, generate_sbm
 from helpers import bulk_everywhere, rand_x, random_graph, weighted_graph
@@ -104,7 +104,10 @@ def test_from_edges_passes_the_checked_constructor(data, n, weight):
     pairs = pairs + pairs[:k] + [(v, u) for u, v in pairs[k:]]
     out = SparseSym.from_edges(n, pairs, weight=weight)
     assert_checked_rebuild(out)
-    assert out.nnz == (0 if weight == 0.0 else 2 * len({tuple(sorted(p)) for p in pairs}))
+    want = np.zeros((n, n))  # the definition: one weight per undirected pair in the set
+    for u, v in {tuple(sorted(p)) for p in pairs}:
+        want[u, v] = want[v, u] = weight
+    assert out.equals(SparseSym.from_scipy(want))
 
 
 def delta_instance(n, seed, kappa, mode):
@@ -203,9 +206,8 @@ def test_relabelling_nodes_permutes_embedding_rows(seed, per_block, kind, d_prim
     g = generate_sbm(SbmSpec(n_classes=3, per_block=per_block, p_in=0.4, p_out=0.05,
                              feature_dim=6, seed=seed))
     n = g.adjacency.n
-    perm = list(range(n))
-    Xoshiro256StarStar(seed + 1).shuffle(perm)
-    perm = np.array(perm)  # node i of the relabelled graph is node perm[i]
+    draws = Xoshiro256StarStar(seed + 1).next_u64s(n - 1)[None]
+    perm = shuffle_with(np.arange(n)[None], draws)[0]  # relabelled node i is node perm[i]
     new_id = np.argsort(perm)
     relabelled = SparseSym.from_edges(n, new_id[np.array(g.adjacency.edge_list())])
     cfg = ColesConfig(d_prime, FilterConfig(kind=kind, k_steps=2),
@@ -249,15 +251,15 @@ def test_lane_draws_equal_scalar_steps_of_each_generator(seed, keys, count, lane
 def test_random_splits_row_is_the_keyed_random_split(seed, per_class, data, n_splits, lanes):
     sizes = data.draw(st.lists(st.integers(per_class + 1, per_class + 30), min_size=1,
                                max_size=4), label="sizes")
-    labels = np.repeat(np.arange(len(sizes)), sizes).tolist()
-    Xoshiro256StarStar(seed).shuffle(labels)
+    labels = np.repeat(np.arange(len(sizes)), sizes)[None]
+    labels = shuffle_with(labels, Xoshiro256StarStar(seed).next_u64s(labels.size - 1)[None])[0]
     spec = SplitSpec(per_class=per_class, val_size=data.draw(st.integers(0, 40)), seed=seed)
     with bulk_everywhere(lanes):
         stacks = random_splits(labels, spec, n_splits)
     for s in range(n_splits):
-        want = random_split(labels, SplitSpec(per_class, spec.val_size, stream_key(seed, s)))
+        want = random_splits(labels, SplitSpec(per_class, spec.val_size, stream_key(seed, s)), 1)
         for stack, part in zip(stacks, want):
-            assert np.array_equal(stack[s], part)
+            assert np.array_equal(stack[s], part[0])
 
 
 @PROPERTY

@@ -65,20 +65,24 @@ def test_below_range_and_rough_uniformity():
         rng.below(0)
 
 
+def shuffle_one(rng, size):
+    """One row of range(size) shuffled from rng's next size - 1 draws."""
+    return shuffle_with(np.arange(size)[None], rng.next_u64s(max(size - 1, 0))[None])[0].tolist()
+
+
 def test_distinct_draws():
     rng = Xoshiro256StarStar(5)
-    got = rng.distinct(10, 9, exclude=3)
+    [got] = rng.distinct_runs(10, 9, [3])
     assert len(got) == 9 and 3 not in got and len(set(got)) == 9
+    assert got == loop_distinct(Xoshiro256StarStar(5), 10, 9, exclude=3)
 
-    with pytest.raises(ValueError):
-        rng.distinct(4, 4, exclude=0)
+    with pytest.raises(ValueError, match="cannot draw 4 distinct values from 3 candidates"):
+        rng.distinct_runs(4, 4, [0])
 
 
 def test_shuffle_is_permutation_and_deterministic():
-    a = list(range(20))
-    Xoshiro256StarStar(77).shuffle(a)
-    b = list(range(20))
-    Xoshiro256StarStar(77).shuffle(b)
+    a = shuffle_one(Xoshiro256StarStar(77), 20)
+    b = shuffle_one(Xoshiro256StarStar(77), 20)
     assert a == b
     assert sorted(a) == list(range(20))
     assert a != list(range(20))
@@ -174,17 +178,17 @@ def test_distinct_runs_match_scalar_calls(seed, n, data, lanes):
 def test_distinct_near_2_pow_63_matches_scalar(n):
     bulk, scalar = Xoshiro256StarStar(11), Xoshiro256StarStar(11)
     with bulk_everywhere():
-        got = bulk.distinct(n, 50, exclude=n - 1)
+        [got] = bulk.distinct_runs(n, 50, [n - 1])
     assert got == loop_distinct(scalar, n, 50, exclude=n - 1)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 1000, _BULK_MIN + 2])
 @pytest.mark.parametrize("lanes", [False, True])
 def test_shuffle_matches_scalar_fisher_yates(size, lanes):
-    got, want = list(range(size)), list(range(size))
+    want = list(range(size))
     bulk, scalar = Xoshiro256StarStar(size), Xoshiro256StarStar(size)
     with bulk_everywhere(lanes):
-        bulk.shuffle(got)
+        got = shuffle_one(bulk, size)
     loop_shuffle(scalar, want)
     assert got == want
     assert bulk.next_u64() == scalar.next_u64()

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from coles.diagnostics import js_divergence, pair_scores, score_densities, wasserstein1
-from coles.evaluation import SplitSpec, random_split
+from coles.evaluation import SplitSpec, random_splits
 from coles.negative_sampling import NegSampleConfig, sample_negative_graph
 from coles.synthetic import SbmSpec, generate_sbm
 
@@ -51,8 +51,10 @@ def test_erdos_renyi_graph_digest():
 
 
 def test_random_split_digest():
-    split = random_split(np.arange(30000) % 3, SplitSpec(per_class=20, val_size=500, seed=5))
-    assert digest(*split) == "7681e054a79a06f37f4c1bcd8da95cdc13b7918ad94c35e5ff6e946ba95a21f7"
+    spec = SplitSpec(per_class=20, val_size=500, seed=5)
+    (train,), (val,), (test,) = random_splits(np.arange(30000) % 3, spec, 1)
+    assert digest(train, val, test) == (
+        "7681e054a79a06f37f4c1bcd8da95cdc13b7918ad94c35e5ff6e946ba95a21f7")
 
 
 def test_diagnose_numbers_digest():
