@@ -6,7 +6,8 @@ no explicit zeros). Symmetry is checked bit-exactly where a foreign matrix
 enters (the constructor and from_scipy); from_edges and the graph operations
 of this package keep it by construction and do not recheck.
 Dense matrices are plain 2-D float64 C-contiguous numpy arrays.
-_parse_lines reads every text format: edge lists here, CSV and labels in io.
+_parse_lines reads every text format: edge lists here, CSV and labels in io;
+a plain edge list, as save_edge_list writes it, is read in one pass instead.
 """
 
 from __future__ import annotations
@@ -226,14 +227,44 @@ def _edge(line: str) -> tuple[int, int]:
     return u, v
 
 
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[ord("0"):ord("9") + 1] = True
+
+
+def _plain_edges(data: bytes) -> np.ndarray | None:
+    """The (m, 2) pairs of a file of plain "u v" lines, in one pass, or None.
+
+    A plain file is what save_edge_list writes: lines of two ASCII-digit ids
+    of at most 10 digits (int64 holds them), joined by one space, no self-loop and no id above
+    MAX_NODE_ID, each line ended by a newline (the last one optional). Every
+    such file parses as _edge parses it; None sends anything else (comments,
+    blank lines, other whitespace, signs, errors) to the per-line parse.
+    """
+    codes = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", dtype=np.uint8)
+    breaks = np.flatnonzero(~_DIGIT[codes])  # a plain line's are one space, then a newline
+    digits = np.diff(breaks, prepend=-1) - 1  # length of the digit run before each break
+    if (breaks.size % 2 or np.any(codes[breaks[0::2]] != ord(" "))
+            or np.any(codes[breaks[1::2]] != ord("\n")) or digits.min() < 1 or digits.max() > 10):
+        return None
+    pairs = np.array(data.split(), dtype=np.int64).reshape(-1, 2)
+    if pairs.max() > MAX_NODE_ID or np.any(pairs[:, 0] == pairs[:, 1]):
+        return None
+    return pairs
+
+
 def load_edge_list(path, n: int | None = None) -> SparseSym:
     """Read an undirected binary graph from a "u v" text file.
 
     Lines starting with '#' and blank lines are ignored. Duplicate lines and
     reversed pairs collapse to one edge. Node count is 1 + max id unless a
-    larger n is given explicitly (trailing isolated nodes).
+    larger n is given explicitly (trailing isolated nodes). A plain file
+    (_plain_edges) is parsed in one pass; any other goes line by line, which
+    names the first bad line.
     """
-    pairs = np.array(_parse_lines(path, _edge, "edge list"), dtype=np.int64)
+    with open(path, "rb") as fh:
+        pairs = _plain_edges(fh.read())
+    if pairs is None:
+        pairs = np.array(_parse_lines(path, _edge, "edge list"), dtype=np.int64)
     max_id = int(pairs.max())
     if n is not None and n <= max_id:
         raise ValueError(f"{path}: node id {max_id} exceeds requested n={n}")

@@ -7,7 +7,10 @@ graphs from the degree-normalized data graph:
 
 Each negative graph k draws from its own xoshiro256** stream keyed by
 rng.stream_key(seed, k), so graphs are independent and individually
-reproducible regardless of sampling order.
+reproducible regardless of sampling order. A per-node-k graph draws
+per_node distinct partners for each node; an Erdos-Renyi graph walks the
+node pairs by geometric skips, one draw and one libm log per kept pair
+(rng.geometric_pairs), so it costs O(n + m), not O(n^2).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> np.ndar
         picks = rng.distinct_runs(n, cfg.per_node, range(n))
         rows = np.repeat(np.arange(n), cfg.per_node)
         return np.column_stack((rows, np.array(picks, dtype=np.int64).reshape(-1)))
-    return rng.bernoulli_pairs(n, cfg.p_prime)
+    return rng.geometric_pairs(n, cfg.p_prime)
 
 
 def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:

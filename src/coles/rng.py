@@ -10,11 +10,13 @@ they agree to rounding. Streams for independent tasks
 task index into the seed with the 64-bit golden-ratio constant.
 
 Bulk draws (`draw_u64s`, `next_u64s` and everything built on them:
-`uniforms`, `normals`, `distinct_runs`, `bernoulli_pairs`) return exactly the
-values the scalar `next_u64` would, in the same order, and leave the
-generator in the same state, so the stream is unchanged; only the arithmetic
-is batched. `shuffle_with` is the one Fisher-Yates shuffle: it takes its
-draws as an array and shuffles many rows at once.
+`uniforms`, `normals`, `distinct_runs`, `bernoulli_pairs`, `geometric_pairs`)
+return exactly the values the scalar `next_u64` would, in the same order,
+and leave the generator in the same state, so the stream is unchanged; only
+the arithmetic is batched. `geometric_pairs` draws an Erdos-Renyi graph by
+geometric skips over the node pairs, one draw per kept pair and one more,
+with libm's log. `shuffle_with` is the one Fisher-Yates shuffle: it takes
+its draws as an array and shuffles many rows at once.
 The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
 "Scrambled linear pseudorandom number generators", 2021), so the state
 `_LANE` steps ahead is a fixed 256x256 bit matrix times the current state
@@ -40,6 +42,7 @@ _LANE = 512  # consecutive outputs per lane of a bulk draw
 # below this many outputs the scalar recurrence is faster than stepping lanes
 _BULK_MIN = 8 * _LANE
 _PAIR_BLOCK = 1 << 17  # node pairs per block of bernoulli_pairs
+_GAP_BLOCK = 1 << 16  # most draws per chunk of geometric_pairs
 _LOW32 = np.uint64(0xFFFFFFFF)
 _BYTE_INDEX = np.arange(32)
 
@@ -285,14 +288,13 @@ class Xoshiro256StarStar:
         return runs
 
     def bernoulli_pairs(self, n: int,
-                        prob: float | Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """Node pairs (i, j), i < j < n, kept where random() < prob, one draw
-        per pair in row-major order, as an (m, 2) int64 array.
+                        prob: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """Node pairs (i, j), i < j < n, kept where random() < prob(i, j), one
+        draw per pair in row-major order, as an (m, 2) int64 array.
 
-        prob is one probability for every pair, or a function that maps the
-        row and column index arrays of the pairs to their probabilities.
-        Draws come in blocks of whole rows of about _PAIR_BLOCK pairs, so
-        the n(n-1)/2 draws never sit in memory at once.
+        prob maps the row and column index arrays of the pairs to their
+        probabilities. Draws come in blocks of whole rows of about
+        _PAIR_BLOCK pairs, so the n(n-1)/2 draws never sit in memory at once.
         """
         kept = [np.empty((0, 2), dtype=np.int64)]
         start = 0
@@ -304,17 +306,57 @@ class Xoshiro256StarStar:
             rows = np.arange(start, stop)
             lengths = n - 1 - rows
             first = np.cumsum(lengths) - lengths  # block offset of each row's first pair
-            if callable(prob):
-                pair_rows = np.repeat(rows, lengths)
-                pair_cols = np.arange(size) - np.repeat(first, lengths) + pair_rows + 1
-                p = prob(pair_rows, pair_cols)
-            else:
-                p = prob
-            hit = np.flatnonzero(self.uniforms(size) < p)
+            pair_rows = np.repeat(rows, lengths)
+            pair_cols = np.arange(size) - np.repeat(first, lengths) + pair_rows + 1
+            hit = np.flatnonzero(self.uniforms(size) < prob(pair_rows, pair_cols))
             row = np.searchsorted(first, hit, side="right") - 1
             kept.append(np.column_stack((rows[row], hit - first[row] + rows[row] + 1)))
             start = stop
         return np.concatenate(kept)
+
+    def geometric_pairs(self, n: int, p: float) -> np.ndarray:
+        """Node pairs (i, j), i < j < n, each kept with probability 0 < p < 1,
+        as an (m, 2) int64 array in row-major order (an Erdos-Renyi graph).
+
+        The walk skips from kept pair to kept pair over the n(n-1)/2 pairs in
+        row-major order (Batagelj & Brandes, "Efficient generation of large
+        random networks", 2005): each step draws u = random() and skips
+        floor(log(1 - u) / log1p(-p)) pairs, and the first step past the
+        last pair ends the walk, so it takes m + 1 draws. log is libm's
+        (math), as in normals. The draws come in chunks a little short of the
+        expected count; a chunk the walk ends in is drawn again only up to
+        its end, so the generator ends where the one-draw-per-step loop does.
+        """
+        total = n * (n - 1) // 2
+        log_q = math.log1p(-p)
+        kept = [np.empty(0, dtype=np.int64)]
+        last = -1  # row-major index of the last kept pair
+        while True:
+            # 2 sd short of the pairs still expected, so a chunk seldom outlasts
+            # the walk, but at least 16 draws, so the last few take one chunk
+            expected = (total - 1 - last) * p
+            count = min(_GAP_BLOCK, max(16, int(expected - 2.0 * math.sqrt(expected))))
+            start = (self.s0, self.s1, self.s2, self.s3)
+            u = self.uniforms(count)
+            logs = np.fromiter(map(math.log, (1.0 - u).tolist()), dtype=np.float64, count=count)
+            with np.errstate(over="ignore"):  # a tiny p overflows to an infinite skip
+                skips = np.floor(logs / log_q)
+            # a skip past every pair left ends the walk; clip it before the int conversion
+            index = last + np.cumsum(np.minimum(skips, total).astype(np.int64) + 1)
+            past = index >= total
+            if past.any():
+                end = int(past.argmax())
+                kept.append(index[:end])
+                self.s0, self.s1, self.s2, self.s3 = start  # rewind, then take the end + 1 draws used
+                self.next_u64s(end + 1)
+                break
+            kept.append(index)
+            last = int(index[-1])
+        index = np.concatenate(kept)
+        lengths = n - 1 - np.arange(n - 1)
+        first = np.cumsum(lengths) - lengths  # index of each row's first pair
+        row = np.searchsorted(first, index, side="right") - 1
+        return np.column_stack((row, index - first[row] + row + 1))
 
     def normals(self, count: int) -> np.ndarray:
         """count standard normals by Box-Muller, one pair per two random()

@@ -41,12 +41,14 @@ def rand_x(n, d, seed=0):
 
 @contextmanager
 def bulk_everywhere(enabled=True):
-    """Make every bulk draw step lanes, however short, and split node pairs
-    into blocks of a few rows, so small inputs reach every bulk code path."""
+    """Make every bulk draw step lanes, however short, split node pairs into
+    blocks of a few rows and geometric skips into chunks of a few draws, so
+    small inputs reach every bulk code path."""
     with pytest.MonkeyPatch.context() as mp:
         if enabled:
             mp.setattr(rng_module, "_BULK_MIN", 0)
             mp.setattr(rng_module, "_PAIR_BLOCK", 300)
+            mp.setattr(rng_module, "_GAP_BLOCK", 40)
         yield
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coles.graph_core import LabeledGraph, SparseSym, load_edge_list, save_edge_list
+from coles import graph_core
+from coles.graph_core import (MAX_NODE_ID, LabeledGraph, SparseSym, load_edge_list,
+                              save_edge_list)
 from coles.io import (read_clsm, read_csv, read_dense, read_labels, write_clsm,
                       write_csv, write_fixture, write_labels)
 from coles.rng import Xoshiro256StarStar
@@ -225,3 +228,65 @@ def test_edge_list_roundtrip_property(data, n, tail):
     graph = SparseSym.from_edges(n + tail, pairs)
     roundtrip(save_edge_list, lambda p: load_edge_list(p, n=n + tail), graph,
               lambda a, b: a.equals(b))
+
+
+# mostly ids below 200, the node count the files are read with; a few zero-padded or too large
+PLAIN_ID = st.integers(0, 199).map(
+    lambda i: str(i) if i < 196 else ["007", "0000000001", "4294967295", "4294967296"][i - 196])
+PLAIN_LINE = st.tuples(PLAIN_ID, PLAIN_ID).map(" ".join)
+EDGE_ID = st.one_of(PLAIN_ID, st.sampled_from(["00000000001", "+3", "-1", "1_0", "\u0663", "\uff13",
+                                               "x"]))
+ODD_LINE = st.one_of(
+    st.tuples(EDGE_ID, EDGE_ID).map(" ".join),
+    st.tuples(EDGE_ID, st.sampled_from(["\t", "  ", " \t"]), EDGE_ID).map("".join),
+    st.tuples(EDGE_ID, EDGE_ID, EDGE_ID).map(" ".join),
+    st.sampled_from(["", "   ", "# a comment", "#1 2", " 1 2", "1 2 ", "1 ", " 1", "\ufeff1 2",
+                     "\x0c", "\udcff 1"]))  # the last is the byte 0xff, not UTF-8
+PLAIN_EDGES = re.compile(rb"([0-9]{1,10} [0-9]{1,10}\n)*[0-9]{1,10} [0-9]{1,10}\n?")
+
+
+def is_plain(raw: bytes) -> bool:
+    """save_edge_list's own format: "u v" lines of ASCII ids, no self-loop, no id
+    above MAX_NODE_ID."""
+    if not PLAIN_EDGES.fullmatch(raw):
+        return False
+    ids = [int(t) for t in raw.split()]
+    return max(ids) <= MAX_NODE_ID and all(u != v for u, v in zip(ids[0::2], ids[1::2]))
+
+
+def edge_list_outcome(path):
+    try:
+        return load_edge_list(path, n=200)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(PLAIN_LINE, max_size=8),
+       odd=st.one_of(st.just([]), st.just([]),
+                     st.lists(st.tuples(st.integers(0, 8), ODD_LINE), min_size=1, max_size=2)),
+       ends=st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]), last_end=st.booleans())
+@example(lines=[], odd=[], ends="\n", last_end=False)
+@example(lines=["0 4294967295"], odd=[], ends="\n", last_end=True)
+@example(lines=["0 4294967296"], odd=[], ends="\n", last_end=True)
+@example(lines=["3 1", "1 2", "3 1", "2 3"], odd=[], ends="\n", last_end=False)
+@example(lines=["00000000001 5"], odd=[], ends="\n", last_end=True)
+@example(lines=["99999999999999999999 1"], odd=[], ends="\n", last_end=True)
+def test_edge_list_one_pass_agrees_with_the_per_line_parse(lines, odd, ends, last_end):
+    """Both parses give the same graph or the same message, and the one-pass
+    parse takes exactly the plain files."""
+    lines = list(lines)
+    for at, line in odd:
+        lines.insert(at, line)
+    raw = (ends.join(lines) + (ends if last_end else "")).encode("utf-8", "surrogateescape")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.txt")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        got = edge_list_outcome(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_plain_edges", lambda data: None)
+            want = edge_list_outcome(path)
+    assert (graph_core._plain_edges(raw) is not None) == is_plain(raw)
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else got.equals(want)

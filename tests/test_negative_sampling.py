@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -20,18 +23,23 @@ def cfg_er(p=0.1, kappa=1, seed=0):
 
 
 def _loop_raw_edges(n, cfg, rng):
-    """Negative edges from scalar draws: per-node distinct picks, or one
-    Bernoulli draw per pair in a row-major double loop."""
+    """Negative edges from scalar draws: per-node distinct picks, or a walk
+    over the pairs in row-major order that skips floor(log(1 - u) / log1p(-p))
+    pairs per random() draw u, and ends at the first skip past the last pair."""
     edges = set()
     if cfg.mode == "per-node-k":
         for i in range(n):
             for j in loop_distinct(rng, n, cfg.per_node, exclude=i):
                 edges.add((min(i, j), max(i, j)))
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < cfg.p_prime:
-                    edges.add((i, j))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        log_q, index = math.log1p(-cfg.p_prime), -1
+        while True:
+            skip = math.log(1.0 - rng.random()) / log_q
+            if skip >= len(pairs) - 1 - index:
+                break
+            index += math.floor(skip) + 1
+            edges.add(pairs[index])
     return edges
 
 
@@ -82,6 +90,61 @@ def test_er_empty_twice_is_an_error(bulk):
         _loop_negative_graph(5, cfg, 0)
     with bulk_everywhere(bulk), pytest.raises(ValueError, match="empty negative graph twice"):
         sample_negative_graph(5, cfg, 0)
+
+
+def _state(rng):
+    return rng.s0, rng.s1, rng.s2, rng.s3
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+@pytest.mark.parametrize("n, p, seed", [(2, 0.5, 1), (9, 0.2, 2), (60, 0.05, 3),
+                                        (120, 0.9, 4), (300, 0.01, 5)])
+def test_er_edges_and_end_state_match_the_scalar_walk(n, p, seed, bulk):
+    rng, loop_rng = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    with bulk_everywhere(bulk):
+        got = negative_sampling._raw_edges(n, cfg_er(p=p), rng)
+    want = sorted(_loop_raw_edges(n, cfg_er(p=p), loop_rng))
+    assert list(map(tuple, got.tolist())) == want  # row-major order, each pair once
+    assert _state(rng) == _state(loop_rng)
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_er_keeps_every_pair_with_probability_p(bulk):
+    """Every pair, the first (0, 1) and the last (n-2, n-1) included, is kept
+    in a share of the runs within 4 sd of p."""
+    n, p, runs = 7, 0.3, 2000
+    kept = np.zeros((n, n))
+    with bulk_everywhere(bulk):
+        for seed in range(runs):
+            for i, j in Xoshiro256StarStar(seed).geometric_pairs(n, p).tolist():
+                kept[i, j] += 1
+    share = kept[np.triu_indices(n, 1)] / runs
+    assert np.all(np.abs(share - p) < 4 * math.sqrt(p * (1 - p) / runs))
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_er_smallest_p_is_empty_twice_without_overflow(bulk):
+    with bulk_everywhere(bulk), warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the infinite skips
+        with pytest.raises(ValueError, match="empty negative graph twice"):
+            sample_negative_graph(50, cfg_er(p=5e-324, seed=1), 0)
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_er_largest_p_below_one_is_complete(bulk):
+    n = 40
+    with bulk_everywhere(bulk):
+        w = sample_negative_graph(n, cfg_er(p=1 - 2**-53, seed=2), 0)
+    assert w.nnz == n * n
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_er_walk_draws_once_per_edge_and_once_more(bulk):
+    rng, twin = Xoshiro256StarStar(7), Xoshiro256StarStar(7)
+    with bulk_everywhere(bulk):
+        edges = rng.geometric_pairs(30000, 2e-5)
+    twin.next_u64s(len(edges) + 1)
+    assert len(edges) > 8000 and _state(rng) == _state(twin)
 
 
 def test_two_nodes_forced_single_edge():
