@@ -18,15 +18,14 @@ from .diagnostics import (expected_negative_homophily, homophily, js_divergence,
 from .evaluation import (Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict,
                          nmi_score, random_splits, score)
 from .graph_core import (LabeledGraph, SparseSym, add_self_loops, as_dense,
-                         degree_normalize, laplacian, load_edge_list,
-                         normalized_adjacency, save_edge_list, spmm)
+                         degree_normalize, load_edge_list, normalized_adjacency,
+                         save_edge_list, spmm)
 from .io import (read_clsm, read_csv, read_dense, read_labels, write_clsm,
                  write_csv, write_fixture, write_labels)
 from .losses import (AlignUniform, BlockForm, ContrastiveBatch, align_uniform,
                      block_form, coles_pointwise, generalized_mean, log_sigmoid,
                      sampled_nce_sigmoid)
-from .negative_sampling import (NegSampleConfig, PsdMargin, build_delta_w,
-                                psd_margin, sample_negative_graph)
+from .negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from .spectral_filters import FilterConfig, apply_filter
 from .synthetic import SbmSpec, generate_sbm
 

@@ -170,7 +170,6 @@ def cmd_embed(cfg: dict) -> dict:
         features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
     adjacency = _read_input(load_edge_list, cfg["edges"], "--edges", n=features.shape[0])
     result = solve_linear_coles(features, adjacency, _coles_config(cfg, features.shape[1]))
-    margin = result.psd_margin
 
     io.write_clsm(result.Y, os.path.join(out, "embeddings.clsm"))
     if cfg["write_csv"]:
@@ -179,15 +178,12 @@ def cmd_embed(cfg: dict) -> dict:
     sidecar = {
         "config": resolved,
         "eigenvalues": [float(v) for v in result.eigenvalues],
+        "eigengap": result.eigengap,
         "objective": result.objective,
-        "psd_margin": {"value": margin.value if margin.converged else None,
-                       "converged": margin.converged},
         "rank_warning": result.rank_warning,
         "wall_clock_sec": time.perf_counter() - t0,
     }
     _write_json(sidecar, os.path.join(out, "embedding_meta.json"))
-    if margin.value < -1e-9:
-        log.info("psd margin is negative (%.3g): eta_prime may be too large", margin.value)
     log.info("embedded %d nodes into %d dims, objective %.6g",
              result.Y.shape[0], result.Y.shape[1], result.objective)
     return resolved

@@ -18,8 +18,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import eigh
 
 from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
-from .negative_sampling import (NegSampleConfig, PsdMargin, build_delta_w, psd_margin,
-                                sample_negative_graph)
+from .negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from .rng import GOLDEN64, MASK64, _mul_high, _splitmix64_outputs
 from .spectral_filters import FilterConfig, apply_filter
 
@@ -42,8 +41,8 @@ class EmbeddingResult:
     Y: np.ndarray            # n x d'
     eigenvalues: np.ndarray  # d' values, descending
     objective: float
+    eigengap: float | None   # (lam_d' - lam_d'+1) / max |lam|; None if d' = d or M = 0
     rank_warning: bool = False  # fewer than d' positive eigenvalues
-    psd_margin: PsdMargin | None = None  # set by solve_linear_coles only
 
 
 class EigResult(NamedTuple):
@@ -100,7 +99,11 @@ def coles_objective(y: np.ndarray, delta_w: SparseSym) -> float:
 
 
 def solve_projection(fx: np.ndarray, delta_w: SparseSym, d_prime: int) -> EmbeddingResult:
-    """Top-d' eigenvector projection of the quadratic form of (fx, delta_w)."""
+    """Top-d' eigenvector projection of the quadratic form of (fx, delta_w).
+
+    The eigengap is read off the full spectrum sym_eig returns anyway; a small
+    one means the top-d' space of M, and so the projection, is ill-determined.
+    """
     fx = as_dense(fx, "fx")
     d = fx.shape[1]
     if not (1 <= d_prime <= d):
@@ -110,11 +113,14 @@ def solve_projection(fx: np.ndarray, delta_w: SparseSym, d_prime: int) -> Embedd
     p = eig.vectors[:, :d_prime].T.copy()
     y = fx @ p.T
     top = eig.values[:d_prime].copy()
+    scale = float(np.max(np.abs(eig.values)))
     return EmbeddingResult(
         P=p,
         Y=np.ascontiguousarray(y),
         eigenvalues=top,
         objective=float(top.sum()),
+        eigengap=(float((top[-1] - eig.values[d_prime]) / scale)
+                  if d_prime < d and scale > 0 else None),
         rank_warning=bool(np.sum(eig.values > 0) < d_prime),
     )
 
@@ -123,9 +129,8 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
     """Full pipeline: normalize, sample negatives, filter, project.
 
     `adjacency` is the raw binary graph (no self-loops); `x` the n x d node
-    features. The result also carries the PSD margin of the Laplacian
-    combination built from the same negatives, read off delta_w. Deterministic given
-    (x, adjacency, cfg).
+    features. The result's eigengap is that of the quadratic form built from
+    these negatives and this filter. Deterministic given (x, adjacency, cfg).
     """
     x = as_dense(x, "x")
     if adjacency.n != x.shape[0]:
@@ -135,9 +140,7 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
             for k in range(cfg.negatives.kappa)]
     delta_w = build_delta_w(w_pos, negs, cfg.negatives.eta_prime)
     fx = apply_filter(w_pos, x, cfg.filter)
-    result = solve_projection(fx, delta_w, cfg.d_prime)
-    result.psd_margin = psd_margin(delta_w, cfg.negatives.eta_prime if negs else 0.0)
-    return result
+    return solve_projection(fx, delta_w, cfg.d_prime)
 
 
 def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:

@@ -209,13 +209,12 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
 # -- metrics -----------------------------------------------------------------
 
-def _contingency(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, pred codes, table): table[a, b] counts the items predicted
-    labels[a] whose truth is labels[b], over the sorted labels either side uses."""
+def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """table[a, b] counts the items predicted labels[a] whose truth is
+    labels[b], over the sorted labels either side uses."""
     labels, codes = np.unique(np.concatenate([pred, truth]), return_inverse=True)
     k = labels.size
-    table = np.bincount(codes[:pred.size] * k + codes[pred.size:], minlength=k * k)
-    return labels, codes[:pred.size], table.reshape(k, k)
+    return np.bincount(codes[:pred.size] * k + codes[pred.size:], minlength=k * k).reshape(k, k)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -237,18 +236,7 @@ def _nmi(table: np.ndarray) -> float:
 def nmi_score(pred, truth) -> float:
     """Mutual information normalized by the arithmetic mean of entropies."""
     return _nmi(_contingency(np.asarray(pred, dtype=np.int64),
-                             np.asarray(truth, dtype=np.int64))[2])
-
-
-def hungarian_accuracy(pred, truth) -> tuple[float, np.ndarray]:
-    """Clustering accuracy under the optimal cluster-to-class assignment.
-
-    Returns (accuracy, relabeled predictions).
-    """
-    pred = np.asarray(pred, dtype=np.int64)
-    labels, codes, table = _contingency(pred, np.asarray(truth, dtype=np.int64))
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum() / pred.size), labels[cols[codes]]
+                             np.asarray(truth, dtype=np.int64)))
 
 
 def score(pred, truth, mode: str = "classification") -> Metrics:
@@ -267,7 +255,7 @@ def score(pred, truth, mode: str = "classification") -> Metrics:
         raise ValueError("cannot score empty predictions")
     if mode not in ("classification", "clustering"):
         raise ValueError("mode must be 'classification' or 'clustering'")
-    table = _contingency(pred, truth)[2]
+    table = _contingency(pred, truth)
     nmi = _nmi(table)
     if mode == "clustering":
         table = table[np.argsort(linear_sum_assignment(table, maximize=True)[1])]

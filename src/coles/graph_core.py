@@ -299,11 +299,6 @@ def degree_normalize(adj: SparseSym) -> SparseSym:
     return SparseSym._wrap(m)
 
 
-def laplacian(w_norm: SparseSym) -> SparseSym:
-    """L = I - W for a degree-normalized W."""
-    return SparseSym._wrap(sp.identity(w_norm.n, format="csr") - w_norm._scipy())
-
-
 def normalized_adjacency(adj: SparseSym, self_loops: bool = True) -> SparseSym:
     """Full positive-graph pipeline: optional self-loops, then normalization."""
     return degree_normalize(add_self_loops(adj) if self_loops else adj)

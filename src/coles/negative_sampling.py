@@ -16,14 +16,11 @@ node pairs by geometric skips, one draw and one libm log per kept pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graph_core import SparseSym, normalized_adjacency
-from .rng import Xoshiro256StarStar, splitmix64_uniforms, stream_key
+from .rng import Xoshiro256StarStar, stream_key
 
 MODES = ("per-node-k", "erdos-renyi")
 
@@ -91,31 +88,3 @@ def build_delta_w(w_pos: SparseSym, w_negs: list[SparseSym], eta_prime: float) -
         acc = acc + w._scipy()
     return SparseSym._wrap(w_pos._scipy() - (eta_prime / len(w_negs)) * acc)
 
-
-class PsdMargin(NamedTuple):
-    value: float
-    converged: bool
-
-
-def psd_margin(delta_w: SparseSym, eta_prime: float) -> PsdMargin:
-    """Smallest eigenvalue of S = (1 - eta') I - delta_w.
-
-    As L = I - W for every graph, S = L_pos - (eta'/kappa) * sum_k L_neg_k;
-    with kappa = 0 pass eta' = 0, so that S = L_pos. Computed by ARPACK's
-    implicitly restarted Lanczos (scipy eigsh, which="SA") from a fixed
-    splitmix64 start vector, so the value is deterministic; a negative value
-    means the contrastive combination lost positive semidefiniteness. An
-    all-zero S has margin 0; an ARPACK failure gives converged=False and a
-    NaN value.
-    """
-    n = delta_w.n
-    s = (1.0 - eta_prime) * sp.identity(n, format="csr") - delta_w._scipy()
-    if not s.count_nonzero():
-        return PsdMargin(0.0, True)
-    # deterministic pseudo-random start, biased away from exact eigenvectors
-    v0 = splitmix64_uniforms(0xC0FFEE, n) - 0.5
-    try:
-        value = eigsh(s, k=1, which="SA", v0=v0, return_eigenvectors=False)[0]
-    except ArpackError:  # includes ArpackNoConvergence
-        return PsdMargin(float("nan"), False)
-    return PsdMargin(float(value), True)

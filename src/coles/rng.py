@@ -3,7 +3,7 @@
 All stochastic components of the library draw from these generators so that
 every random draw is bit-reproducible from a 64-bit seed, independent of
 platform, thread count or library version. Results that also pass through
-BLAS/LAPACK (embeddings, eigenvalues, the PSD margin) are byte-identical
+BLAS/LAPACK (embeddings, eigenvalues) are byte-identical
 only for the same machine, BLAS build and BLAS thread count; across those
 they agree to rounding. Streams for independent tasks
 (negative graph k, k-means restart r, split s, ...) are keyed by mixing the
@@ -62,13 +62,6 @@ def _splitmix64_outputs(states: np.ndarray) -> np.ndarray:
     z = (states ^ (states >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-def splitmix64_uniforms(state: int, count: int) -> np.ndarray:
-    """Doubles in [0, 1) from the top 53 bits of the next count splitmix64
-    outputs after state; equal to count scalar splitmix64() steps."""
-    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN64) + np.uint64(state & MASK64)
-    return (_splitmix64_outputs(z) >> np.uint64(11)) * 2.0 ** -53
 
 
 def stream_key(seed: int, index: int) -> int:

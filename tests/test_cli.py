@@ -8,11 +8,11 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from coles import coles_solver
-from coles.cli import build_parser, main
+from coles.cli import ConfigError, _parse_args, build_parser, main
 from coles.coles_solver import ColesConfig, solve_linear_coles
 from coles.graph_core import SparseSym, load_edge_list
 from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
-from coles.negative_sampling import NegSampleConfig, PsdMargin
+from coles.negative_sampling import NegSampleConfig
 from coles.spectral_filters import FilterConfig
 from coles.rng import Xoshiro256StarStar
 
@@ -58,7 +58,7 @@ def test_embed_writes_consistent_sidecar(synth_dir, tmp_path):
     assert y.shape == (36, 3)
     meta = json.loads((out / "embedding_meta.json").read_text())
     assert abs(meta["objective"] - sum(meta["eigenvalues"])) < 1e-8
-    assert "psd_margin" in meta and "wall_clock_sec" in meta
+    assert "eigengap" in meta and "wall_clock_sec" in meta
     assert len(meta["eigenvalues"]) == 3
 
 
@@ -343,8 +343,7 @@ def test_embed_matches_library(synth_dir, tmp_path, mode):
     assert (out / "embeddings.clsm").read_bytes() == (tmp_path / "library.clsm").read_bytes()
     meta = json.loads((out / "embedding_meta.json").read_text())
     assert meta["eigenvalues"] == res.eigenvalues.tolist()
-    assert meta["psd_margin"] == {"value": res.psd_margin.value,
-                                  "converged": res.psd_margin.converged}
+    assert meta["eigengap"] == res.eigengap
 
 
 @pytest.mark.parametrize("subcommand", ["diagnose", "eval-cluster", "eval-classify"])
@@ -637,10 +636,25 @@ def test_every_float_setting_takes_any_literal_and_refuses_non_finite(
         strict_json(path)
 
 
-def test_failed_psd_margin_is_written_as_null(synth_dir, tmp_path, monkeypatch):
-    monkeypatch.setattr(coles_solver, "psd_margin",
-                        lambda *args: PsdMargin(float("nan"), False))
+@pytest.mark.parametrize("dim", [6, 9])
+def test_dim_at_feature_width_writes_null_eigengap(synth_dir, tmp_path, dim):
+    # the fixture has 6 feature columns: with d' = d no eigenvalue follows the top d'
     out = tmp_path / "emb"
-    assert run(*embed_args(synth_dir, out)) == 0
-    assert strict_json(out / "embedding_meta.json")["psd_margin"] == {
-        "value": None, "converged": False}
+    assert run(*embed_args(synth_dir, out, dim=dim)) == 0
+    meta = strict_json(out / "embedding_meta.json")
+    assert meta["eigengap"] is None and len(meta["eigenvalues"]) == 6
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["synth", "embed", "eval-classify", "eval-cluster", "diagnose"])
+def test_every_int_setting_refuses_values_outside_int64(subcommand):
+    # refused while parsing, so no test can start the work such a count asks for;
+    # main maps the ConfigError to exit 1
+    parser = build_parser()
+    for action in parser.subcommands[subcommand]._actions:
+        if action.type is not int or action.dest == "seed":
+            continue
+        flag = action.option_strings[0]
+        for value in (2**63, -2**63 - 1):
+            with pytest.raises(ConfigError, match=flag):
+                _parse_args([subcommand, f"{flag}={value}"])

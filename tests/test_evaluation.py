@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coles.evaluation import (Metrics, SplitSpec, hungarian_accuracy, kmeans,
-                              logreg_fit, logreg_predict, nmi_score, random_splits,
-                              score)
+from coles.evaluation import (Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict,
+                              nmi_score, random_splits, score)
 from coles.rng import Xoshiro256StarStar
 from helpers import bulk_everywhere, loop_shuffle
 
@@ -225,9 +224,7 @@ def test_clustering_permutation_is_perfect():
 def test_non_contiguous_labels():
     pred = np.array([3, 3, 7, 7, 7])
     truth = np.array([0, 0, 5, 5, 0])
-    acc, relabeled = hungarian_accuracy(pred, truth)
-    assert acc == 0.8
-    assert relabeled.tolist() == [0, 0, 5, 5, 5]
+    assert score(pred, truth, mode="clustering").accuracy == 0.8
     assert nmi_score(pred, truth) == nmi_score([0, 0, 1, 1, 1], [0, 0, 1, 1, 0])
 
 
@@ -254,7 +251,7 @@ def test_hungarian_beats_majority_vote():
     for _ in range(100):
         t = np.array([rng.below(3) for _ in range(40)])
         p = np.array([rng.below(3) for _ in range(40)])
-        hung, _ = hungarian_accuracy(p, t)
+        hung = score(p, t, mode="clustering").accuracy
         majority = max(np.bincount(t)) / 40.0
         naive = float(np.mean(p == t))
         assert hung >= naive - 1e-12
@@ -343,13 +340,13 @@ def test_score_matches_loop_definitions(data, ids):
     assert m.nmi == nmi_score(pred, truth)
 
     c = score(pred, truth, mode="clustering")
-    acc, relabeled = hungarian_accuracy(pred, truth)
-    relabeled = relabeled.tolist()
-    # one relabel per cluster, no two clusters on one class
-    assert len(set(zip(pred, relabeled))) == len(set(pred)) == len(set(relabeled))
+    # every one-to-one relabelling of the labels either side uses, by brute force
     union = sorted(set(pred) | set(truth))
-    best = max(sum(perm[union.index(p)] == t for p, t in zip(pred, truth))
-               for perm in itertools.permutations(union))
-    assert c.accuracy == acc == sum(p == t for p, t in zip(relabeled, truth)) / n == best / n
-    assert (c.macro_f1, c.micro_f1) == loop_f1(relabeled, truth)
+    relabelings = [[perm[union.index(p)] for p in pred] for perm in itertools.permutations(union)]
+    hits = [sum(r == t for r, t in zip(relabeled, truth)) for relabeled in relabelings]
+    best = max(hits)
+    assert c.accuracy == best / n
+    # F1 of an optimal relabelling; ties may leave more than one
+    assert (c.macro_f1, c.micro_f1) in [loop_f1(relabeled, truth)
+                                        for relabeled, h in zip(relabelings, hits) if h == best]
     assert c.nmi == m.nmi

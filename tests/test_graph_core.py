@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coles.graph_core import (LabeledGraph, SparseSym, add_self_loops, as_dense,
-                              degree_normalize, laplacian, load_edge_list,
-                              normalized_adjacency, save_edge_list, spmm)
+                              degree_normalize, load_edge_list, normalized_adjacency,
+                              save_edge_list, spmm)
 from coles.rng import Xoshiro256StarStar
 from helpers import random_graph, weighted_graph
 
@@ -176,7 +176,7 @@ def test_edge_list_roundtrip(tmp_path):
     assert load_edge_list(path).equals(s)
 
 
-# -- self loops / normalization / laplacian -------------------------------------
+# -- self loops / normalization / Laplacian I - W ---------------------------------
 
 def test_add_self_loops_single_edge():
     out = add_self_loops(SparseSym.from_edges(2, [(0, 1)]))
@@ -234,17 +234,22 @@ def test_degree_normalize_rejects_isolated():
         degree_normalize(s)
 
 
+def normalized_laplacian(w):
+    """L = I - W of a degree-normalized W, dense."""
+    return np.eye(w.n) - w.toarray()
+
+
 def test_laplacian_pair():
     w = degree_normalize(add_self_loops(SparseSym.from_edges(2, [(0, 1)])))
-    l = laplacian(w)
-    assert np.allclose(l.toarray(), [[0.5, -0.5], [-0.5, 0.5]], atol=0)
-    eigs = np.sort(np.linalg.eigvalsh(l.toarray()))
+    l = normalized_laplacian(w)
+    assert np.allclose(l, [[0.5, -0.5], [-0.5, 0.5]], atol=0)
+    eigs = np.sort(np.linalg.eigvalsh(l))
     assert np.allclose(eigs, [0.0, 1.0], atol=1e-12)
 
 
 def test_laplacian_single_node():
-    l = laplacian(degree_normalize(SparseSym.identity(1)))
-    assert np.array_equal(l.toarray(), [[0.0]])
+    l = normalized_laplacian(degree_normalize(SparseSym.identity(1)))
+    assert np.array_equal(l, [[0.0]])
 
 
 # -- spmm ------------------------------------------------------------------------
@@ -304,9 +309,9 @@ def test_normalized_spectral_radius_at_most_one():
 def test_laplacian_kernel_is_sqrt_degree():
     adj = random_graph(35, 2, seed=12)
     with_loops = add_self_loops(adj)
-    l = laplacian(degree_normalize(with_loops))
+    l = normalized_laplacian(degree_normalize(with_loops))
     v = np.sqrt(with_loops.degrees())
-    assert np.linalg.norm(l.toarray() @ v) < 1e-10
+    assert np.linalg.norm(l @ v) < 1e-10
 
 
 # -- labeled graph ------------------------------------------------------------------

@@ -3,12 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from coles import negative_sampling
-from coles.graph_core import SparseSym, add_self_loops, degree_normalize, laplacian
-from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
-                                     sample_negative_graph)
+from coles.graph_core import SparseSym, add_self_loops, degree_normalize
+from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles.rng import Xoshiro256StarStar, stream_key
 from helpers import bulk_everywhere, loop_distinct
 
@@ -268,47 +266,3 @@ def test_delta_w_dimension_mismatch():
     with pytest.raises(ValueError, match="negative graph"):
         build_delta_w(w_pair(), [sample_negative_graph(3, cfg_pn(per_node=2), 0)], 1.0)
 
-
-# -- psd margin --------------------------------------------------------------------
-
-def ring_w(n):
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return degree_normalize(add_self_loops(SparseSym.from_edges(n, edges)))
-
-
-def test_psd_margin_of_plain_laplacian():
-    w = ring_w(8)
-    margin = psd_margin(build_delta_w(w, [], 0.0), eta_prime=0.0)
-    assert margin.converged
-    assert margin.value >= -1e-9  # normalized Laplacian is PSD
-
-
-def test_psd_margin_zero_matrix():
-    w = ring_w(6)
-    margin = psd_margin(build_delta_w(w, [w], 1.0), eta_prime=1.0)
-    assert margin.converged
-    assert abs(margin.value) < 1e-9
-
-
-def test_psd_margin_matches_dense_eigensolve():
-    w = ring_w(6)
-    l = laplacian(w)
-    w_negs = [sample_negative_graph(6, cfg_pn(per_node=2, kappa=2, seed=7), k)
-              for k in range(2)]
-    negs = [laplacian(g) for g in w_negs]
-    eta = 0.9
-    margin = psd_margin(build_delta_w(w, w_negs, eta), eta)
-    explicit = l.toarray() - (eta / 2) * sum(n.toarray() for n in negs)
-    oracle = float(np.min(np.linalg.eigvalsh(explicit)))
-    assert margin.converged
-    assert abs(margin.value - oracle) < 1e-6
-
-
-def test_psd_margin_arpack_failure_is_not_converged(monkeypatch):
-    def stalled(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(negative_sampling, "eigsh", stalled)
-    margin = psd_margin(build_delta_w(ring_w(8), [], 0.0), eta_prime=0.0)
-    assert not margin.converged
-    assert np.isnan(margin.value)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objective,
                                 solve_linear_coles, solve_projection, sym_eig)
 from coles.diagnostics import _KERNEL_BLOCK, parzen_density
-from coles.graph_core import (SparseSym, add_self_loops, degree_normalize, laplacian,
-                              normalized_adjacency)
-from coles.negative_sampling import (NegSampleConfig, build_delta_w, psd_margin,
-                                     sample_negative_graph)
+from coles.graph_core import SparseSym, add_self_loops, degree_normalize, normalized_adjacency
+from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles.evaluation import SplitSpec, logreg_fit, random_splits
 from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
@@ -85,7 +83,7 @@ def test_graph_ops_keep_symmetry_by_construction(n, seed, kappa, mode, eta_prime
     for adj in (random_graph(n, 1, seed), weighted_graph(n, 1, seed)):
         looped = add_self_loops(adj)
         w = degree_normalize(looped)
-        for out in (looped, w, laplacian(w)):
+        for out in (looped, w):
             assert_checked_rebuild(out)
     cfg = NegSampleConfig(kappa=kappa, per_node=2, mode=mode, p_prime=0.3, seed=seed)
     negs = [sample_negative_graph(n, cfg, k) for k in range(kappa)]
@@ -135,37 +133,24 @@ def test_objective_is_sum_of_top_eigenvalues(n, d, seed, kappa, mode, data):
     assert abs(res.objective - coles_objective(res.Y, delta)) < tol
 
 
-def dense_margin(l_pos, l_negs, eta_prime):
-    s = l_pos.toarray()
-    if l_negs:
-        s = s - (eta_prime / len(l_negs)) * sum(l.toarray() for l in l_negs)
-    return float(np.min(np.linalg.eigvalsh(s)))
-
-
 @PROPERTY
-@given(n=st.integers(6, 60), seed=SEEDS, kappa=st.integers(0, 4),
-       mode=st.sampled_from(["per-node-k", "erdos-renyi"]))
-def test_psd_margin_matches_dense(n, seed, kappa, mode):
+@given(n=st.integers(6, 40), d=st.integers(1, 12), seed=SEEDS, kappa=st.integers(0, 3),
+       mode=st.sampled_from(["per-node-k", "erdos-renyi"]),
+       form=st.sampled_from(["random", "zero features", "cancelled graph"]), data=st.data())
+def test_eigengap_is_read_off_the_spectrum(n, d, seed, kappa, mode, form, data):
     w_pos, negs, cfg = delta_instance(n, seed, kappa, mode)
-    l_pos, l_negs = laplacian(w_pos), [laplacian(w) for w in negs]
-    eta_prime = cfg.eta_prime if negs else 0.0
-    margin = psd_margin(build_delta_w(w_pos, negs, eta_prime), eta_prime)
-    assert margin.converged
-    assert abs(margin.value - dense_margin(l_pos, l_negs, cfg.eta_prime)) < 1e-9
-
-
-@settings(max_examples=6)
-@given(seed=SEEDS, eta_prime=st.sampled_from([0.5, 1.0]))
-def test_psd_margin_three_block_sbm(seed, eta_prime):
-    # the spectrum bottom clusters here: a power method needed thousands of steps
-    g = generate_sbm(SbmSpec(n_classes=3, per_block=60, p_in=0.1, p_out=0.01, seed=seed))
-    cfg = NegSampleConfig(kappa=3, per_node=5, eta_prime=eta_prime, seed=seed)
-    w_pos = normalized_adjacency(g.adjacency)
-    w_negs = [sample_negative_graph(g.adjacency.n, cfg, k) for k in range(3)]
-    l_negs = [laplacian(w) for w in w_negs]
-    margin = psd_margin(build_delta_w(w_pos, w_negs, eta_prime), eta_prime)
-    assert margin.converged
-    assert abs(margin.value - dense_margin(laplacian(w_pos), l_negs, eta_prime)) < 1e-9
+    delta = (build_delta_w(w_pos, [w_pos], 1.0) if form == "cancelled graph"
+             else build_delta_w(w_pos, negs, cfg.eta_prime))
+    fx = np.zeros((n, d)) if form == "zero features" else rand_x(n, d, seed=seed + 1)
+    d_prime = data.draw(st.integers(1, d), label="d_prime")
+    res = solve_projection(fx, delta, d_prime)
+    m = build_quadratic_form(fx, delta)
+    if d_prime == d or not m.any():
+        assert res.eigengap is None
+    else:
+        values = sym_eig(m).values
+        assert res.eigengap == (values[d_prime - 1] - values[d_prime]) / np.max(np.abs(values))
+        assert res.eigengap >= 0.0
 
 
 @PROPERTY
@@ -192,7 +177,7 @@ def test_kappa_zero_gives_laplacian_eigenmaps(n, d, seed, kind, k_steps, self_lo
         assert np.array_equal(res.P, want.P) and np.array_equal(res.Y, want.Y)
         assert np.array_equal(res.eigenvalues, want.eigenvalues)
         assert res.objective == want.objective and res.rank_warning == want.rank_warning
-        assert res.psd_margin.converged and res.psd_margin.value >= -1e-9  # L_pos is PSD
+        assert res.eigengap == want.eigengap
 
 
 RELABEL_REL_TOL = 1e-9  # of max |Y|; with the gaps assumed below the error is ~1e-12

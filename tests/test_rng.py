@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, _mul_high,
-                       draw_u64s, shuffle_with, splitmix64, splitmix64_uniforms, stream_key)
+                       draw_u64s, shuffle_with, splitmix64, stream_key)
 from helpers import bulk_everywhere, loop_distinct, loop_normals, loop_shuffle
 
 PROPERTY = settings(max_examples=30)
@@ -100,15 +100,6 @@ def test_stream_key_mixes_index():
     assert len(keys) == 100
     assert stream_key(42, 0) == 42  # index 0 keeps the master seed
     assert stream_key(7, 3) == (7 ^ ((3 * GOLDEN64) & MASK64))
-
-
-@pytest.mark.parametrize("state", [0, 0xC0FFEE, MASK64 - 3])
-def test_splitmix64_uniforms_match_scalar_steps(state):
-    expected, s = [], state
-    for _ in range(257):
-        s, z = splitmix64(s)
-        expected.append((z >> 11) * 2.0 ** -53)
-    assert np.array_equal(splitmix64_uniforms(state, 257), expected)
 
 
 # -- bulk draws against the scalar recurrence -----------------------------------
