@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigh
 
 from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
 from .negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
@@ -57,6 +56,8 @@ def sym_eig(m: np.ndarray) -> EigResult:
     largest-magnitude component is made positive so signs are reproducible.
     A non-finite matrix or a LAPACK failure raises LinAlgError.
     """
+    from scipy.linalg import eigh  # here, not at the top: commands that never solve skip its load
+
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")

@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .graph_core import SparseSym
 
@@ -131,6 +130,8 @@ def js_from_densities(fp: np.ndarray, fq: np.ndarray, grid: np.ndarray) -> float
 
     Trapezoid rule over the grid; the value is clipped to [0, log 2 + 1e-6].
     """
+    from scipy.special import rel_entr  # here, not at the top: only diagnose pays its load
+
     fm = 0.5 * (fp + fq)
     js = 0.5 * np.trapezoid(rel_entr(fp, fm), grid) + 0.5 * np.trapezoid(rel_entr(fq, fm), grid)
     return float(np.clip(js, 0.0, LOG2 + 1e-6))

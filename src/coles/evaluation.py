@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph_core import as_dense
 from .rng import Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key
@@ -258,6 +257,8 @@ def score(pred, truth, mode: str = "classification") -> Metrics:
     table = _contingency(pred, truth)
     nmi = _nmi(table)
     if mode == "clustering":
+        # imported here, not at the top: only eval-cluster pays scipy.optimize's load
+        from scipy.optimize import linear_sum_assignment
         table = table[np.argsort(linear_sum_assignment(table, maximize=True)[1])]
     hits, truth_sizes = np.diag(table), table.sum(axis=0)
     present = truth_sizes > 0

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_expit, logsumexp
 
 
 @dataclass
@@ -34,7 +33,10 @@ class ContrastiveBatch:
             raise ValueError("eta must be >= 0")
 
 
-log_sigmoid = log_expit  # log(sigmoid(x)) = -log(1 + exp(-x)), stable for any x
+def log_sigmoid(x):
+    """log(sigmoid(x)) = -log(1 + exp(-x)), stable for any x; scipy's log_expit."""
+    from scipy.special import log_expit  # here, not at the top: `import coles` skips its load
+    return log_expit(x)
 
 
 def _mean_scores(anchor: np.ndarray, vectors: list[np.ndarray], f=None) -> float:
@@ -47,8 +49,8 @@ def _mean_scores(anchor: np.ndarray, vectors: list[np.ndarray], f=None) -> float
 
 def sampled_nce_sigmoid(batch: ContrastiveBatch) -> float:
     """mean log sigma(u.v) over positives + eta * mean log sigma(-u'.v)."""
-    pos = _mean_scores(batch.anchor, batch.positives, log_expit)
-    neg = _mean_scores(batch.anchor, batch.negatives, lambda s: log_expit(-s))
+    pos = _mean_scores(batch.anchor, batch.positives, log_sigmoid)
+    neg = _mean_scores(batch.anchor, batch.negatives, lambda s: log_sigmoid(-s))
     return pos + batch.eta * neg
 
 
@@ -126,6 +128,8 @@ def align_uniform(batch: ContrastiveBatch, p: float, softmax: bool = False,
     u = prep(batch.positives[0])
     pos_score = float(u @ v)
     neg_scores = np.array([prep(w) for w in batch.negatives]) @ v
+
+    from scipy.special import logsumexp  # here, not at the top: `import coles` skips its load
 
     l_align = -pos_score
     if softmax:

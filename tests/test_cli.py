@@ -408,7 +408,7 @@ def test_embed_eigensolver_failure_exits_2(synth_dir, tmp_path, monkeypatch, cap
     def broken_eigh(*args, **kwargs):
         raise LinAlgError("dsyevr failed")
 
-    monkeypatch.setattr(coles_solver, "eigh", broken_eigh)
+    monkeypatch.setattr("scipy.linalg.eigh", broken_eigh)  # sym_eig looks it up per call
     out = tmp_path / "emb"
     code = run(*embed_args(synth_dir, out))
     err = capsys.readouterr().err

@@ -56,6 +56,22 @@ def test_log_sigmoid_matches_naive_in_safe_range():
         assert abs(log_sigmoid(x) - math.log(1.0 / (1.0 + math.exp(-x)))) < 1e-12
 
 
+def test_log_sigmoid_is_a_drop_in_for_log_expit():
+    from scipy.special import log_expit
+
+    import coles
+    assert coles.log_sigmoid is log_sigmoid
+    edges = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308]
+    normals = np.random.default_rng(3).standard_normal(1000)
+    cases = edges + [np.array(edges), normals, normals.reshape(40, 25),
+                     normals.astype(np.float32)]
+    for x in cases:
+        got, want = log_sigmoid(x), log_expit(x)
+        assert type(got) is type(want)
+        assert (np.shape(got), np.asarray(got).dtype) == (np.shape(want), np.asarray(want).dtype)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # -- pointwise ---------------------------------------------------------------------
 
 def test_pointwise_trivial_cases():
