@@ -1,6 +1,7 @@
 """Command-line pipeline: synth -> embed -> eval-classify / eval-cluster / diagnose.
 
-Every setting is declared once, in build_parser. argparse resolves the
+Every setting is declared once, in build_parser, which reads each default that
+a library config declares from that config. argparse resolves the
 configuration (defaults < --config JSON file < explicit flags), checking
 config-file values exactly as it checks flags. Each subcommand is straight-line
 code that returns its resolved configuration; main alone maps exceptions to
@@ -295,8 +296,17 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+def _add_sampling(p: argparse.ArgumentParser, neg: NegSampleConfig) -> None:
+    """The negative-graph flags that embed and diagnose share."""
+    p.add_argument("--per-node", dest="per_node", type=int, default=neg.per_node)
+    p.add_argument("--mode", choices=MODES, default=neg.mode)
+    p.add_argument("--p-prime", dest="p_prime", type=float, default=neg.p_prime)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The one declaration of every setting: its flag, type, default and choices."""
+    sbm, coles, split = SbmSpec(), ColesConfig(), SplitSpec()
+    filt, neg = coles.filter, coles.negatives
     parser = _Parser(
         prog="coles",
         description="Contrastive Laplacian eigenmap embeddings: generate, embed, evaluate, diagnose.")
@@ -305,28 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate an SBM fixture (edges/features/labels)")
     _add_common(p)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-block", dest="per_block", type=int, default=100)
-    p.add_argument("--p-in", dest="p_in", type=float, default=0.1)
-    p.add_argument("--p-out", dest="p_out", type=float, default=0.01)
-    p.add_argument("--feat-dim", dest="feat_dim", type=int, default=16)
-    p.add_argument("--mean-sep", dest="mean_sep", type=float, default=1.0)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=1.0)
+    p.add_argument("--classes", type=int, default=sbm.n_classes)
+    p.add_argument("--per-block", dest="per_block", type=int, default=sbm.per_block)
+    p.add_argument("--p-in", dest="p_in", type=float, default=sbm.p_in)
+    p.add_argument("--p-out", dest="p_out", type=float, default=sbm.p_out)
+    p.add_argument("--feat-dim", dest="feat_dim", type=int, default=sbm.feature_dim)
+    p.add_argument("--mean-sep", dest="mean_sep", type=float, default=sbm.mean_sep)
+    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=sbm.noise_sigma)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("embed", help="compute embeddings in closed form")
     _add_common(p)
     p.add_argument("--edges")
     p.add_argument("--features")
-    p.add_argument("--filter", choices=KINDS, default="s2gc")
-    p.add_argument("--k-steps", dest="k_steps", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--kappa", type=int, default=10)
-    p.add_argument("--per-node", dest="per_node", type=int, default=5)
-    p.add_argument("--mode", choices=MODES, default="per-node-k")
-    p.add_argument("--p-prime", dest="p_prime", type=float, default=0.05)
-    p.add_argument("--eta-prime", dest="eta_prime", type=float, default=1.0)
+    p.add_argument("--filter", choices=KINDS, default=filt.kind)
+    p.add_argument("--k-steps", dest="k_steps", type=int, default=filt.k_steps)
+    p.add_argument("--alpha", type=float, default=filt.alpha)
+    p.add_argument("--dim", type=int, default=coles.d_prime)
+    p.add_argument("--kappa", type=int, default=neg.kappa)
+    _add_sampling(p, neg)
+    p.add_argument("--eta-prime", dest="eta_prime", type=float, default=neg.eta_prime)
     p.add_argument("--no-self-loops", dest="self_loops", action="store_false",
                    help="skip the W+I renormalization convention")
     p.add_argument("--hash-dim", dest="hash_dim", type=int, default=0,
@@ -339,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--embeddings")
     p.add_argument("--labels")
-    p.add_argument("--per-class", dest="per_class", type=int, choices=(5, 20), default=20)
+    p.add_argument("--per-class", dest="per_class", type=int, choices=(5, 20),
+                   default=split.per_class)
     p.add_argument("--n-splits", dest="n_splits", type=int, default=50)
-    p.add_argument("--val-size", dest="val_size", type=int, default=500)
+    p.add_argument("--val-size", dest="val_size", type=int, default=split.val_size)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--l2", type=float, default=1e-4)
@@ -360,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--edges")
     p.add_argument("--labels")
-    p.add_argument("--per-node", dest="per_node", type=int, default=5)
-    p.add_argument("--mode", choices=MODES, default="per-node-k")
-    p.add_argument("--p-prime", dest="p_prime", type=float, default=0.05)
+    _add_sampling(p, neg)
     p.add_argument("--bandwidth", type=float, default=0.0,
                    help="Parzen bandwidth; 0 means Silverman's rule per sample")
     p.add_argument("--grid-points", dest="grid_points", type=int, default=512)

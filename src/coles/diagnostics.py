@@ -218,7 +218,7 @@ def pair_scores(y: np.ndarray, graph: SparseSym, normalize: bool = True,
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
     y = np.asarray(y, dtype=np.float64)
-    u, v = graph._upper()
+    u, v = graph.edge_list().T
     if not u.size:
         raise ValueError("graph has no off-diagonal edges to score")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below

@@ -36,8 +36,8 @@ class SparseSym:
     Immutable by convention: operations return new instances. The stored
     pattern always satisfies (i, j, w) present iff (j, i, w) present with
     bit-identical w, indices sorted per row, no duplicates, finite weights:
-    the constructor and from_scipy check it; from_edges checks its pairs and
-    weight, and it and _wrap trust the symmetry of what they build.
+    the constructor and from_scipy check it; from_edges checks its pairs, and
+    it and _wrap trust the symmetry of what they build.
     """
 
     __slots__ = ("n", "indptr", "indices", "data")
@@ -99,9 +99,9 @@ class SparseSym:
         return out
 
     @classmethod
-    def from_edges(cls, n: int, edges, weight: float = 1.0) -> "SparseSym":
-        """Build a symmetric matrix with one finite weight from undirected
-        (u, v) pairs, given as an iterable of pairs or an (m, 2) integer array.
+    def from_edges(cls, n: int, edges) -> "SparseSym":
+        """Build a symmetric matrix of unit weights from undirected (u, v)
+        pairs, given as an iterable of pairs or an (m, 2) integer array.
 
         Pairs are deduplicated; (u, v) and (v, u) count once. Ids outside
         [0, n) and self pairs are rejected. The result is symmetric by
@@ -109,8 +109,6 @@ class SparseSym:
         """
         pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
                          dtype=np.int64).reshape(-1, 2)
-        if not np.isfinite(weight):
-            raise ValueError(f"non-finite weight {weight}")
         outside = pairs[(pairs < 0) | (pairs >= n)]
         if outside.size:
             raise ValueError(f"node id {outside[0]} outside [0, {n})")
@@ -120,15 +118,7 @@ class SparseSym:
         rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T  # both orientations
         # a boolean pattern: repeated pairs merge to one True when it is built
         pattern = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
-        return cls._wrap(pattern * float(weight))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseSym":
-        return cls._wrap(sp.identity(n, format="csr"))
-
-    @classmethod
-    def zeros(cls, n: int) -> "SparseSym":
-        return cls._wrap(sp.csr_matrix((n, n)))
+        return cls._wrap(pattern.astype(np.float64))
 
     # -- views -------------------------------------------------------------
 
@@ -155,16 +145,12 @@ class SparseSym:
     def has_diagonal(self) -> bool:
         return bool(np.any(self.indices == self._row_ids()))
 
-    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column arrays of the upper-triangle (u < v) entries, sorted."""
+    def edge_list(self) -> np.ndarray:
+        """Upper-triangle (u < v) entry positions in sorted order, as an
+        (m, 2) int64 array."""
         rows = self._row_ids()
         upper = rows < self.indices
-        return rows[upper], self.indices[upper]
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Upper-triangle (u < v) entry positions in sorted order."""
-        u, v = self._upper()
-        return list(zip(u.tolist(), v.tolist()))
+        return np.column_stack((rows[upper], self.indices[upper]))
 
     def equals(self, other: "SparseSym") -> bool:
         """Bit-identical structural and numerical equality."""
@@ -274,7 +260,7 @@ def load_edge_list(path, n: int | None = None) -> SparseSym:
 def save_edge_list(adj: SparseSym, path) -> None:
     """Write the upper-triangle edges as "u v" lines (sorted)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in adj.edge_list():
+        for u, v in adj.edge_list().tolist():
             fh.write(f"{u} {v}\n")
 
 

@@ -301,9 +301,8 @@ class Xoshiro256StarStar:
             first = np.cumsum(lengths) - lengths  # block offset of each row's first pair
             pair_rows = np.repeat(rows, lengths)
             pair_cols = np.arange(size) - np.repeat(first, lengths) + pair_rows + 1
-            hit = np.flatnonzero(self.uniforms(size) < prob(pair_rows, pair_cols))
-            row = np.searchsorted(first, hit, side="right") - 1
-            kept.append(np.column_stack((rows[row], hit - first[row] + rows[row] + 1)))
+            hit = self.uniforms(size) < prob(pair_rows, pair_cols)
+            kept.append(np.column_stack((pair_rows[hit], pair_cols[hit])))
             start = stop
         return np.concatenate(kept)
 

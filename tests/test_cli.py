@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import struct
@@ -8,13 +9,16 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from coles import coles_solver
-from coles.cli import ConfigError, _parse_args, build_parser, main
+from coles.cli import ConfigError, _coles_config, _parse_args, build_parser, main
 from coles.coles_solver import ColesConfig, solve_linear_coles
+from coles.diagnostics import pair_scores, score_densities
+from coles.evaluation import SplitSpec, logreg_fit
 from coles.graph_core import SparseSym, load_edge_list
 from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
 from coles.negative_sampling import NegSampleConfig
 from coles.spectral_filters import FilterConfig
 from coles.rng import Xoshiro256StarStar
+from coles.synthetic import SbmSpec
 
 
 def run(*argv):
@@ -658,3 +662,32 @@ def test_every_int_setting_refuses_values_outside_int64(subcommand):
         for value in (2**63, -2**63 - 1):
             with pytest.raises(ConfigError, match=flag):
                 _parse_args([subcommand, f"{flag}={value}"])
+
+
+def _params(fn, *names):
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names}
+
+
+def test_every_default_is_the_library_default_it_feeds():
+    # only the subcommand is given, so every setting resolves to its default;
+    # eval-cluster's settings feed no library default
+    synth, embed, classify, diagnose = (vars(_parse_args([sub])) for sub in
+                                        ("synth", "embed", "eval-classify", "diagnose"))
+    assert SbmSpec(n_classes=synth["classes"], per_block=synth["per_block"],
+                   p_in=synth["p_in"], p_out=synth["p_out"], feature_dim=synth["feat_dim"],
+                   mean_sep=synth["mean_sep"], noise_sigma=synth["noise_sigma"],
+                   seed=synth["seed"]) == SbmSpec()
+    # d_prime is min(--dim, d): a wide d leaves --dim as it is
+    assert _coles_config(embed, 10**6) == ColesConfig()
+    assert SplitSpec(per_class=classify["per_class"], val_size=classify["val_size"],
+                     seed=classify["seed"]) == SplitSpec()
+    assert {key: classify[key] for key in ("lr", "l2", "epochs")} == _params(
+        logreg_fit, "lr", "l2", "epochs")
+    sampling = ("per_node", "mode", "p_prime", "seed")
+    neg = NegSampleConfig()
+    assert {key: diagnose[key] for key in sampling} == {key: getattr(neg, key) for key in sampling}
+    assert {key: embed[key] for key in sampling} == {key: diagnose[key] for key in sampling}
+    assert diagnose["grid_points"] == _params(score_densities, "grid_points")["grid_points"]
+    assert {key: diagnose[key] for key in ("tau", "normalize")} == _params(
+        pair_scores, "tau", "normalize")

@@ -54,7 +54,7 @@ def test_reader_reorders_test_rows(tmp_path):
     assert np.array_equal(g.features[4], [4.0, 4.0, 4.0])
     assert np.array_equal(g.labels[:4], [0, 0, 1, 1])
     assert np.array_equal(g.labels[4:], [1, 1])
-    edges = set(g.adjacency.edge_list())
+    edges = set(map(tuple, g.adjacency.edge_list().tolist()))
     assert (3, 4) in edges and (0, 5) in edges and (0, 1) in edges
 
 

@@ -19,7 +19,7 @@ def _loop_sbm(spec):
             p = spec.p_in if labels[i] == labels[j] else spec.p_out
             if rng.random() < p:
                 edges.append((i, j))
-    adjacency = SparseSym.from_edges(n, edges) if edges else SparseSym.zeros(n)
+    adjacency = SparseSym.from_edges(n, edges)
     means = simplex_means(spec.n_classes, spec.feature_dim, spec.mean_sep)
     noise = np.array(loop_normals(rng, n * spec.feature_dim)).reshape(n, spec.feature_dim)
     return adjacency, means[labels] + spec.noise_sigma * noise
