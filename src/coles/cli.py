@@ -231,7 +231,7 @@ def cmd_eval_classify(cfg: dict) -> dict:
 
 def cmd_eval_cluster(cfg: dict) -> dict:
     y, labels = _read_labeled_embeddings(cfg)
-    k = cfg["k"] or int(labels.max()) + 1
+    k = cfg["k"] or int(np.unique(labels).size)
     if cfg["n_runs"] < 1:
         raise ConfigError("n_runs must be >= 1")
     scores = [score(kmeans(y, k, seed=stream_key(cfg["seed"], r)), labels, mode="clustering")

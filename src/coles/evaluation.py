@@ -142,38 +142,112 @@ def logreg_predict(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # -- k-means -----------------------------------------------------------------
+# All restarts of one call run as one batched Lloyd loop on (B, n, k) arrays,
+# each restart bit for bit the loop it would run alone: every product, sum
+# and mean below is taken in the order the per-restart loop takes it.
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
+_KMEANS_BLOCK = 2**17  # float64 values of the temporaries of one block of restarts
 
 
-def _sq_dists(y: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.maximum(
-        (y * y).sum(axis=1)[:, None] - 2.0 * y @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :],
-        0.0,
-    )
+def _sq_dists(yy: np.ndarray, y2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(B, n, k) squared distances from the rows of y to B sets of k centroids,
+    given yy = (y * y).sum(axis=1) and y2 = 2.0 * y."""
+    # one product per restart: a single GEMM over all B * k centroids rounds differently
+    d2 = y2 @ centroids.transpose(0, 2, 1)
+    np.subtract(yy[:, None], d2, out=d2)
+    d2 += (centroids * centroids).sum(axis=2)[:, None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeanspp(y: np.ndarray, k: int, rng: Xoshiro256StarStar) -> np.ndarray:
+def _first_argmin(d2: np.ndarray) -> np.ndarray:
+    """argmin over the last, short axis (the first minimum), column by column."""
+    best = d2[..., 0].copy()
+    idx = np.zeros(best.shape, dtype=np.int64)
+    for c in range(1, d2.shape[-1]):
+        col = d2[..., c]
+        np.copyto(idx, c, where=col < best)
+        np.minimum(best, col, out=best)
+    return idx
+
+
+def _kmeanspp(y, yy, y2, k: int, rngs: list) -> np.ndarray:
+    """(B, k, d) k-means++ seeds, restart b drawn from rngs[b]."""
     n = y.shape[0]
-    centroids = np.empty((k, y.shape[1]))
-    centroids[0] = y[rng.below(n)]
-    d2 = _sq_dists(y, centroids[:1]).ravel()
+    centroids = np.empty((len(rngs), k, y.shape[1]))
+    centroids[:, 0] = y[[rng.below(n) for rng in rngs]]
+    d2 = _sq_dists(yy, y2, centroids[:, :1])[..., 0]
     for c in range(1, k):
-        total = float(d2.sum())
-        if total <= 0:
-            centroids[c] = y[rng.below(n)]
-        else:
-            target = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
-            centroids[c] = y[min(idx, n - 1)]
-        d2 = np.minimum(d2, _sq_dists(y, centroids[c:c + 1]).ravel())
+        picks = []
+        for rng, row in zip(rngs, d2):
+            total = float(row.sum())
+            if total <= 0:
+                picks.append(rng.below(n))
+            else:
+                target = rng.random() * total
+                picks.append(min(int(np.searchsorted(np.cumsum(row), target, side="right")), n - 1))
+        centroids[:, c] = y[picks]
+        d2 = np.minimum(d2, _sq_dists(yy, y2, centroids[:, c:c + 1])[..., 0])
     return centroids
 
 
+def _step_one(y, d2, assign, centroids) -> None:
+    """One restart's centroid update, in place, with the empty-cluster re-seed:
+    each empty cluster in turn takes the point farthest from its centroid."""
+    n, k = d2.shape
+    for c in range(k):
+        mask = assign == c
+        if not np.any(mask):
+            far = int(np.argmax(d2[np.arange(n), assign]))
+            assign[far] = c
+            mask = assign == c
+        centroids[c] = y[mask].mean(axis=0)
+
+
+def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
+    """Lloyd's loops of the B restarts seeded at centroids (B, k, d), to each
+    one's first repeated assignment or KMEANS_MAX_ITER steps; returns the
+    (B, n) assignments and leaves their centroids in centroids."""
+    n_restarts, k, d = centroids.shape
+    n = y.shape[0]
+    # bincount sums each cluster's rows in row order, as y[mask].sum(axis=0)
+    # does for d > 1 (it sums one column pairwise)
+    columns = np.ascontiguousarray(y.T) if d > 1 else None
+    assign = np.full((n_restarts, n), -1, dtype=np.int64)
+    live = np.arange(n_restarts)
+    for _ in range(KMEANS_MAX_ITER):
+        cents = centroids[live]
+        d2 = _sq_dists(yy, y2, cents)
+        new = _first_argmin(d2)
+        keys = (new + k * np.arange(live.size)[:, None]).ravel()
+        counts = np.bincount(keys, minlength=live.size * k).reshape(live.size, k)
+        if columns is None:
+            one_by_one = range(live.size)
+        else:
+            sums = np.stack([np.bincount(keys, weights=np.tile(col, live.size),
+                                         minlength=counts.size) for col in columns], axis=1)
+            cents = (sums / np.maximum(counts, 1).reshape(-1, 1)).reshape(cents.shape)
+            one_by_one = np.flatnonzero(np.any(counts == 0, axis=1))
+        for i in one_by_one:
+            _step_one(y, d2[i], new[i], cents[i])
+        centroids[live] = cents
+        done = np.all(new == assign[live], axis=1)
+        assign[live] = new
+        live = live[~done]
+        if live.size == 0:
+            break
+    return assign
+
+
 def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
-    """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia."""
+    """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia.
+
+    Restart t draws its seeds from stream_key(seed, t). The restarts run
+    together in blocks whose temporaries hold about _KMEANS_BLOCK values,
+    and a restart stops once its assignment repeats; the best is picked in
+    restart order, the first of equal inertias.
+    """
     y = as_dense(y, "y")
     n = y.shape[0]
     if not (1 <= k <= n):
@@ -181,28 +255,17 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     scale = float(np.max(np.abs(y), initial=0.0))  # every d2 and inertia <= 4 y.size scale^2
     if 4.0 * y.size * scale * scale > np.finfo(np.float64).max:
         raise ValueError(f"k-means inertia is not finite: |y| up to {scale:.3g} is too large")
+    yy, y2 = (y * y).sum(axis=1), 2.0 * y
+    block = max(1, _KMEANS_BLOCK // (n * (k + 8)))  # d2 and a few n-long arrays per restart
     best_inertia, best_assign = math.inf, None
-    for restart in range(KMEANS_RESTARTS):
-        rng = Xoshiro256StarStar(stream_key(seed, restart))
-        centroids = _kmeanspp(y, k, rng)
-        assign = np.full(n, -1, dtype=np.int64)
-        for _ in range(KMEANS_MAX_ITER):
-            d2 = _sq_dists(y, centroids)
-            new_assign = np.argmin(d2, axis=1)
-            for c in range(k):
-                mask = new_assign == c
-                if not np.any(mask):
-                    # re-seed an empty cluster at the point farthest from its centroid
-                    far = int(np.argmax(d2[np.arange(n), new_assign]))
-                    new_assign[far] = c
-                    mask = new_assign == c
-                centroids[c] = y[mask].mean(axis=0)
-            if np.array_equal(new_assign, assign):
-                break
-            assign = new_assign
-        inertia = float(np.sum((y - centroids[assign]) ** 2))
-        if inertia < best_inertia:
-            best_inertia, best_assign = inertia, assign.copy()
+    for first in range(0, KMEANS_RESTARTS, block):
+        rngs = [Xoshiro256StarStar(stream_key(seed, t))
+                for t in range(first, min(first + block, KMEANS_RESTARTS))]
+        centroids = _kmeanspp(y, yy, y2, k, rngs)
+        for assign, cents in zip(_lloyd(y, yy, y2, centroids), centroids):
+            inertia = float(np.sum((y - cents[assign]) ** 2))
+            if inertia < best_inertia:
+                best_inertia, best_assign = inertia, assign.copy()
     return best_assign
 
 

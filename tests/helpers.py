@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from coles import evaluation
 from coles import rng as rng_module
-from coles.graph_core import SparseSym
-from coles.rng import Xoshiro256StarStar
+from coles.graph_core import SparseSym, as_dense
+from coles.rng import Xoshiro256StarStar, stream_key
 
 
 def random_graph(n, extra_per_node, seed):
@@ -85,3 +86,76 @@ def loop_normals(rng, count):
         if len(out) < count:
             out.append(r * math.sin(theta))
     return out
+
+
+# -- per-restart reference for the batched k-means -----------------------------
+# evaluation.kmeans as it was before its restarts were batched, one Lloyd loop
+# per restart (its loop body moved into loop_lloyd, so that tests can compare
+# centroids too); it reads the restart count and iteration cap from the
+# module, so a test that patches them patches both.
+
+def _sq_dists(y: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return np.maximum(
+        (y * y).sum(axis=1)[:, None] - 2.0 * y @ centroids.T
+        + (centroids * centroids).sum(axis=1)[None, :],
+        0.0,
+    )
+
+
+def _kmeanspp(y: np.ndarray, k: int, rng: Xoshiro256StarStar) -> np.ndarray:
+    n = y.shape[0]
+    centroids = np.empty((k, y.shape[1]))
+    centroids[0] = y[rng.below(n)]
+    d2 = _sq_dists(y, centroids[:1]).ravel()
+    for c in range(1, k):
+        total = float(d2.sum())
+        if total <= 0:
+            centroids[c] = y[rng.below(n)]
+        else:
+            target = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
+            centroids[c] = y[min(idx, n - 1)]
+        d2 = np.minimum(d2, _sq_dists(y, centroids[c:c + 1]).ravel())
+    return centroids
+
+
+def loop_lloyd(y: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """One restart's Lloyd loop from the seeds in centroids, which it updates
+    in place; returns the assignment."""
+    n, k = y.shape[0], centroids.shape[0]
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(evaluation.KMEANS_MAX_ITER):
+        d2 = _sq_dists(y, centroids)
+        new_assign = np.argmin(d2, axis=1)
+        for c in range(k):
+            mask = new_assign == c
+            if not np.any(mask):
+                # re-seed an empty cluster at the point farthest from its centroid
+                far = int(np.argmax(d2[np.arange(n), new_assign]))
+                new_assign[far] = c
+                mask = new_assign == c
+            centroids[c] = y[mask].mean(axis=0)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return assign
+
+
+def loop_kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia."""
+    y = as_dense(y, "y")
+    n = y.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    scale = float(np.max(np.abs(y), initial=0.0))  # every d2 and inertia <= 4 y.size scale^2
+    if 4.0 * y.size * scale * scale > np.finfo(np.float64).max:
+        raise ValueError(f"k-means inertia is not finite: |y| up to {scale:.3g} is too large")
+    best_inertia, best_assign = math.inf, None
+    for restart in range(evaluation.KMEANS_RESTARTS):
+        rng = Xoshiro256StarStar(stream_key(seed, restart))
+        centroids = _kmeanspp(y, k, rng)
+        assign = loop_lloyd(y, centroids)
+        inertia = float(np.sum((y - centroids[assign]) ** 2))
+        if inertia < best_inertia:
+            best_inertia, best_assign = inertia, assign.copy()
+    return best_assign

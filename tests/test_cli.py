@@ -234,6 +234,22 @@ def test_eval_cluster(separable_embedding, tmp_path):
     assert metrics["mean"]["nmi"] == 1.0
 
 
+@pytest.mark.parametrize("gap", [5, 50])
+def test_eval_cluster_default_k_is_the_label_count(tmp_path, gap):
+    # labels 0 and gap: two clusters, not gap + 1 (gap 50 would exceed the 40 rows)
+    rng = Xoshiro256StarStar(6)
+    labels = np.repeat([0, gap], 20)
+    y = np.where(labels[:, None] == 0, 0.0, 30.0) + np.array(rng.normals(80)).reshape(40, 2)
+    write_csv(y, tmp_path / "emb.csv")
+    write_labels(labels, tmp_path / "labels.txt")
+    out = tmp_path / "cl"
+    assert run("eval-cluster", "--embeddings", tmp_path / "emb.csv",
+               "--labels", tmp_path / "labels.txt", "--out", out, "--n-runs", 2) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["config"]["k"] == 2
+    assert metrics["mean"]["accuracy"] == metrics["mean"]["nmi"] == 1.0
+
+
 def test_diagnose_outputs(synth_dir, tmp_path):
     emb_out = tmp_path / "emb"
     assert run(*embed_args(synth_dir, emb_out)) == 0

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coles import evaluation
 from coles.evaluation import (Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict,
                               nmi_score, random_splits, score)
 from coles.rng import Xoshiro256StarStar
@@ -203,6 +205,29 @@ def test_kmeans_more_clusters_than_distinct_points():
     assign = kmeans(y, 3, seed=1)
     assert np.unique(assign).shape[0] <= 3
     assert assign[0] != assign[5]
+
+
+def _kmeans_peak_bytes(y, k):
+    tracemalloc.start()
+    try:
+        kmeans(y, k, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_memory_is_bounded_by_its_block_budget(monkeypatch):
+    # the er-negatives embedding's shape; the restarts run in blocks of about
+    # 2**17 values, so 40 restarts take no more memory than one block of them
+    rng = Xoshiro256StarStar(31)
+    y = np.array(rng.normals(8000)).reshape(1000, 8)
+    y[:, 0] += 2.0 * (np.arange(1000) % 2)
+    peak = _kmeans_peak_bytes(y, 2)
+    monkeypatch.setattr(evaluation, "KMEANS_RESTARTS", 40)
+    peak_40 = _kmeans_peak_bytes(y, 2)
+    assert peak < 2 * 2**20
+    assert peak_40 < 2 * 2**20
+    assert peak_40 < 1.5 * peak
 
 
 # -- metrics -----------------------------------------------------------------------

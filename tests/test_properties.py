@@ -2,6 +2,7 @@
 Parzen kernel over random instances."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,11 +11,13 @@ from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objecti
 from coles.diagnostics import _KERNEL_BLOCK, parzen_density
 from coles.graph_core import SparseSym, add_self_loops, degree_normalize, normalized_adjacency
 from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
-from coles.evaluation import SplitSpec, logreg_fit, random_splits
+from coles import evaluation
+from coles.evaluation import SplitSpec, kmeans, logreg_fit, random_splits
 from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
 from coles.synthetic import SbmSpec, generate_sbm
-from helpers import bulk_everywhere, rand_x, random_graph, weighted_graph
+import helpers
+from helpers import bulk_everywhere, loop_kmeans, rand_x, random_graph, weighted_graph
 
 PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -278,3 +281,65 @@ def test_parzen_density_equals_the_full_kernel_matrix(seed, data, bandwidth, n):
     dense = np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * np.sqrt(2.0 * np.pi))
     got = parzen_density(v, bandwidth, grid)
     assert np.array_equal(got.view(np.uint64), dense.view(np.uint64))
+
+
+# -- batched k-means: bit for bit the per-restart loop ---------------------------
+
+def kmeans_points(kind, n, d, seed):
+    """n x d rows: continuous, rounded to integers (ties), drawn from a few
+    rows (duplicates) or all one row (every k-means++ distance is 0)."""
+    y = 3.0 * rand_x(n, d, seed=seed)
+    if kind == "rounded":
+        return np.round(y)
+    if kind == "duplicates":
+        rng = Xoshiro256StarStar(seed + 1)
+        return y[np.array([rng.below(min(n, 3)) for _ in range(n)])]
+    if kind == "identical":
+        return np.repeat(y[:1], n, axis=0)
+    return y
+
+
+@settings(max_examples=150)
+@given(seed=SEEDS, data=st.data(), n=st.integers(1, 60), d=st.integers(1, 5),
+       kind=st.sampled_from(["continuous", "rounded", "duplicates", "identical"]),
+       max_iter=st.sampled_from([1, 2, evaluation.KMEANS_MAX_ITER]))
+def test_kmeans_equals_the_per_restart_loop(seed, data, n, d, kind, max_iter):
+    y = kmeans_points(kind, n, d, seed)
+    k = data.draw(st.one_of(st.just(min(n, 6)), st.integers(1, min(n, 6))), label="k")
+    # None keeps the default budget (one block); else blocks of that many
+    # restarts (kmeans sizes them _KMEANS_BLOCK // (n (k + 8))), the last one
+    # short unless it divides KMEANS_RESTARTS
+    per_block = data.draw(st.sampled_from([None, 1, 2, 3, 4, 7]), label="per_block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "KMEANS_MAX_ITER", max_iter)
+        if per_block is not None:
+            mp.setattr(evaluation, "_KMEANS_BLOCK", per_block * n * (k + 8))
+        got = kmeans(y, k, seed=seed)
+        want = loop_kmeans(y, k, seed=seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(seed=SEEDS, data=st.data(), n=st.integers(1, 300), d=st.integers(1, 6),
+       n_restarts=st.integers(1, 5),
+       kind=st.sampled_from(["continuous", "rounded", "duplicates", "identical"]),
+       max_iter=st.sampled_from([1, 2, evaluation.KMEANS_MAX_ITER]))
+def test_batched_seeds_and_centroids_are_the_loops_bits(seed, data, n, d, n_restarts, kind,
+                                                       max_iter):
+    # kmeans returns assignments only; a centroid that is one ulp off rarely
+    # moves one, so compare the seeds and the final centroids themselves
+    y = kmeans_points(kind, n, d, seed)
+    k = data.draw(st.integers(1, min(n, 6)), label="k")
+    keys = [stream_key(seed, t) for t in range(n_restarts)]
+    cents = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k,
+                                 [Xoshiro256StarStar(key) for key in keys])
+    want = [helpers._kmeanspp(y, k, Xoshiro256StarStar(key)) for key in keys]
+    assert np.array_equal(cents.view(np.uint64), np.stack(want).view(np.uint64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "KMEANS_MAX_ITER", max_iter)
+        assign = evaluation._lloyd(y, (y * y).sum(axis=1), 2.0 * y, cents)
+        want_assign = [helpers.loop_lloyd(y, c) for c in want]  # updates want in place
+    assert np.array_equal(assign, np.stack(want_assign))
+    # == and not the bits: a zero sum may differ in its sign (0.0 + -0.0 is 0.0)
+    assert np.array_equal(cents, np.stack(want))

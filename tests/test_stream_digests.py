@@ -8,6 +8,9 @@ diagnose pin was computed with the full grid x sample kernel matrix, before
 the Parzen kernel was evaluated in blocks; its samples span several blocks.
 The two pins that hold an Erdos-Renyi graph were computed again with the
 scalar geometric-skip walk when that graph stopped taking one draw per pair.
+The k-means pins were computed with the per-restart Lloyd loop, before the
+restarts were batched; their shapes are those of the benchmark workloads'
+embeddings.
 """
 
 import hashlib
@@ -15,8 +18,9 @@ import hashlib
 import numpy as np
 
 from coles.diagnostics import js_divergence, pair_scores, score_densities, wasserstein1
-from coles.evaluation import SplitSpec, random_splits
+from coles.evaluation import SplitSpec, kmeans, random_splits
 from coles.negative_sampling import NegSampleConfig, sample_negative_graph
+from coles.rng import Xoshiro256StarStar
 from coles.synthetic import SbmSpec, generate_sbm
 
 
@@ -70,3 +74,22 @@ def test_diagnose_numbers_digest():
     dens = score_densities(pos, neg)
     assert digest(*dens, [js_divergence(pos, neg), wasserstein1(pos, neg)]) == (
         "6ed3130dcec8fef1e362c9a27bcccaa6b9519e2b96f349ec3b6ad4ba34af35fd")
+
+
+def _blobs(n, d, k, seed):
+    """k overlapping unit-normal blobs, their means two apart along axis 0."""
+    y = np.array(Xoshiro256StarStar(seed).normals(n * d)).reshape(n, d)
+    y[:, 0] += 2.0 * (np.arange(n) % k)
+    return y
+
+
+def test_kmeans_digest_er_negatives_shape():
+    y = _blobs(1000, 8, 2, 31)
+    assert digest(*[kmeans(y, 2, seed=s) for s in range(10)]) == (
+        "9c0e456204e233e269de2a0400c8902069e6904074d16060997dda186c0610e0")
+
+
+def test_kmeans_digest_wide_features_shape():
+    y = _blobs(600, 16, 3, 32)
+    assert digest(*[kmeans(y, 3, seed=s) for s in range(10)]) == (
+        "2f8bd35927b177a629408675ae0ba9ac8bb12216375402b58c2b48fcda22d969")
