@@ -30,7 +30,7 @@ from .diagnostics import (expected_negative_homophily, homophily, js_from_densit
 from .evaluation import Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict, random_splits, score
 from .graph_core import load_edge_list
 from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
-from .rng import stream_key
+from .rng import Xoshiro256StarStar, stream_key
 from .spectral_filters import KINDS, FilterConfig
 from .synthetic import SbmSpec, generate_sbm
 
@@ -234,8 +234,10 @@ def cmd_eval_cluster(cfg: dict) -> dict:
     k = cfg["k"] or int(np.unique(labels).size)
     if cfg["n_runs"] < 1:
         raise ConfigError("n_runs must be >= 1")
-    scores = [score(kmeans(y, k, seed=stream_key(cfg["seed"], r)), labels, mode="clustering")
-              for r in range(cfg["n_runs"])]
+    # a draw, not the key stream_key(seed, r): kmeans XORs restart t into its seed too
+    seeds = [Xoshiro256StarStar(stream_key(cfg["seed"], r)).next_u64()
+             for r in range(cfg["n_runs"])]
+    scores = [score(kmeans(y, k, seed=s), labels, mode="clustering") for s in seeds]
     resolved = {**cfg, "k": k}
     mean, _ = _write_metrics(resolved, "run", scores)
     log.info("clustering over %d runs: acc %.4f, nmi %.4f",

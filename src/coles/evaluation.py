@@ -192,45 +192,41 @@ def _kmeanspp(y, yy, y2, k: int, rngs: list) -> np.ndarray:
     return centroids
 
 
-def _step_one(y, d2, assign, centroids) -> None:
-    """One restart's centroid update, in place, with the empty-cluster re-seed:
-    each empty cluster in turn takes the point farthest from its centroid."""
-    n, k = d2.shape
-    for c in range(k):
-        mask = assign == c
-        if not np.any(mask):
-            far = int(np.argmax(d2[np.arange(n), assign]))
-            assign[far] = c
-            mask = assign == c
-        centroids[c] = y[mask].mean(axis=0)
+def _reseed(d2, assign, counts) -> None:
+    """Fill each empty cluster of each restart, in ascending order, with the
+    point farthest from its centroid (the first of equal distances) among the
+    points whose cluster keeps another point; updates assign and counts."""
+    rows = np.arange(assign.shape[1])
+    for i, c in zip(*np.nonzero(counts == 0)):
+        spare = np.where(counts[i, assign[i]] > 1, d2[i, rows, assign[i]], -1.0)
+        far = int(np.argmax(spare))
+        counts[i, assign[i, far]] -= 1
+        assign[i, far] = c
+        counts[i, c] = 1
 
 
 def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
     """Lloyd's loops of the B restarts seeded at centroids (B, k, d), to each
     one's first repeated assignment or KMEANS_MAX_ITER steps; returns the
     (B, n) assignments and leaves their centroids in centroids."""
-    n_restarts, k, d = centroids.shape
+    n_restarts, k, _ = centroids.shape
     n = y.shape[0]
-    # bincount sums each cluster's rows in row order, as y[mask].sum(axis=0)
-    # does for d > 1 (it sums one column pairwise)
-    columns = np.ascontiguousarray(y.T) if d > 1 else None
+    # bincount sums each cluster's rows in row order, one column at a time
+    columns = np.ascontiguousarray(y.T)
     assign = np.full((n_restarts, n), -1, dtype=np.int64)
     live = np.arange(n_restarts)
     for _ in range(KMEANS_MAX_ITER):
         cents = centroids[live]
         d2 = _sq_dists(yy, y2, cents)
         new = _first_argmin(d2)
-        keys = (new + k * np.arange(live.size)[:, None]).ravel()
-        counts = np.bincount(keys, minlength=live.size * k).reshape(live.size, k)
-        if columns is None:
-            one_by_one = range(live.size)
-        else:
-            sums = np.stack([np.bincount(keys, weights=np.tile(col, live.size),
-                                         minlength=counts.size) for col in columns], axis=1)
-            cents = (sums / np.maximum(counts, 1).reshape(-1, 1)).reshape(cents.shape)
-            one_by_one = np.flatnonzero(np.any(counts == 0, axis=1))
-        for i in one_by_one:
-            _step_one(y, d2[i], new[i], cents[i])
+        offsets = k * np.arange(live.size)[:, None]
+        counts = np.bincount((new + offsets).ravel(),
+                             minlength=live.size * k).reshape(live.size, k)
+        _reseed(d2, new, counts)
+        keys = (new + offsets).ravel()
+        sums = np.stack([np.bincount(keys, weights=np.tile(col, live.size),
+                                     minlength=counts.size) for col in columns], axis=1)
+        cents = (sums / counts.reshape(-1, 1)).reshape(cents.shape)
         centroids[live] = cents
         done = np.all(new == assign[live], axis=1)
         assign[live] = new
@@ -246,7 +242,8 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     Restart t draws its seeds from stream_key(seed, t). The restarts run
     together in blocks whose temporaries hold about _KMEANS_BLOCK values,
     and a restart stops once its assignment repeats; the best is picked in
-    restart order, the first of equal inertias.
+    restart order, the first of equal inertias. Every restart ends with k
+    non-empty clusters, also when fewer than k rows differ.
     """
     y = as_dense(y, "y")
     n = y.shape[0]

@@ -89,10 +89,11 @@ def loop_normals(rng, count):
 
 
 # -- per-restart reference for the batched k-means -----------------------------
-# evaluation.kmeans as it was before its restarts were batched, one Lloyd loop
-# per restart (its loop body moved into loop_lloyd, so that tests can compare
-# centroids too); it reads the restart count and iteration cap from the
-# module, so a test that patches them patches both.
+# evaluation.kmeans as one Lloyd loop per restart (its loop body sits in
+# loop_lloyd, so that tests can compare centroids too): every empty cluster is
+# re-seeded before any mean is taken, and each mean adds its rows one by one.
+# It reads the restart count and iteration cap from the module, so a test
+# that patches them patches both.
 
 def _sq_dists(y: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(
@@ -127,14 +128,22 @@ def loop_lloyd(y: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     for _ in range(evaluation.KMEANS_MAX_ITER):
         d2 = _sq_dists(y, centroids)
         new_assign = np.argmin(d2, axis=1)
+        counts = np.bincount(new_assign, minlength=k)
         for c in range(k):
-            mask = new_assign == c
-            if not np.any(mask):
-                # re-seed an empty cluster at the point farthest from its centroid
-                far = int(np.argmax(d2[np.arange(n), new_assign]))
+            if counts[c] == 0:
+                # re-seed an empty cluster at the point farthest from its
+                # centroid whose own cluster keeps another point
+                spare = [d2[i, new_assign[i]] if counts[new_assign[i]] > 1 else -1.0
+                         for i in range(n)]
+                far = int(np.argmax(spare))
+                counts[new_assign[far]] -= 1
                 new_assign[far] = c
-                mask = new_assign == c
-            centroids[c] = y[mask].mean(axis=0)
+                counts[c] = 1
+        for c in range(k):
+            total = np.zeros(y.shape[1])
+            for row in y[new_assign == c]:  # row by row, for every d
+                total += row
+            centroids[c] = total / counts[c]
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

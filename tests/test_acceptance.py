@@ -166,10 +166,10 @@ def _sbm_run(seed, kappa, d_prime=2):
     return g, res
 
 
-def _sbm_metrics():
+def _sbm_metrics(seeds=range(10)):
     accs = {0: [], 1: []}
     nmis = {0: [], 1: []}
-    for seed in range(10):
+    for seed in seeds:
         for kappa in (0, 1):
             g, res = _sbm_run(seed, kappa)
             (train,), _val, (test,) = random_splits(

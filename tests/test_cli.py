@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from coles import coles_solver
+from coles import cli, coles_solver, evaluation
 from coles.cli import ConfigError, _coles_config, _parse_args, build_parser, main
 from coles.coles_solver import ColesConfig, solve_linear_coles
 from coles.diagnostics import pair_scores, score_densities
@@ -17,7 +17,7 @@ from coles.graph_core import SparseSym, load_edge_list
 from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
 from coles.negative_sampling import NegSampleConfig
 from coles.spectral_filters import FilterConfig
-from coles.rng import Xoshiro256StarStar
+from coles.rng import Xoshiro256StarStar, stream_key
 from coles.synthetic import SbmSpec
 
 
@@ -248,6 +248,26 @@ def test_eval_cluster_default_k_is_the_label_count(tmp_path, gap):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["config"]["k"] == 2
     assert metrics["mean"]["accuracy"] == metrics["mean"]["nmi"] == 1.0
+
+
+def test_eval_cluster_runs_draw_distinct_restart_streams(separable_embedding, tmp_path,
+                                                        monkeypatch):
+    # kmeans keys restart t of a run seeded s with stream_key(s, t); keying the
+    # runs by stream_key(seed, r) too made run r's restart t run t's restart r,
+    # 46 distinct streams of 100
+    seeds = []
+
+    def recording_kmeans(y, k, seed):
+        seeds.append(seed)
+        return evaluation.kmeans(y, k, seed=seed)
+
+    monkeypatch.setattr(cli, "kmeans", recording_kmeans)
+    emb, lab = separable_embedding
+    assert run("eval-cluster", "--embeddings", emb, "--labels", lab, "--out", tmp_path / "cl",
+               "--n-runs", 10, "--seed", 7) == 0
+    assert len(seeds) == 10
+    assert len({stream_key(s, t) for s in seeds
+                for t in range(evaluation.KMEANS_RESTARTS)}) == 100
 
 
 def test_diagnose_outputs(synth_dir, tmp_path):

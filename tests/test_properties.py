@@ -321,6 +321,16 @@ def test_kmeans_equals_the_per_restart_loop(seed, data, n, d, kind, max_iter):
 
 
 @PROPERTY
+@given(seed=SEEDS, data=st.data(), n=st.integers(1, 60), d=st.integers(1, 5),
+       kind=st.sampled_from(["continuous", "rounded", "duplicates", "identical"]))
+def test_kmeans_returns_k_nonempty_clusters(seed, data, n, d, kind):
+    # the re-seed fills every empty cluster, also when fewer than k rows differ
+    y = kmeans_points(kind, n, d, seed)
+    k = data.draw(st.integers(1, n), label="k")
+    assert np.unique(kmeans(y, k, seed=seed)).size == k
+
+
+@PROPERTY
 @given(seed=SEEDS, data=st.data(), n=st.integers(1, 300), d=st.integers(1, 6),
        n_restarts=st.integers(1, 5),
        kind=st.sampled_from(["continuous", "rounded", "duplicates", "identical"]),
