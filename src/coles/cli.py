@@ -205,6 +205,8 @@ def _write_metrics(cfg: dict, unit: str, scores: list[Metrics]) -> tuple[dict, d
 
 def _read_labeled_embeddings(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
+    if y.shape[1] == 0:
+        raise ConfigError(f"--embeddings: {cfg['embeddings']} has no columns")
     labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     if labels.shape[0] != y.shape[0]:
         raise ConfigError(f"--labels: {labels.shape[0]} labels for {y.shape[0]} embeddings")
@@ -219,6 +221,7 @@ def cmd_eval_classify(cfg: dict) -> dict:
     train, _val, test = random_splits(labels, spec, cfg["n_splits"])
     if test.shape[1] == 0:
         raise ConfigError("test set is empty; lower --val-size or --per-class")
+    labels = np.unique(labels, return_inverse=True)[1]  # classes 0..C-1, whatever the ids
     weights = logreg_fit(y[train], labels[train], l2=cfg["l2"], lr=cfg["lr"],
                          epochs=cfg["epochs"])
     scores = [score(logreg_predict(w, y[rows]), labels[rows], mode="classification")
@@ -264,7 +267,8 @@ def cmd_diagnose(cfg: dict) -> dict:
         raise NumericalError(f"non-finite score densities (js {js}, w1 {w1}); "
                              "the bandwidth or the scores are out of range")
     h_graph = homophily(adjacency, labels)
-    h_neg_expected = expected_negative_homophily(np.bincount(labels) / labels.size)
+    class_sizes = np.unique(labels, return_counts=True)[1]
+    h_neg_expected = expected_negative_homophily(class_sizes / labels.size)
 
     io.write_csv(np.column_stack(dens), os.path.join(cfg["out"], "densities.csv"),
                  header="grid,density_pos,density_neg")

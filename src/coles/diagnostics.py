@@ -181,16 +181,16 @@ def homophily(adj: SparseSym, labels, weighted: bool = False) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != adj.n:
         raise ValueError("labels length must match node count")
-    rows = adj._row_ids()
-    off = adj.indices != rows
-    rows, cols = rows[off], adj.indices[off]
+    coo = adj.csr.tocoo()  # entries in storage order
+    off = coo.row != coo.col
+    rows, cols = coo.row[off], coo.col[off]
     same = labels[rows] == labels[cols]
     degree = np.bincount(rows, minlength=adj.n)
     has_neighbor = degree > 0
     if not has_neighbor.any():
         raise ValueError("no node has a neighbor other than itself; homophily undefined")
     if weighted:
-        return float(np.sum(adj.data[off][same])) / int(np.count_nonzero(has_neighbor))
+        return float(np.sum(coo.data[off][same])) / int(np.count_nonzero(has_neighbor))
     hits = np.bincount(rows, weights=same, minlength=adj.n)
     return float(np.mean(hits[has_neighbor] / degree[has_neighbor]))
 

@@ -247,6 +247,8 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """
     y = as_dense(y, "y")
     n = y.shape[0]
+    if y.shape[1] == 0:
+        raise ValueError("y has no columns")
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     scale = float(np.max(np.abs(y), initial=0.0))  # every d2 and inertia <= 4 y.size scale^2

@@ -1,10 +1,11 @@
 """Sparse symmetric graphs, degree normalization and the propagation kernel.
 
-SparseSym is the single sparse type used everywhere: it stores a symmetric
-n x n matrix in canonical CSR form (sorted column indices, no duplicates,
-no explicit zeros). Symmetry is checked bit-exactly where a foreign matrix
-enters (the constructor and from_scipy); from_edges and the graph operations
-of this package keep it by construction and do not recheck.
+SparseSym is the single sparse type used everywhere: it holds one scipy CSR
+matrix of a symmetric n x n matrix in canonical form (sorted column indices,
+no duplicates, no explicit zeros), and every product runs on that matrix.
+A foreign matrix enters only through from_scipy, which checks it, bit-exact
+symmetry included; from_edges and the graph operations of this package keep
+symmetry by construction and do not recheck.
 Dense matrices are plain 2-D float64 C-contiguous numpy arrays.
 _parse_lines reads every text format: edge lists here, CSV and labels in io;
 a plain edge list, as save_edge_list writes it, is read in one pass instead.
@@ -31,71 +32,48 @@ def as_dense(x, name: str = "matrix") -> np.ndarray:
 
 
 class SparseSym:
-    """Symmetric sparse matrix in canonical CSR storage.
+    """A symmetric n x n matrix: one scipy CSR matrix, csr, in canonical form.
 
     Immutable by convention: operations return new instances. The stored
     pattern always satisfies (i, j, w) present iff (j, i, w) present with
-    bit-identical w, indices sorted per row, no duplicates, finite weights:
-    the constructor and from_scipy check it; from_edges checks its pairs, and
-    it and _wrap trust the symmetry of what they build.
+    bit-identical w, indices sorted per row, no duplicates or explicit
+    zeros, finite weights. from_scipy checks it; from_edges checks its pairs,
+    and it and _wrap trust the symmetry of what they build.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data")
-
-    def __init__(self, n: int, indptr, indices, data):
-        self.n = int(n)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.n < 0:
-            raise ValueError("negative node count")
-        if self.indptr.shape != (self.n + 1,):
-            raise ValueError("indptr length must be n+1")
-        if self.indices.shape != self.data.shape:
-            raise ValueError("indices/data length mismatch")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
-            raise ValueError("column index out of range")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("non-finite weight")
-        # row of each stored entry; searchsorted stays defined on a malformed indptr
-        rows = np.searchsorted(self.indptr, np.arange(self.indices.size), side="right") - 1
-        bad = np.flatnonzero((np.diff(self.indices) <= 0) & (rows[1:] == rows[:-1]))
-        if bad.size:
-            raise ValueError(f"row {rows[bad[0]]}: unsorted or duplicate column indices")
-        # bit-exact symmetry: the CSR of the transpose must match entrywise
-        t = self._scipy().T.tocsr()
-        t.sort_indices()
-        if not (np.array_equal(t.indptr.astype(np.int64), self.indptr)
-                and np.array_equal(t.indices.astype(np.int64), self.indices)
-                and np.array_equal(t.data, self.data)):
-            raise ValueError("matrix is not bit-exactly symmetric")
-
-    # -- constructors ------------------------------------------------------
+    __slots__ = ("csr",)
 
     @classmethod
     def from_scipy(cls, m) -> "SparseSym":
+        """The checked entry: a copy of any square, finite, bit-exactly
+        symmetric matrix that scipy takes, canonicalized."""
         m = sp.csr_matrix(m, dtype=np.float64, copy=True)
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        m.check_format(full_check=True)  # indices in range, indptr ordered
+        if not np.all(np.isfinite(m.data)):
+            raise ValueError("non-finite weight")
         out = cls._wrap(m)
         out._validate()
         return out
 
+    def _validate(self) -> None:
+        # bit-exact symmetry: the CSR of the transpose must match entrywise
+        t = self.csr.T.tocsr()
+        t.sort_indices()
+        if not (np.array_equal(t.indptr, self.indptr) and np.array_equal(t.indices, self.indices)
+                and np.array_equal(t.data, self.data)):
+            raise ValueError("matrix is not bit-exactly symmetric")
+
     @classmethod
     def _wrap(cls, m: sp.csr_matrix) -> "SparseSym":
-        """Canonicalize m in place and wrap it unchecked; m must be symmetric
+        """Canonicalize m in place and store it unchecked; m must be symmetric
         by construction and share no arrays with another matrix."""
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
         out = cls.__new__(cls)
-        out.n = m.shape[0]
-        out.indptr = m.indptr.astype(np.int64)
-        out.indices = m.indices.astype(np.int64)
-        out.data = m.data
+        out.csr = m
         return out
 
     @classmethod
@@ -120,19 +98,16 @@ class SparseSym:
         pattern = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
         return cls._wrap(pattern.astype(np.float64))
 
-    # -- views -------------------------------------------------------------
+    # -- views of csr, no copies -------------------------------------------
 
-    def _scipy(self) -> sp.csr_matrix:
-        m = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
-        m.has_sorted_indices = True
-        return m
-
-    @property
-    def nnz(self) -> int:
-        return int(self.data.size)
+    n = property(lambda self: self.csr.shape[0])
+    indptr = property(lambda self: self.csr.indptr)
+    indices = property(lambda self: self.csr.indices)
+    data = property(lambda self: self.csr.data)
+    nnz = property(lambda self: self.csr.nnz)
 
     def toarray(self) -> np.ndarray:
-        return self._scipy().toarray()
+        return self.csr.toarray()
 
     def _row_ids(self) -> np.ndarray:
         """The row index of each stored entry, in storage order."""
@@ -270,7 +245,7 @@ def add_self_loops(adj: SparseSym) -> SparseSym:
     """Return adj + I. Rejects inputs that already carry diagonal entries."""
     if adj.has_diagonal():
         raise ValueError("adjacency already has diagonal entries")
-    return SparseSym._wrap(adj._scipy() + sp.identity(adj.n, format="csr"))
+    return SparseSym._wrap(adj.csr + sp.identity(adj.n, format="csr"))
 
 
 def degree_normalize(adj: SparseSym) -> SparseSym:
@@ -280,7 +255,7 @@ def degree_normalize(adj: SparseSym) -> SparseSym:
         bad = int(np.argmin(deg))
         raise ValueError(f"node {bad} has zero degree; enable self-loops or connect it")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    m = adj._scipy().copy()
+    m = adj.csr.copy()
     m.data *= inv_sqrt[adj._row_ids()] * inv_sqrt[adj.indices]  # same scale for (i, j), (j, i)
     return SparseSym._wrap(m)
 
@@ -299,4 +274,4 @@ def spmm(s: SparseSym, x: np.ndarray) -> np.ndarray:
     x = as_dense(x, "x")
     if s.n != x.shape[0]:
         raise ValueError(f"dimension mismatch: sparse is {s.n}x{s.n}, dense has {x.shape[0]} rows")
-    return np.ascontiguousarray(s._scipy() @ x)
+    return np.ascontiguousarray(s.csr @ x)

@@ -83,6 +83,6 @@ def build_delta_w(w_pos: SparseSym, w_negs: list[SparseSym], eta_prime: float) -
     for w in w_negs:
         if w.n != w_pos.n:
             raise ValueError(f"negative graph is {w.n}x{w.n}, expected {w_pos.n}x{w_pos.n}")
-    acc = sum((w._scipy() for w in w_negs[1:]), w_negs[0]._scipy())  # left to right
-    return SparseSym._wrap(w_pos._scipy() - (eta_prime / len(w_negs)) * acc)
+    acc = sum((w.csr for w in w_negs[1:]), w_negs[0].csr)  # left to right
+    return SparseSym._wrap(w_pos.csr - (eta_prime / len(w_negs)) * acc)
 

@@ -25,7 +25,7 @@ def random_graph(n, extra_per_node, seed):
 
 def weighted_graph(n, extra_per_node, seed):
     """random_graph's pattern with symmetric weights drawn from [0.1, 2.1)."""
-    upper = sp.triu(random_graph(n, extra_per_node, seed)._scipy(), format="coo")
+    upper = sp.triu(random_graph(n, extra_per_node, seed).csr, format="coo")
     rng = Xoshiro256StarStar(seed + 1)
     weights = np.array([0.1 + 2.0 * rng.random() for _ in range(upper.nnz)])
     m = sp.coo_matrix((weights, (upper.row, upper.col)), shape=(n, n))

@@ -13,12 +13,15 @@ from coles.cli import ConfigError, _coles_config, _parse_args, build_parser, mai
 from coles.coles_solver import ColesConfig, solve_linear_coles
 from coles.diagnostics import pair_scores, score_densities
 from coles.evaluation import SplitSpec, logreg_fit
-from coles.graph_core import SparseSym, load_edge_list
+from coles.graph_core import SparseSym, load_edge_list, save_edge_list
 from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
 from coles.negative_sampling import NegSampleConfig
 from coles.spectral_filters import FilterConfig
 from coles.rng import Xoshiro256StarStar, stream_key
 from coles.synthetic import SbmSpec
+
+
+EVAL_COMMANDS = ("eval-classify", "eval-cluster", "diagnose")
 
 
 def run(*argv):
@@ -268,6 +271,43 @@ def test_eval_cluster_runs_draw_distinct_restart_streams(separable_embedding, tm
     assert len(seeds) == 10
     assert len({stream_key(s, t) for s in seeds
                 for t in range(evaluation.KMEANS_RESTARTS)}) == 100
+
+
+def _evaluate(command, y, labels, tmp_path):
+    """Run an evaluation command on y and labels, with a ring graph for diagnose."""
+    n = labels.size
+    write_clsm(y, tmp_path / "emb.clsm")
+    write_labels(labels, tmp_path / "labels.txt")
+    save_edge_list(SparseSym.from_edges(n, [(i, (i + 1) % n) for i in range(n)]),
+                   tmp_path / "edges.txt")
+    extra = {"eval-classify": ["--per-class", 5, "--val-size", 10, "--n-splits", 3],
+             "eval-cluster": [], "diagnose": ["--edges", tmp_path / "edges.txt"]}[command]
+    out = tmp_path / command
+    code = run(command, "--embeddings", tmp_path / "emb.clsm", "--labels", tmp_path / "labels.txt",
+               "--out", out, *extra)
+    return code, out
+
+
+def test_label_ids_far_above_the_node_count(tmp_path):
+    # read_labels takes ids up to 2**63 - 1; classes are counted by np.unique,
+    # never by arrays as long as the largest id
+    rng = Xoshiro256StarStar(8)
+    labels = np.repeat([0, 2**62], 30)
+    y = np.where(labels[:, None] == 0, 0.0, 30.0) + np.array(rng.normals(120)).reshape(60, 2)
+    results = {c: _evaluate(c, y, labels, tmp_path) for c in EVAL_COMMANDS}
+    assert [code for code, _ in results.values()] == [0, 0, 0]
+    for command in ("eval-classify", "eval-cluster"):
+        metrics = json.loads((results[command][1] / "metrics.json").read_text())
+        assert metrics["mean"]["accuracy"] > 0.9
+    diag = json.loads((results["diagnose"][1] / "diagnostics.json").read_text())
+    assert diag["homophily_neg_expected"] == 0.5
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS)
+def test_embeddings_without_columns_rejected(tmp_path, capsys, command):
+    code, _ = _evaluate(command, np.zeros((6, 0)), np.repeat([0, 1], 3), tmp_path)
+    assert code == 1
+    assert "--embeddings" in capsys.readouterr().err
 
 
 def test_diagnose_outputs(synth_dir, tmp_path):

@@ -184,6 +184,11 @@ def test_kmeans_k_larger_than_n():
         kmeans(np.ones((3, 2)), 4, seed=0)
 
 
+def test_kmeans_refuses_points_without_columns():
+    with pytest.raises(ValueError, match="y has no columns"):
+        kmeans(np.zeros((6, 0)), 2)
+
+
 def test_kmeans_overflowing_inertia_is_value_error():
     # squared distances overflow to inf, so no restart has a finite inertia
     y = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])

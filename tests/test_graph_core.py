@@ -26,7 +26,7 @@ def test_asymmetric_rejected():
     import scipy.sparse as sp
     m = sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="symmetric"):
-        SparseSym(2, m.indptr, m.indices, m.data)
+        SparseSym.from_scipy(m)
 
 
 def test_from_scipy_leaves_input_unchanged():
@@ -43,8 +43,11 @@ def test_from_scipy_leaves_input_unchanged():
 
 
 def test_nonfinite_rejected():
+    import scipy.sparse as sp
+    m = sp.csr_matrix((np.array([np.inf, np.inf]), np.array([1, 0]), np.array([0, 1, 2])),
+                      shape=(2, 2))
     with pytest.raises(ValueError, match="non-finite weight"):
-        SparseSym(2, [0, 1, 2], [1, 0], [np.inf, np.inf])
+        SparseSym.from_scipy(m)
 
 
 def test_self_pair_rejected_in_from_edges():
@@ -67,13 +70,30 @@ def test_from_edges_runs_no_transpose_check(monkeypatch):
     assert SparseSym.from_edges(3, [(0, 1), (2, 1)]).nnz == 4
 
 
-def test_unsorted_or_duplicate_row_rejected():
+def test_from_scipy_sorts_and_sums_rows_before_the_symmetry_check():
+    import scipy.sparse as sp
+
+    def csr(indptr, indices, data):
+        return sp.csr_matrix((np.array(data, dtype=float), np.array(indices), np.array(indptr)),
+                             shape=(3, 3))
+
     # rows: [1], [2, 0], [1] -- row 1 is out of order
-    with pytest.raises(ValueError, match="row 1: unsorted or duplicate"):
-        SparseSym(3, [0, 1, 3, 4], [1, 2, 0, 1], np.ones(4))
-    # rows: [1], [0, 2], [1, 1] -- row 2 repeats a column
-    with pytest.raises(ValueError, match="row 2: unsorted or duplicate"):
-        SparseSym(3, [0, 1, 3, 5], [1, 0, 2, 1, 1], np.ones(5))
+    assert SparseSym.from_scipy(csr([0, 1, 3, 4], [1, 2, 0, 1], [1, 1, 1, 1])).equals(path3())
+    # rows: [1], [0, 2, 0], [1] -- row 1 repeats column 0, and the halves sum to (0, 1)'s weight
+    summed = SparseSym.from_scipy(csr([0, 1, 4, 5], [1, 0, 2, 0, 1], [1, 0.5, 1, 0.5, 1]))
+    assert summed.equals(path3())
+    # rows: [1], [0, 2], [1, 1] -- row 2 repeats column 1, so (2, 1) sums to 2 against 1
+    with pytest.raises(ValueError, match="symmetric"):
+        SparseSym.from_scipy(csr([0, 1, 3, 5], [1, 0, 2, 1, 1], [1, 1, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("indptr,indices", [([0, 1, 2, 2], [1, 3]), ([0, 2, 1, 2], [1, 0])])
+def test_from_scipy_rejects_malformed_storage(indptr, indices):
+    import scipy.sparse as sp
+    m = sp.csr_matrix((np.ones(2), np.array(indices), np.array(indptr)), shape=(3, 3))
+    with pytest.raises(ValueError) as exc:  # scipy's check_format, in scipy's words
+        SparseSym.from_scipy(m)
+    assert "symmetric" not in str(exc.value)
 
 
 def _loop_has_diagonal(s):
