@@ -30,7 +30,7 @@ from .diagnostics import (expected_negative_homophily, homophily, js_from_densit
 from .evaluation import Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict, random_splits, score
 from .graph_core import load_edge_list
 from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
-from .rng import Xoshiro256StarStar, stream_key
+from .rng import Xoshiro256StarStar, draw_u64s, stream_key
 from .spectral_filters import KINDS, FilterConfig
 from .synthetic import SbmSpec, generate_sbm
 
@@ -238,8 +238,8 @@ def cmd_eval_cluster(cfg: dict) -> dict:
     if cfg["n_runs"] < 1:
         raise ConfigError("n_runs must be >= 1")
     # a draw, not the key stream_key(seed, r): kmeans XORs restart t into its seed too
-    seeds = [Xoshiro256StarStar(stream_key(cfg["seed"], r)).next_u64()
-             for r in range(cfg["n_runs"])]
+    seeds = draw_u64s([Xoshiro256StarStar(stream_key(cfg["seed"], r))
+                       for r in range(cfg["n_runs"])], 1)[:, 0].tolist()
     scores = [score(kmeans(y, k, seed=s), labels, mode="clustering") for s in seeds]
     resolved = {**cfg, "k": k}
     mean, _ = _write_metrics(resolved, "run", scores)

@@ -18,7 +18,7 @@ from numpy.linalg import LinAlgError
 
 from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
 from .negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
-from .rng import GOLDEN64, MASK64, _mul_high, _splitmix64_outputs
+from .rng import GOLDEN64, MASK64, mul_high, splitmix64_outputs
 from .spectral_filters import FilterConfig, apply_filter
 
 
@@ -157,10 +157,10 @@ def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:
     d = x.shape[1]
     # stream_key(seed, j), then the first two splitmix64 outputs after it
     keys = np.uint64(seed & MASK64) ^ (np.arange(d, dtype=np.uint64) * np.uint64(GOLDEN64))
-    h1 = _splitmix64_outputs(keys + np.uint64(GOLDEN64))
-    h2 = _splitmix64_outputs(keys + np.uint64(2 * GOLDEN64 & MASK64))
+    h1 = splitmix64_outputs(keys + np.uint64(GOLDEN64))
+    h2 = splitmix64_outputs(keys + np.uint64(2 * GOLDEN64 & MASK64))
     signs = np.where(h2 & np.uint64(1), -1.0, 1.0)
-    fold = sp.csr_matrix((signs, (np.arange(d), _mul_high(h1, n_buckets).astype(np.int64))),
+    fold = sp.csr_matrix((signs, (np.arange(d), mul_high(h1, n_buckets).astype(np.int64))),
                          shape=(d, n_buckets))
     out = np.ascontiguousarray(x @ fold)  # each bucket sums its columns in ascending j
     if not np.all(np.isfinite(out)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import as_dense
-from .rng import Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key
+from .rng import Xoshiro256StarStar, draw_u64s, mul_high, shuffle_with, stream_key, units
 
 
 @dataclass(frozen=True)
@@ -173,21 +173,19 @@ def _first_argmin(d2: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp(y, yy, y2, k: int, rngs: list) -> np.ndarray:
-    """(B, k, d) k-means++ seeds, restart b drawn from rngs[b]."""
+    """(B, k, d) k-means++ seeds, restart b drawn from rngs[b], one draw per
+    centre; below(n) picks the first, and any next one while every d2 is 0."""
     n = y.shape[0]
+    words = draw_u64s(rngs, k)
+    uniform = mul_high(words, n).astype(np.int64)
     centroids = np.empty((len(rngs), k, y.shape[1]))
-    centroids[:, 0] = y[[rng.below(n) for rng in rngs]]
+    centroids[:, 0] = y[uniform[:, 0]]
     d2 = _sq_dists(yy, y2, centroids[:, :1])[..., 0]
     for c in range(1, k):
-        picks = []
-        for rng, row in zip(rngs, d2):
-            total = float(row.sum())
-            if total <= 0:
-                picks.append(rng.below(n))
-            else:
-                target = rng.random() * total
-                picks.append(min(int(np.searchsorted(np.cumsum(row), target, side="right")), n - 1))
-        centroids[:, c] = y[picks]
+        total = d2.sum(axis=1)
+        target = units(words[:, c]) * total
+        weighted = np.minimum((np.cumsum(d2, axis=1) <= target[:, None]).sum(axis=1), n - 1)
+        centroids[:, c] = y[np.where(total > 0, weighted, uniform[:, c])]
         d2 = np.minimum(d2, _sq_dists(yy, y2, centroids[:, c:c + 1])[..., 0])
     return centroids
 

@@ -156,16 +156,22 @@ class LabeledGraph:
 # -- text files ---------------------------------------------------------------
 
 def _parse_lines(path, parse, what: str) -> list:
-    """parse(line) for each stripped line of a UTF-8 text file but blank and '#'
-    lines; errors name "path:line", or "path: empty <what>" if no line is left."""
+    """parse(line) for each stripped line of a UTF-8 text file, BOM skipped, but
+    blank and '#' lines; errors, a byte that is not UTF-8 too, name "path:line",
+    or "path: empty <what>" if no line is left."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(map(str.strip, fh), start=1):
-            if line and not line.startswith("#"):
-                try:
+            try:
+                if not line.isascii():  # a byte that is not UTF-8 reads as a lone surrogate
+                    line.encode("utf-8")
+                if line and not line.startswith("#"):
                     out.append(parse(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ValueError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: empty {what}")
     return out

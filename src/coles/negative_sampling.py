@@ -52,9 +52,8 @@ class NegSampleConfig:
 def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> np.ndarray:
     """Raw negative edges as an (m, 2) array of node pairs, repeats allowed."""
     if cfg.mode == "per-node-k":
-        picks = rng.distinct_runs(n, cfg.per_node, range(n))
         rows = np.repeat(np.arange(n), cfg.per_node)
-        return np.column_stack((rows, np.array(picks, dtype=np.int64).reshape(-1)))
+        return np.column_stack((rows, rng.distinct_runs(n, cfg.per_node).ravel()))
     return rng.geometric_pairs(n, cfg.p_prime)
 
 

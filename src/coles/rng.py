@@ -10,13 +10,15 @@ they agree to rounding. Streams for independent tasks
 task index into the seed with the 64-bit golden-ratio constant.
 
 Bulk draws (`draw_u64s`, `next_u64s` and everything built on them:
-`uniforms`, `normals`, `distinct_runs`, `bernoulli_pairs`, `geometric_pairs`)
-return exactly the values the scalar `next_u64` would, in the same order,
-and leave the generator in the same state, so the stream is unchanged; only
-the arithmetic is batched. `geometric_pairs` draws an Erdos-Renyi graph by
-geometric skips over the node pairs, one draw per kept pair and one more,
-with libm's log. `shuffle_with` is the one Fisher-Yates shuffle: it takes
-its draws as an array and shuffles many rows at once.
+`uniforms`, `normals`, `distinct_runs`, `bernoulli_pairs`,
+`geometric_pairs`) return exactly the values the scalar `next_u64` would, in
+the same order, and leave the generator in the same state, so the stream is
+unchanged; only the arithmetic is batched. Other modules draw only in bulk:
+`mul_high` and `units` map each word to its below(n) and random() value.
+`geometric_pairs` draws an Erdos-Renyi graph by geometric skips over the
+node pairs, one draw per kept pair and one more, with libm's log.
+`shuffle_with` is the one Fisher-Yates shuffle: it takes its draws as an
+array and shuffles many rows at once.
 The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
 "Scrambled linear pseudorandom number generators", 2021), so the state
 `_LANE` steps ahead is a fixed 256x256 bit matrix times the current state
@@ -30,6 +32,7 @@ generators (one per split, say) in the same loop.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable, Sequence
 
@@ -56,7 +59,7 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _splitmix64_outputs(states: np.ndarray) -> np.ndarray:
+def splitmix64_outputs(states: np.ndarray) -> np.ndarray:
     """The splitmix64 output of each advanced uint64 state; splitmix64's
     finaliser applied elementwise."""
     z = (states ^ (states >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -124,8 +127,8 @@ def _lane_jump() -> np.ndarray:
     return table
 
 
-def _mul_high(x: np.ndarray, n) -> np.ndarray:
-    """(x * n) >> 64 for uint64 x and 0 <= n < 2**64, exact, from 32-bit halves."""
+def mul_high(x: np.ndarray, n) -> np.ndarray:
+    """below(n) of each word: (x * n) >> 64 for uint64 x and 0 <= n < 2**64, exact."""
     n = np.asarray(n, dtype=np.uint64)
     x_lo, x_hi = x & _LOW32, x >> np.uint64(32)
     n_lo, n_hi = n & _LOW32, n >> np.uint64(32)
@@ -133,6 +136,11 @@ def _mul_high(x: np.ndarray, n) -> np.ndarray:
     # no wrap: each term is below 2**32 except the last, and the sum is < 2**64
     mid = ((x_lo * n_lo) >> np.uint64(32)) + (cross & _LOW32) + x_lo * n_hi
     return x_hi * n_hi + (cross >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+def units(words: np.ndarray) -> np.ndarray:
+    """random() of each uint64 word: its top 53 bits times 2**-53, in [0, 1)."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def _lane_draws(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +201,7 @@ def shuffle_with(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     the draws taken in order. All rows step together."""
     n_rows, size = rows.shape
     tops = np.arange(size - 1, 0, -1)
-    picks = _mul_high(draws, (tops + 1).astype(np.uint64)).astype(np.int64)
+    picks = mul_high(draws, (tops + 1).astype(np.uint64)).astype(np.int64)
     starts = size * np.arange(n_rows)  # flat offset of each row
     # step t swaps flat positions ends[t] and picked[t] of every row at once
     ends, picked = tops[:, None] + starts, picks.T + starts
@@ -240,9 +248,7 @@ class Xoshiro256StarStar:
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next count random() values as a float64 array."""
-        u = self.next_u64s(count)
-        u >>= np.uint64(11)
-        return u * 2.0 ** -53
+        return units(self.next_u64s(count))
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection-free multiply-shift."""
@@ -250,35 +256,25 @@ class Xoshiro256StarStar:
             raise ValueError("below() needs n >= 1")
         return (self.next_u64() * n) >> 64
 
-    def distinct_runs(self, n: int, count: int, excludes: Sequence[int]) -> list[list[int]]:
-        """count distinct integers from [0, n) \\ {e} for each e of excludes in
-        turn, uniform without replacement, in draw order; the below(n)
-        candidates are drawn in bulk, with the values and end state of the
-        scalar loop that skips repeats and e."""
-        for exclude in excludes:
-            limit = n - (1 if 0 <= exclude < n else 0)
-            if count > limit:
-                raise ValueError(f"cannot draw {count} distinct values from {limit} candidates")
-        runs: list[list[int]] = []
-        pool: list[int] = []
-        pos = 0
-        for index, exclude in enumerate(excludes):
-            chosen: list[int] = []
-            seen = set()
-            while len(chosen) < count:
-                if pos == len(pool):
-                    # every run still to come takes at least count draws, so
-                    # this refill never runs the stream past the scalar calls
-                    need = count - len(chosen) + count * (len(excludes) - index - 1)
-                    pool, pos = _mul_high(self.next_u64s(need), n).tolist(), 0
-                j = pool[pos]
-                pos += 1
-                if j == exclude or j in seen:
-                    continue
-                seen.add(j)
-                chosen.append(j)
-            runs.append(chosen)
-        return runs
+    def distinct_runs(self, n: int, count: int) -> np.ndarray:
+        """(n, count) int64 array, row i: count distinct integers from [0, n)
+        other than i in draw order, the values and end state of the below(n)
+        loop that fills the rows in turn and skips repeats and i. The n * count
+        draws the rows take at least come in bulk, each draw a skip adds after."""
+        if count >= n > 0:
+            raise ValueError(f"cannot draw {count} distinct values from {n - 1} candidates")
+        draws = itertools.chain(mul_high(self.next_u64s(n * count), n).tolist(),
+                                iter(lambda: self.below(n), None))
+        picks = []
+        for i in range(n):
+            seen, left = {i}, count
+            while left:
+                j = next(draws)
+                if j not in seen:
+                    seen.add(j)
+                    picks.append(j)
+                    left -= 1
+        return np.array(picks, dtype=np.int64).reshape(n, count)
 
     def bernoulli_pairs(self, n: int,
                         prob: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:

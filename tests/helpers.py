@@ -17,7 +17,7 @@ def random_graph(n, extra_per_node, seed):
     """Ring plus random chords: connected, no isolated nodes."""
     rng = Xoshiro256StarStar(seed)
     edges = [(i, (i + 1) % n) for i in range(n)]
-    for i, picks in enumerate(rng.distinct_runs(n, extra_per_node, range(n))):
+    for i, picks in enumerate(rng.distinct_runs(n, extra_per_node).tolist()):
         for j in picks:
             edges.append((min(i, j), max(i, j)))
     return SparseSym.from_edges(n, edges)

@@ -123,6 +123,37 @@ def test_csv_skips_blank_and_comment_lines(tmp_path):
         read_csv(p)
 
 
+TEXT_FORMATS = {  # reader, file text, what it reads
+    "edges": (lambda p: load_edge_list(p).edge_list().tolist(), "0 4\n1 2\n", [[0, 4], [1, 2]]),
+    "csv": (lambda p: read_dense(p).tolist(), "1.5,2\n3,-4\n", [[1.5, 2.0], [3.0, -4.0]]),
+    "labels": (lambda p: read_labels(p).tolist(), "0\n4\n", [0, 4]),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_FORMATS))
+def test_text_formats_skip_a_leading_byte_order_mark(tmp_path, fmt):
+    read, text, want = TEXT_FORMATS[fmt]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(marked) == read(plain) == want
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_FORMATS))
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_text_formats_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, fmt, end):
+    read, text, _ = TEXT_FORMATS[fmt]
+    lines = text.splitlines()
+    # a long first line puts the bad byte past the reader's first decode
+    raw = end.join(["# " + "x" * 20000, *lines, "# caf\udce9", lines[0]]) + end
+    p = tmp_path / "bad"
+    p.write_bytes(raw.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValueError) as err:
+        read(p)
+    assert str(err.value) == f"{p}:4: byte 0xe9 is not UTF-8"
+
+
 def test_csv_header_line(tmp_path):
     p = tmp_path / "m.csv"
     write_csv(np.array([[1.0, -0.0], [2.5, 1e-300]]), p, header="a,b")

@@ -3,7 +3,7 @@ Parzen kernel over random instances."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coles.coles_solver import (ColesConfig, build_quadratic_form, coles_objective,
@@ -327,6 +327,29 @@ def test_kmeans_returns_k_nonempty_clusters(seed, data, n, d, kind):
     y = kmeans_points(kind, n, d, seed)
     k = data.draw(st.integers(1, n), label="k")
     assert np.unique(kmeans(y, k, seed=seed)).size == k
+
+
+@PROPERTY
+@given(seed=SEEDS, data=st.data(), n=st.integers(1, 40), d=st.integers(1, 4),
+       n_restarts=st.integers(1, 12), kind=st.sampled_from(["continuous", "duplicates", "identical"]),
+       lanes=st.booleans())
+@example(seed=3, data=None, n=5, d=2, n_restarts=4, kind="identical", lanes=True)
+@example(seed=4, data=None, n=9, d=3, n_restarts=2, kind="duplicates", lanes=False)
+def test_kmeanspp_draws_each_restarts_seeds_as_the_loop(seed, data, n, d, n_restarts, kind,
+                                                        lanes):
+    # one draw per centre: below(n), or random() while some distance is not 0;
+    # fewer distinct rows than k leave every distance 0, and below(n) picks
+    y = kmeans_points(kind, n, d, seed)
+    k = min(n, 6) if data is None else data.draw(st.integers(1, min(n, 6)), label="k")
+    keys = [stream_key(seed, t) for t in range(n_restarts)]
+    rngs = [Xoshiro256StarStar(key) for key in keys]
+    with bulk_everywhere(lanes):
+        got = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k, rngs)
+    for key, rng, cents in zip(keys, rngs, got):
+        loop = Xoshiro256StarStar(key)
+        want = helpers._kmeanspp(y, k, loop)
+        assert np.array_equal(cents.view(np.uint64), want.view(np.uint64))
+        assert rng.next_u64() == loop.next_u64()  # k draws, no more
 
 
 @PROPERTY

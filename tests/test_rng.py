@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, _mul_high,
-                       draw_u64s, shuffle_with, splitmix64, stream_key)
+import coles
+from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, draw_u64s,
+                       mul_high, shuffle_with, splitmix64, stream_key)
 from helpers import bulk_everywhere, loop_distinct, loop_normals, loop_shuffle
 
 PROPERTY = settings(max_examples=30)
@@ -71,13 +75,18 @@ def shuffle_one(rng, size):
 
 
 def test_distinct_draws():
-    rng = Xoshiro256StarStar(5)
-    [got] = rng.distinct_runs(10, 9, [3])
-    assert len(got) == 9 and 3 not in got and len(set(got)) == 9
-    assert got == loop_distinct(Xoshiro256StarStar(5), 10, 9, exclude=3)
+    rng, scalar = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    got = rng.distinct_runs(10, 9)
+    assert got.dtype == np.int64 and got.shape == (10, 9)
+    for i, row in enumerate(got.tolist()):
+        assert len(set(row)) == 9 and i not in row
+        assert row == loop_distinct(scalar, 10, 9, exclude=i)
+    assert rng.next_u64() == scalar.next_u64()
 
     with pytest.raises(ValueError, match="cannot draw 4 distinct values from 3 candidates"):
-        rng.distinct_runs(4, 4, [0])
+        rng.distinct_runs(4, 4)
+    with pytest.raises(ValueError, match="cannot draw 5 distinct values from 3 candidates"):
+        rng.distinct_runs(4, 5)
 
 
 def test_shuffle_is_permutation_and_deterministic():
@@ -150,27 +159,19 @@ def test_normals_match_scalar_box_muller(seed, count, lanes):
 @example(xs=[MASK64, MASK64 - 1], n=MASK64)
 @example(xs=[MASK64, 2**32 - 1, 2**32], n=2**32 + 1)
 def test_bulk_below_is_exact(xs, n):
-    assert _mul_high(np.array(xs, dtype=np.uint64), n).tolist() == [(x * n) >> 64 for x in xs]
+    assert mul_high(np.array(xs, dtype=np.uint64), n).tolist() == [(x * n) >> 64 for x in xs]
 
 
 @PROPERTY
-@given(seed=SEEDS64, n=st.integers(2, 40), data=st.data(), lanes=st.booleans())
+@given(seed=SEEDS64, n=st.integers(0, 40), data=st.data(), lanes=st.booleans())
 def test_distinct_runs_match_scalar_calls(seed, n, data, lanes):
-    count = data.draw(st.integers(0, n - 1))
-    excludes = data.draw(st.lists(st.integers(-1, n - 1), max_size=12))
+    count = data.draw(st.integers(0, n - 1)) if n else 0
     bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
     with bulk_everywhere(lanes):
-        got = bulk.distinct_runs(n, count, excludes)
-    assert got == [loop_distinct(scalar, n, count, e) for e in excludes]
-    assert bulk.next_u64() == scalar.next_u64()  # the buffer never overdraws
-
-
-@pytest.mark.parametrize("n", [2**63 - 1, 2**63 + 7, MASK64])
-def test_distinct_near_2_pow_63_matches_scalar(n):
-    bulk, scalar = Xoshiro256StarStar(11), Xoshiro256StarStar(11)
-    with bulk_everywhere():
-        [got] = bulk.distinct_runs(n, 50, [n - 1])
-    assert got == loop_distinct(scalar, n, 50, exclude=n - 1)
+        got = bulk.distinct_runs(n, count)
+    assert got.dtype == np.int64 and got.shape == (n, count)
+    assert got.tolist() == [loop_distinct(scalar, n, count, exclude=i) for i in range(n)]
+    assert bulk.next_u64() == scalar.next_u64()  # the pool never overdraws
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 1000, _BULK_MIN + 2])
@@ -195,3 +196,37 @@ def test_shuffle_with_shuffles_each_row_as_the_scalar_loop(size, n_rows):
         want = list(range(size))
         loop_shuffle(Xoshiro256StarStar(key), want)
         assert row == want
+
+
+# -- the rng boundary -------------------------------------------------------------
+
+SCALAR_DRAWS = {"next_u64", "below", "random"}
+
+
+def rng_boundary_breaches(source: str) -> list[str]:
+    """Scalar draw calls and imports of underscore names from .rng in one module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in SCALAR_DRAWS):
+            found.append(f"line {node.lineno}: .{node.func.attr}()")
+        if isinstance(node, ast.ImportFrom) and node.module in ("rng", "coles.rng"):
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name.startswith("_")]
+    return found
+
+
+def test_rng_boundary_finds_breaches():
+    assert rng_boundary_breaches("from .rng import _LANE, draw_u64s\nr.below(3)\nr.random()\n"
+                                 "r.next_u64()\nr.next_u64s(4)\n") == [
+        "line 1: imports _LANE", "line 2: .below()", "line 3: .random()", "line 4: .next_u64()"]
+
+
+def test_only_rng_draws_scalars_or_reads_rng_internals():
+    # other modules draw words in bulk and map them with mul_high and units, so
+    # the scalar generator and rng's internals can change behind that API
+    src = Path(coles.__file__).resolve().parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "rng.py")
+    assert modules
+    breaches = {p.name: rng_boundary_breaches(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: found for name, found in breaches.items() if found} == {}
