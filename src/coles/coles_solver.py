@@ -18,7 +18,7 @@ from numpy.linalg import LinAlgError
 
 from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
 from .negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
-from .rng import GOLDEN64, MASK64, mul_high, splitmix64_outputs
+from .rng import mul_high, streams
 from .spectral_filters import FilterConfig, apply_filter
 
 
@@ -147,18 +147,15 @@ def solve_linear_coles(x: np.ndarray, adjacency: SparseSym, cfg: ColesConfig) ->
 def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:
     """Fold a wide feature matrix into n_buckets signed hash buckets.
 
-    Column j lands in a bucket chosen by a splitmix64 hash of (seed, j) with
-    a +-1 sign; columns are folded in ascending j, so the output is
-    deterministic. Use before the solver to shrink a very wide d x d form.
+    Column j lands in a bucket with a +-1 sign, both read off the state of
+    substream j of seed (rng.streams); columns are folded in ascending j, so
+    the output is deterministic. Use before the solver to shrink a very wide d x d form.
     """
     x = as_dense(x, "x")
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
     d = x.shape[1]
-    # stream_key(seed, j), then the first two splitmix64 outputs after it
-    keys = np.uint64(seed & MASK64) ^ (np.arange(d, dtype=np.uint64) * np.uint64(GOLDEN64))
-    h1 = splitmix64_outputs(keys + np.uint64(GOLDEN64))
-    h2 = splitmix64_outputs(keys + np.uint64(2 * GOLDEN64 & MASK64))
+    h1, h2 = streams(seed, np.arange(d))[:, :2].T
     signs = np.where(h2 & np.uint64(1), -1.0, 1.0)
     fold = sp.csr_matrix((signs, (np.arange(d), mul_high(h1, n_buckets).astype(np.int64))),
                          shape=(d, n_buckets))

@@ -100,6 +100,8 @@ def score_densities(p, q, bandwidth: float | None = None,
     q = _clean_sample(q, "q")
     if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     h_p = bandwidth if bandwidth is not None else silverman_bandwidth(p)
     h_q = bandwidth if bandwidth is not None else silverman_bandwidth(q)
     # Refused: a kernel of grid_points x sample size values (evaluated block by

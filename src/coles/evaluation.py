@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import as_dense
-from .rng import Xoshiro256StarStar, draw_u64s, mul_high, shuffle_with, stream_key, units
+from .rng import draw_u64s, mul_high, shuffle_with, streams, units
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class Metrics:
 
 def random_splits(labels, spec: SplitSpec, n_splits: int):
     """n_splits (train, val, test) splits as three (n_splits, size) index
-    arrays, row s drawn from the stream stream_key(spec.seed, s).
+    arrays, row s drawn from substream s of spec.seed (rng.streams).
 
     Each split takes per_class train nodes per class, by a shuffle of each
     class, then val_size of the rest, by a shuffle of the rest. Every split
@@ -57,9 +57,9 @@ def random_splits(labels, spec: SplitSpec, n_splits: int):
             raise ValueError(f"class {c} has {members[-1].size} nodes, "
                              f"need at least per_class+1 = {spec.per_class + 1}")
     n_rest = labels.size - spec.per_class * len(members)
-    generators = [Xoshiro256StarStar(stream_key(spec.seed, s)) for s in range(n_splits)]
     # a shuffle of k items takes k - 1 draws: n - C for all C classes, each of 2+ nodes
-    draws = draw_u64s(generators, labels.size - len(members) + max(n_rest - 1, 0))
+    draws = draw_u64s(streams(spec.seed, np.arange(n_splits)),
+                      labels.size - len(members) + max(n_rest - 1, 0))
     chunks = np.split(draws, np.cumsum([items.size - 1 for items in members]), axis=1)
     picked = [np.empty((n_splits, 0), dtype=np.int64)]  # empty labels: empty splits
     for items, chunk in zip(members, chunks):
@@ -172,13 +172,14 @@ def _first_argmin(d2: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _kmeanspp(y, yy, y2, k: int, rngs: list) -> np.ndarray:
-    """(B, k, d) k-means++ seeds, restart b drawn from rngs[b], one draw per
-    centre; below(n) picks the first, and any next one while every d2 is 0."""
+def _kmeanspp(y, yy, y2, k: int, states: np.ndarray) -> np.ndarray:
+    """(B, k, d) k-means++ seeds, restart b drawn from the stream of
+    states[b] (advanced in place), one draw per centre; below(n) picks the
+    first, and any next one while every d2 is 0."""
     n = y.shape[0]
-    words = draw_u64s(rngs, k)
+    words = draw_u64s(states, k)
     uniform = mul_high(words, n).astype(np.int64)
-    centroids = np.empty((len(rngs), k, y.shape[1]))
+    centroids = np.empty((len(states), k, y.shape[1]))
     centroids[:, 0] = y[uniform[:, 0]]
     d2 = _sq_dists(yy, y2, centroids[:, :1])[..., 0]
     for c in range(1, k):
@@ -237,7 +238,7 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
 def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia.
 
-    Restart t draws its seeds from stream_key(seed, t). The restarts run
+    Restart t draws its seeds from substream t of seed. The restarts run
     together in blocks whose temporaries hold about _KMEANS_BLOCK values,
     and a restart stops once its assignment repeats; the best is picked in
     restart order, the first of equal inertias. Every restart ends with k
@@ -256,9 +257,8 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     block = max(1, _KMEANS_BLOCK // (n * (k + 8)))  # d2 and a few n-long arrays per restart
     best_inertia, best_assign = math.inf, None
     for first in range(0, KMEANS_RESTARTS, block):
-        rngs = [Xoshiro256StarStar(stream_key(seed, t))
-                for t in range(first, min(first + block, KMEANS_RESTARTS))]
-        centroids = _kmeanspp(y, yy, y2, k, rngs)
+        restarts = np.arange(first, min(first + block, KMEANS_RESTARTS))
+        centroids = _kmeanspp(y, yy, y2, k, streams(seed, restarts))
         for assign, cents in zip(_lloyd(y, yy, y2, centroids), centroids):
             inertia = float(np.sum((y - cents[assign]) ** 2))
             if inertia < best_inertia:

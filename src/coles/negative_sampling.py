@@ -5,8 +5,8 @@ graphs from the degree-normalized data graph:
 
     delta_w = W_pos - (eta'/kappa) * sum_k W_neg_k
 
-Each negative graph k draws from its own xoshiro256** stream keyed by
-rng.stream_key(seed, k), so graphs are independent and individually
+Each negative graph k draws from its own xoshiro256** stream,
+Xoshiro256StarStar(seed, k), so graphs are independent and individually
 reproducible regardless of sampling order. A per-node-k graph draws
 per_node distinct partners for each node; an Erdos-Renyi graph walks the
 node pairs by geometric skips, one draw and one libm log per kept pair
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import SparseSym, normalized_adjacency
-from .rng import Xoshiro256StarStar, stream_key
+from .rng import Xoshiro256StarStar
 
 MODES = ("per-node-k", "erdos-renyi")
 
@@ -66,7 +66,7 @@ def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
         raise ValueError(f"graph index {k} out of range for kappa={cfg.kappa}")
     if cfg.mode == "per-node-k" and cfg.per_node >= n:
         raise ValueError(f"per_node={cfg.per_node} must be < n={n}")
-    rng = Xoshiro256StarStar(stream_key(cfg.seed, k))
+    rng = Xoshiro256StarStar(cfg.seed, k)
     edges = _raw_edges(n, cfg, rng)
     if not len(edges) and cfg.mode == "erdos-renyi":
         edges = _raw_edges(n, cfg, rng)  # one resample for degenerate draws

@@ -5,14 +5,16 @@ every random draw is bit-reproducible from a 64-bit seed, independent of
 platform, thread count or library version. Results that also pass through
 BLAS/LAPACK (embeddings, eigenvalues) are byte-identical
 only for the same machine, BLAS build and BLAS thread count; across those
-they agree to rounding. Streams for independent tasks
-(negative graph k, k-means restart r, split s, ...) are keyed by mixing the
-task index into the seed with the 64-bit golden-ratio constant.
+they agree to rounding. Independent tasks (negative graph k, k-means
+restart r, split s, ...) draw from substreams of the seed, keyed by mixing
+the task index into the seed with the 64-bit golden-ratio constant and
+seeded by splitmix64. Only this module knows that rule: other modules ask
+for `Xoshiro256StarStar(seed, index)` or `streams(seed, indices)`.
 
 Bulk draws (`draw_u64s`, `next_u64s` and everything built on them:
 `uniforms`, `normals`, `distinct_runs`, `bernoulli_pairs`,
 `geometric_pairs`) return exactly the values the scalar `next_u64` would, in
-the same order, and leave the generator in the same state, so the stream is
+the same order, and leave each stream in the same state, so the stream is
 unchanged; only the arithmetic is batched. Other modules draw only in bulk:
 `mul_high` and `units` map each word to its below(n) and random() value.
 `geometric_pairs` draws an Erdos-Renyi graph by geometric skips over the
@@ -26,7 +28,7 @@ The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
 process and applied by XOR through byte lookup tables, which is exact. A
 bulk draw jumps to the start of each lane of `_LANE` consecutive outputs
 and steps all lanes at once in numpy; `draw_u64s` steps the lanes of many
-generators (one per split, say) in the same loop.
+streams (one per split, say) in the same loop.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -42,7 +44,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 
 _LANE = 512  # consecutive outputs per lane of a bulk draw
-# below this many outputs the scalar recurrence is faster than stepping lanes
+# below this many outputs of one generator the scalar recurrence beats stepping lanes
 _BULK_MIN = 8 * _LANE
 _PAIR_BLOCK = 1 << 17  # node pairs per block of bernoulli_pairs
 _GAP_BLOCK = 1 << 16  # most draws per chunk of geometric_pairs
@@ -59,17 +61,21 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def splitmix64_outputs(states: np.ndarray) -> np.ndarray:
-    """The splitmix64 output of each advanced uint64 state; splitmix64's
-    finaliser applied elementwise."""
-    z = (states ^ (states >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def stream_key(seed: int, index: int) -> int:
     """Key for the index-th independent substream of a master seed."""
     return (seed ^ ((index * GOLDEN64) & MASK64)) & MASK64
+
+
+def streams(seed: int, indices) -> np.ndarray:
+    """The (k, 4) uint64 xoshiro256** states of substreams indices of seed,
+    row i the state of Xoshiro256StarStar(seed, indices[i]): the key
+    stream_key(seed, index) and the first four splitmix64 outputs after it,
+    taken elementwise (uint64 arrays wrap without a warning)."""
+    keys = np.uint64(seed & MASK64) ^ np.asarray(indices, dtype=np.uint64) * np.uint64(GOLDEN64)
+    z = keys[:, None] + np.arange(1, 5, dtype=np.uint64) * np.uint64(GOLDEN64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _rotl(x: int, k: int) -> int:
@@ -143,14 +149,15 @@ def units(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-def _lane_draws(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next count outputs of each of the (k, 4) uint64 xoshiro256**
-    states as a (k, count) array, and the (k, 4) states they end in.
+def draw_u64s(states: np.ndarray, count: int) -> np.ndarray:
+    """The next count next_u64() outputs of each of the (k, 4) uint64
+    xoshiro256** states as a (k, count) array; states is advanced in place
+    to where count next_u64() calls leave each stream.
 
-    Each generator's draw is cut into lanes of _LANE consecutive outputs:
+    Each stream's draw is cut into lanes of _LANE consecutive outputs:
     lane j starts j * _LANE steps ahead, and lane `full` holds the last
     `rest` outputs and the state the draw ends in. All lanes of all
-    generators step together.
+    streams step together.
     """
     k = states.shape[0]
     full, rest = divmod(count, _LANE)
@@ -159,38 +166,23 @@ def _lane_draws(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]
     starts[:, 0] = states
     for j in range(full):
         starts[:, j + 1] = _apply(_lane_jump(), starts[:, j])
-    s0, s1, s2, s3 = starts.reshape(-1, 4).T.copy()  # lane j of generator i at i * lanes + j
+    s0, s1, s2, s3 = starts.reshape(-1, 4).T.copy()  # lane j of stream i at i * lanes + j
     steps = _LANE if full else rest
     scratch = np.empty(k * lanes, dtype=np.uint64)
     seen = np.empty((k * lanes, steps), dtype=np.uint64)  # row: one lane's s1 values
     for step in range(steps + 1):
         if step == rest:
-            ends = np.column_stack([s[full::lanes] for s in (s0, s1, s2, s3)])
+            states[:] = np.column_stack([s[full::lanes] for s in (s0, s1, s2, s3)])
         if step == steps:
             break
         seen[:, step] = s1
         _advance(s0, s1, s2, s3, scratch)
-    out = seen.reshape(k, lanes * steps)[:, :count]  # each generator's lanes end to end: draw order
+    out = seen.reshape(k, lanes * steps)[:, :count]  # each stream's lanes end to end: draw order
     out *= np.uint64(5)  # the ** scrambler: rotl(s1 * 5, 7) * 9
     high = out >> np.uint64(57)
     out <<= np.uint64(7)
     out |= high
     out *= np.uint64(9)
-    return out, ends
-
-
-def draw_u64s(generators: Sequence[Xoshiro256StarStar], count: int) -> np.ndarray:
-    """The next count next_u64() outputs of each generator as a
-    (len(generators), count) uint64 array; each generator ends in the state
-    count next_u64() calls would leave it in."""
-    if len(generators) * count < _BULK_MIN:
-        return np.array([[g.next_u64() for _ in range(count)] for g in generators],
-                        dtype=np.uint64).reshape(len(generators), count)
-    states = np.array([(g.s0, g.s1, g.s2, g.s3) for g in generators],
-                      dtype=np.uint64).reshape(-1, 4)
-    out, ends = _lane_draws(states, count)
-    for g, end in zip(generators, ends.tolist()):
-        g.s0, g.s1, g.s2, g.s3 = end
     return out
 
 
@@ -212,12 +204,13 @@ def shuffle_with(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** generator, state seeded via splitmix64 of a 64-bit key."""
+    """xoshiro256** walker of substream index of seed (index 0: the bare seed),
+    seeded by splitmix64 after stream_key; the scalar reference for streams."""
 
     __slots__ = ("s0", "s1", "s2", "s3")
 
-    def __init__(self, key: int):
-        state = key & MASK64
+    def __init__(self, seed: int, index: int = 0):
+        state = stream_key(seed, index)
         state, self.s0 = splitmix64(state)
         state, self.s1 = splitmix64(state)
         state, self.s2 = splitmix64(state)
@@ -240,7 +233,12 @@ class Xoshiro256StarStar:
         Afterwards the generator is in the state count next_u64() calls
         would leave it in, so scalar and bulk draws mix freely.
         """
-        return draw_u64s((self,), count)[0]
+        if count < _BULK_MIN:
+            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
+        state = np.array([[self.s0, self.s1, self.s2, self.s3]], dtype=np.uint64)
+        out = draw_u64s(state, count)[0]
+        self.s0, self.s1, self.s2, self.s3 = state[0].tolist()
+        return out
 
     def random(self) -> float:
         """Uniform double in [0, 1) using the top 53 bits."""

@@ -561,7 +561,10 @@ def diagnose_args(synth_dir, tmp_path):
     (("--bandwidth", "inf"), 1, "bandwidth"),
     (("--bandwidth", "-1"), 1, "bandwidth"),
     (("--bandwidth", "1e-320"), 2, "non-finite"),
-], ids=["oversized-grid", "infinite-bandwidth", "negative-bandwidth", "subnormal-bandwidth"])
+    (("--grid-points", 1), 1, "grid_points must be >= 2, got 1"),
+    (("--grid-points", -3), 1, "grid_points must be >= 2, got -3"),
+], ids=["oversized-grid", "infinite-bandwidth", "negative-bandwidth", "subnormal-bandwidth",
+        "one-grid-point", "negative-grid-points"])
 def test_diagnose_refuses_unusable_densities(diagnose_args, tmp_path, capsys, extra,
                                              expected, named):
     out = tmp_path / "diag"
@@ -637,8 +640,10 @@ TWO_POW_63 = 2**63
     ("embed", "--hash-dim", TWO_POW_63, "--hash-dim must lie in [-2**63, 2**63)"),
     ("diagnose", "--grid-points", TWO_POW_63, "--grid-points must lie in [-2**63, 2**63)"),
     ("diagnose", "--grid-points", TWO_POW_63 - 1, "more values than a float64 array can hold"),
+    ("eval-cluster", "--n-runs", 2**62, "array is too big"),
+    ("eval-classify", "--n-splits", 2**62, "array is too big"),
 ], ids=["synth-per-block", "embed-hash-dim", "diagnose-grid-points",
-        "diagnose-grid-points-below-2**63"])
+        "diagnose-grid-points-below-2**63", "eval-cluster-n-runs", "eval-classify-n-splits"])
 def test_huge_integer_settings_are_refused_in_one_line(synth_dir, tmp_path, capsys, subcommand,
                                                        flag, value, named):
     # each value is refused before anything of that size is allocated or started
@@ -649,13 +654,19 @@ def test_huge_integer_settings_are_refused_in_one_line(synth_dir, tmp_path, caps
                         "--features", synth_dir / "features.csv"),
               "diagnose": ("--edges", synth_dir / "edges.txt",
                            "--embeddings", emb / "embeddings.clsm",
-                           "--labels", synth_dir / "labels.txt")}[subcommand]
+                           "--labels", synth_dir / "labels.txt"),
+              "eval-cluster": ("--embeddings", emb / "embeddings.clsm",
+                               "--labels", synth_dir / "labels.txt"),
+              "eval-classify": ("--embeddings", emb / "embeddings.clsm",
+                                "--labels", synth_dir / "labels.txt",
+                                "--per-class", 5, "--val-size", 6)}[subcommand]
     out = tmp_path / "out"
     capsys.readouterr()
     code = run(subcommand, "--out", out, *inputs, flag, value)
     err = capsys.readouterr().err
     assert_refused(code, err, 1, named, out)
     assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())  # nothing written
 
 
 # -- every float setting, walked from build_parser's own declarations --------------

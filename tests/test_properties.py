@@ -13,11 +13,11 @@ from coles.graph_core import SparseSym, add_self_loops, degree_normalize, normal
 from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles import evaluation
 from coles.evaluation import SplitSpec, kmeans, logreg_fit, random_splits
-from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key
+from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key, streams
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
 from coles.synthetic import SbmSpec, generate_sbm
 import helpers
-from helpers import bulk_everywhere, loop_kmeans, rand_x, random_graph, weighted_graph
+from helpers import loop_kmeans, rand_x, random_graph, weighted_graph
 
 PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -219,29 +219,27 @@ def test_relabelling_nodes_permutes_embedding_rows(seed, per_block, kind, d_prim
 
 @PROPERTY
 @given(seed=st.integers(0, 2**64 - 1), keys=st.integers(0, 6),
-       count=st.integers(0, 3 * _LANE), lanes=st.booleans())
-def test_lane_draws_equal_scalar_steps_of_each_generator(seed, keys, count, lanes):
-    generators = [Xoshiro256StarStar(stream_key(seed, s)) for s in range(keys)]
-    scalar = [Xoshiro256StarStar(stream_key(seed, s)) for s in range(keys)]
-    with bulk_everywhere(lanes):
-        got = draw_u64s(generators, count)
+       count=st.integers(0, 3 * _LANE))
+def test_lane_draws_equal_scalar_steps_of_each_generator(seed, keys, count):
+    states = streams(seed, np.arange(keys))
+    scalar = [Xoshiro256StarStar(seed, s) for s in range(keys)]
+    got = draw_u64s(states, count)
     assert got.dtype == np.uint64 and got.shape == (keys, count)
     assert got.tolist() == [[g.next_u64() for _ in range(count)] for g in scalar]
-    # each generator ends where count scalar steps leave it
-    assert [g.next_u64() for g in generators] == [g.next_u64() for g in scalar]
+    # each stream ends where count scalar steps leave it
+    assert states.tolist() == [[g.s0, g.s1, g.s2, g.s3] for g in scalar]
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**64 - 1), per_class=st.integers(1, 5), data=st.data(),
-       n_splits=st.integers(1, 5), lanes=st.booleans())
-def test_random_splits_row_is_the_keyed_random_split(seed, per_class, data, n_splits, lanes):
+       n_splits=st.integers(1, 5))
+def test_random_splits_row_is_the_keyed_random_split(seed, per_class, data, n_splits):
     sizes = data.draw(st.lists(st.integers(per_class + 1, per_class + 30), min_size=1,
                                max_size=4), label="sizes")
     labels = np.repeat(np.arange(len(sizes)), sizes)[None]
     labels = shuffle_with(labels, Xoshiro256StarStar(seed).next_u64s(labels.size - 1)[None])[0]
     spec = SplitSpec(per_class=per_class, val_size=data.draw(st.integers(0, 40)), seed=seed)
-    with bulk_everywhere(lanes):
-        stacks = random_splits(labels, spec, n_splits)
+    stacks = random_splits(labels, spec, n_splits)
     for s in range(n_splits):
         want = random_splits(labels, SplitSpec(per_class, spec.val_size, stream_key(seed, s)), 1)
         for stack, part in zip(stacks, want):
@@ -331,25 +329,21 @@ def test_kmeans_returns_k_nonempty_clusters(seed, data, n, d, kind):
 
 @PROPERTY
 @given(seed=SEEDS, data=st.data(), n=st.integers(1, 40), d=st.integers(1, 4),
-       n_restarts=st.integers(1, 12), kind=st.sampled_from(["continuous", "duplicates", "identical"]),
-       lanes=st.booleans())
-@example(seed=3, data=None, n=5, d=2, n_restarts=4, kind="identical", lanes=True)
-@example(seed=4, data=None, n=9, d=3, n_restarts=2, kind="duplicates", lanes=False)
-def test_kmeanspp_draws_each_restarts_seeds_as_the_loop(seed, data, n, d, n_restarts, kind,
-                                                        lanes):
+       n_restarts=st.integers(1, 12), kind=st.sampled_from(["continuous", "duplicates", "identical"]))
+@example(seed=3, data=None, n=5, d=2, n_restarts=4, kind="identical")
+@example(seed=4, data=None, n=9, d=3, n_restarts=2, kind="duplicates")
+def test_kmeanspp_draws_each_restarts_seeds_as_the_loop(seed, data, n, d, n_restarts, kind):
     # one draw per centre: below(n), or random() while some distance is not 0;
     # fewer distinct rows than k leave every distance 0, and below(n) picks
     y = kmeans_points(kind, n, d, seed)
     k = min(n, 6) if data is None else data.draw(st.integers(1, min(n, 6)), label="k")
-    keys = [stream_key(seed, t) for t in range(n_restarts)]
-    rngs = [Xoshiro256StarStar(key) for key in keys]
-    with bulk_everywhere(lanes):
-        got = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k, rngs)
-    for key, rng, cents in zip(keys, rngs, got):
-        loop = Xoshiro256StarStar(key)
+    states = streams(seed, np.arange(n_restarts))
+    got = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k, states)
+    for t, (state, cents) in enumerate(zip(states.tolist(), got)):
+        loop = Xoshiro256StarStar(seed, t)
         want = helpers._kmeanspp(y, k, loop)
         assert np.array_equal(cents.view(np.uint64), want.view(np.uint64))
-        assert rng.next_u64() == loop.next_u64()  # k draws, no more
+        assert state == [loop.s0, loop.s1, loop.s2, loop.s3]  # k draws, no more
 
 
 @PROPERTY
@@ -363,10 +357,9 @@ def test_batched_seeds_and_centroids_are_the_loops_bits(seed, data, n, d, n_rest
     # moves one, so compare the seeds and the final centroids themselves
     y = kmeans_points(kind, n, d, seed)
     k = data.draw(st.integers(1, min(n, 6)), label="k")
-    keys = [stream_key(seed, t) for t in range(n_restarts)]
     cents = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k,
-                                 [Xoshiro256StarStar(key) for key in keys])
-    want = [helpers._kmeanspp(y, k, Xoshiro256StarStar(key)) for key in keys]
+                                 streams(seed, np.arange(n_restarts)))
+    want = [helpers._kmeanspp(y, k, Xoshiro256StarStar(seed, t)) for t in range(n_restarts)]
     assert np.array_equal(cents.view(np.uint64), np.stack(want).view(np.uint64))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "KMEANS_MAX_ITER", max_iter)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import coles
 from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, draw_u64s,
-                       mul_high, shuffle_with, splitmix64, stream_key)
+                       mul_high, shuffle_with, splitmix64, stream_key, streams)
 from helpers import bulk_everywhere, loop_distinct, loop_normals, loop_shuffle
 
 PROPERTY = settings(max_examples=30)
@@ -111,6 +111,33 @@ def test_stream_key_mixes_index():
     assert stream_key(7, 3) == (7 ^ ((3 * GOLDEN64) & MASK64))
 
 
+def state(rng):
+    return [rng.s0, rng.s1, rng.s2, rng.s3]
+
+
+@PROPERTY
+@given(seed=st.integers(-2**70, 2**70), indices=st.lists(st.integers(0, 2**32), max_size=8))
+@example(seed=-1, indices=[0, 1, 2**32])
+@example(seed=2**70, indices=[])
+@example(seed=MASK64, indices=[2**32 - 1, 7])
+def test_streams_are_the_scalar_seeded_states(seed, indices):
+    states = streams(seed, np.array(indices, dtype=np.int64))
+    assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
+    assert states.tolist() == [state(Xoshiro256StarStar(stream_key(seed, i))) for i in indices]
+    assert states.tolist() == [state(Xoshiro256StarStar(seed, i)) for i in indices]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 50])
+@pytest.mark.parametrize("count", [0, 1, _LANE - 1, _LANE + 1, 3 * _LANE])
+def test_draw_u64s_steps_each_stream_as_the_scalar_loop(k, count):
+    states = streams(count, np.arange(k))
+    scalar = [Xoshiro256StarStar(count, i) for i in range(k)]
+    got = draw_u64s(states, count)
+    assert got.dtype == np.uint64 and got.shape == (k, count)
+    assert got.tolist() == [[rng.next_u64() for _ in range(count)] for rng in scalar]
+    assert states.tolist() == [state(rng) for rng in scalar]  # advanced in place
+
+
 # -- bulk draws against the scalar recurrence -----------------------------------
 
 def check_bulk_draw(seed, count, lanes):
@@ -189,22 +216,23 @@ def test_shuffle_matches_scalar_fisher_yates(size, lanes):
 @pytest.mark.parametrize("size", [0, 1, 2, 7, 300])
 @pytest.mark.parametrize("n_rows", [1, 3])
 def test_shuffle_with_shuffles_each_row_as_the_scalar_loop(size, n_rows):
-    keys = [stream_key(size, k) for k in range(n_rows)]
-    draws = draw_u64s([Xoshiro256StarStar(key) for key in keys], max(size - 1, 0))
+    draws = draw_u64s(streams(size, np.arange(n_rows)), max(size - 1, 0))
     got = shuffle_with(np.tile(np.arange(size), (n_rows, 1)), draws)
-    for key, row in zip(keys, got.tolist()):
+    for k, row in enumerate(got.tolist()):
         want = list(range(size))
-        loop_shuffle(Xoshiro256StarStar(key), want)
+        loop_shuffle(Xoshiro256StarStar(size, k), want)
         assert row == want
 
 
 # -- the rng boundary -------------------------------------------------------------
 
 SCALAR_DRAWS = {"next_u64", "below", "random"}
+KEY_RULE = {"stream_key", "splitmix64", "splitmix64_outputs", "GOLDEN64", "MASK64"}
 
 
 def rng_boundary_breaches(source: str) -> list[str]:
-    """Scalar draw calls and imports of underscore names from .rng in one module."""
+    """Scalar draw calls, and imports from .rng of underscore names or of the
+    names that key and seed streams, in one module."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -212,19 +240,21 @@ def rng_boundary_breaches(source: str) -> list[str]:
             found.append(f"line {node.lineno}: .{node.func.attr}()")
         if isinstance(node, ast.ImportFrom) and node.module in ("rng", "coles.rng"):
             found += [f"line {node.lineno}: imports {a.name}" for a in node.names
-                      if a.name.startswith("_")]
+                      if a.name.startswith("_") or a.name in KEY_RULE]
     return found
 
 
 def test_rng_boundary_finds_breaches():
-    assert rng_boundary_breaches("from .rng import _LANE, draw_u64s\nr.below(3)\nr.random()\n"
-                                 "r.next_u64()\nr.next_u64s(4)\n") == [
-        "line 1: imports _LANE", "line 2: .below()", "line 3: .random()", "line 4: .next_u64()"]
+    assert rng_boundary_breaches("from .rng import _LANE, draw_u64s, stream_key, MASK64\n"
+                                 "r.below(3)\nr.random()\nr.next_u64()\nr.next_u64s(4)\n") == [
+        "line 1: imports _LANE", "line 1: imports stream_key", "line 1: imports MASK64",
+        "line 2: .below()", "line 3: .random()", "line 4: .next_u64()"]
 
 
 def test_only_rng_draws_scalars_or_reads_rng_internals():
-    # other modules draw words in bulk and map them with mul_high and units, so
-    # the scalar generator and rng's internals can change behind that API
+    # other modules draw words in bulk, map them with mul_high and units and
+    # take their streams from streams() or Xoshiro256StarStar(seed, index), so
+    # the scalar generator, rng's internals and the key rule change behind that API
     src = Path(coles.__file__).resolve().parent
     modules = sorted(p for p in src.glob("*.py") if p.name != "rng.py")
     assert modules
