@@ -213,10 +213,20 @@ def _read_labeled_embeddings(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     return y, labels
 
 
+def _check_stream_count(cfg: dict, key: str) -> None:
+    """cfg[key], the number of runs or splits, must be at least 1 and few
+    enough that their (count, 4) uint64 stream states can be allocated."""
+    if cfg[key] < 1:
+        raise ConfigError(f"{key} must be >= 1")
+    try:
+        np.empty((cfg[key], 4), dtype=np.uint64)
+    except (ValueError, MemoryError):  # numpy's size limit, or the host's
+        raise ConfigError(f"--{key.replace('_', '-')} {cfg[key]} is too large to allocate") from None
+
+
 def cmd_eval_classify(cfg: dict) -> dict:
     y, labels = _read_labeled_embeddings(cfg)
-    if cfg["n_splits"] < 1:
-        raise ConfigError("n_splits must be >= 1")
+    _check_stream_count(cfg, "n_splits")
     spec = SplitSpec(per_class=cfg["per_class"], val_size=cfg["val_size"], seed=cfg["seed"])
     train, _val, test = random_splits(labels, spec, cfg["n_splits"])
     if test.shape[1] == 0:
@@ -235,8 +245,7 @@ def cmd_eval_classify(cfg: dict) -> dict:
 def cmd_eval_cluster(cfg: dict) -> dict:
     y, labels = _read_labeled_embeddings(cfg)
     k = cfg["k"] or int(np.unique(labels).size)
-    if cfg["n_runs"] < 1:
-        raise ConfigError("n_runs must be >= 1")
+    _check_stream_count(cfg, "n_runs")
     # a draw of substream r, not its key: kmeans XORs restart t into its seed too
     seeds = draw_u64s(streams(cfg["seed"], np.arange(cfg["n_runs"])), 1)[:, 0].tolist()
     scores = [score(kmeans(y, k, seed=s), labels, mode="clustering") for s in seeds]

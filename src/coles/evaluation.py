@@ -174,8 +174,8 @@ def _first_argmin(d2: np.ndarray) -> np.ndarray:
 
 def _kmeanspp(y, yy, y2, k: int, states: np.ndarray) -> np.ndarray:
     """(B, k, d) k-means++ seeds, restart b drawn from the stream of
-    states[b] (advanced in place), one draw per centre; below(n) picks the
-    first, and any next one while every d2 is 0."""
+    states[b] (advanced in place), one draw per centre; mul_high(word, n)
+    picks the first, and any next one while every d2 is 0."""
     n = y.shape[0]
     words = draw_u64s(states, k)
     uniform = mul_high(words, n).astype(np.int64)

@@ -1,34 +1,30 @@
 """Deterministic keyed random streams (splitmix64 + xoshiro256**).
 
-All stochastic components of the library draw from these generators so that
-every random draw is bit-reproducible from a 64-bit seed, independent of
-platform, thread count or library version. Results that also pass through
-BLAS/LAPACK (embeddings, eigenvalues) are byte-identical
-only for the same machine, BLAS build and BLAS thread count; across those
-they agree to rounding. Independent tasks (negative graph k, k-means
-restart r, split s, ...) draw from substreams of the seed, keyed by mixing
-the task index into the seed with the 64-bit golden-ratio constant and
-seeded by splitmix64. Only this module knows that rule: other modules ask
-for `Xoshiro256StarStar(seed, index)` or `streams(seed, indices)`.
+Every random draw of the library is reproducible from a 64-bit seed. Raw
+words, their mul_high and units values, shuffles, splits and per-node picks
+are integer arithmetic and one exact scaling, the same on every platform and
+numpy version; Box-Muller normals and Erdos-Renyi skips also call libm's log
+(normals cos and sin too), so they are fixed per libm. Results that also pass
+through BLAS/LAPACK are byte-identical only for one machine, BLAS build and
+BLAS thread count; across those they agree to rounding.
 
-Bulk draws (`draw_u64s`, `next_u64s` and everything built on them:
-`uniforms`, `normals`, `distinct_runs`, `bernoulli_pairs`,
-`geometric_pairs`) return exactly the values the scalar `next_u64` would, in
-the same order, and leave each stream in the same state, so the stream is
-unchanged; only the arithmetic is batched. Other modules draw only in bulk:
-`mul_high` and `units` map each word to its below(n) and random() value.
-`geometric_pairs` draws an Erdos-Renyi graph by geometric skips over the
-node pairs, one draw per kept pair and one more, with libm's log.
-`shuffle_with` is the one Fisher-Yates shuffle: it takes its draws as an
-array and shuffles many rows at once.
-The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
+Task i of a seed (negative graph i, k-means restart i, split i, ...) draws
+from substream i: keyed by the seed XOR i times the 64-bit golden ratio and
+seeded by the first four splitmix64 outputs after that key. Only `streams`
+knows that rule. Its (k, 4) uint64 array is the one state format:
+`draw_u64s` advances many rows in place, and `Xoshiro256StarStar(seed, i)`
+holds one row. The scalar reference (one word at a time) lives with the
+tests, which check every draw here against it. Other modules draw only in
+bulk and map words with `mul_high` (to [0, n)) and `units` (to [0, 1)).
+
+The xoshiro256** transition is linear over GF(2) (Blackman & Vigna,
 "Scrambled linear pseudorandom number generators", 2021), so the state
 `_LANE` steps ahead is a fixed 256x256 bit matrix times the current state
-(the jump-ahead of Haramoto et al., 2008). The matrix is found once per
-process and applied by XOR through byte lookup tables, which is exact. A
-bulk draw jumps to the start of each lane of `_LANE` consecutive outputs
-and steps all lanes at once in numpy; `draw_u64s` steps the lanes of many
-streams (one per split, say) in the same loop.
+(the jump-ahead of Haramoto et al., 2008), found once per process and
+applied exactly by XOR through byte lookup tables. A bulk draw jumps to the
+start of each lane of `_LANE` outputs and steps all lanes, of many streams
+at once, in numpy; below `_BULK_MIN` outputs a generator's `next_u64s` runs
+the recurrence on Python ints instead.
 """
 
 from __future__ import annotations
@@ -52,34 +48,16 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _BYTE_INDEX = np.arange(32)
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (new_state, output)."""
-    state = (state + GOLDEN64) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
-
-
-def stream_key(seed: int, index: int) -> int:
-    """Key for the index-th independent substream of a master seed."""
-    return (seed ^ ((index * GOLDEN64) & MASK64)) & MASK64
-
-
 def streams(seed: int, indices) -> np.ndarray:
     """The (k, 4) uint64 xoshiro256** states of substreams indices of seed,
-    row i the state of Xoshiro256StarStar(seed, indices[i]): the key
-    stream_key(seed, index) and the first four splitmix64 outputs after it,
+    row i the state of Xoshiro256StarStar(seed, indices[i]): the first four
+    splitmix64 outputs after the key seed ^ (index * GOLDEN64) mod 2**64,
     taken elementwise (uint64 arrays wrap without a warning)."""
     keys = np.uint64(seed & MASK64) ^ np.asarray(indices, dtype=np.uint64) * np.uint64(GOLDEN64)
     z = keys[:, None] + np.arange(1, 5, dtype=np.uint64) * np.uint64(GOLDEN64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
 
 
 def _advance(s0, s1, s2, s3, scratch) -> None:
@@ -134,7 +112,7 @@ def _lane_jump() -> np.ndarray:
 
 
 def mul_high(x: np.ndarray, n) -> np.ndarray:
-    """below(n) of each word: (x * n) >> 64 for uint64 x and 0 <= n < 2**64, exact."""
+    """Each word mapped to [0, n): (x * n) >> 64 for uint64 x and 0 <= n < 2**64, exact."""
     n = np.asarray(n, dtype=np.uint64)
     x_lo, x_hi = x & _LOW32, x >> np.uint64(32)
     n_lo, n_hi = n & _LOW32, n >> np.uint64(32)
@@ -145,14 +123,13 @@ def mul_high(x: np.ndarray, n) -> np.ndarray:
 
 
 def units(words: np.ndarray) -> np.ndarray:
-    """random() of each uint64 word: its top 53 bits times 2**-53, in [0, 1)."""
+    """Each uint64 word as a double in [0, 1): its top 53 bits times 2**-53."""
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def draw_u64s(states: np.ndarray, count: int) -> np.ndarray:
-    """The next count next_u64() outputs of each of the (k, 4) uint64
-    xoshiro256** states as a (k, count) array; states is advanced in place
-    to where count next_u64() calls leave each stream.
+    """The next count outputs of each of the (k, 4) uint64 xoshiro256**
+    states as a (k, count) array; states is advanced in place past them.
 
     Each stream's draw is cut into lanes of _LANE consecutive outputs:
     lane j starts j * _LANE steps ahead, and lane `full` holds the last
@@ -188,7 +165,7 @@ def draw_u64s(states: np.ndarray, count: int) -> np.ndarray:
 
 def shuffle_with(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """A Fisher-Yates shuffle of each row of a (k, size) array, from that row
-    of the (k, size - 1) next_u64() outputs, as a new array: for i from
+    of the (k, size - 1) uint64 words in draws, as a new array: for i from
     size-1 down to 1, swap columns i and (draw * (i + 1)) >> 64 of the row,
     the draws taken in order. All rows step together."""
     n_rows, size = rows.shape
@@ -204,65 +181,52 @@ def shuffle_with(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** walker of substream index of seed (index 0: the bare seed),
-    seeded by splitmix64 after stream_key; the scalar reference for streams."""
+    """xoshiro256** walker of substream index of seed (index 0: the bare
+    seed): state is the (1, 4) uint64 row streams(seed, [index]), advanced
+    in place by every draw."""
 
-    __slots__ = ("s0", "s1", "s2", "s3")
+    __slots__ = ("state",)
 
     def __init__(self, seed: int, index: int = 0):
-        state = stream_key(seed, index)
-        state, self.s0 = splitmix64(state)
-        state, self.s1 = splitmix64(state)
-        state, self.s2 = splitmix64(state)
-        state, self.s3 = splitmix64(state)
-
-    def next_u64(self) -> int:
-        result = (_rotl((self.s1 * 5) & MASK64, 7) * 9) & MASK64
-        t = (self.s1 << 17) & MASK64
-        self.s2 ^= self.s0
-        self.s3 ^= self.s1
-        self.s1 ^= self.s2
-        self.s0 ^= self.s3
-        self.s2 ^= t
-        self.s3 = _rotl(self.s3, 45)
-        return result
+        self.state = streams(seed, [index])
 
     def next_u64s(self, count: int) -> np.ndarray:
-        """The next count next_u64() outputs as a uint64 array.
+        """The next count outputs as a uint64 array, and the state after them.
 
-        Afterwards the generator is in the state count next_u64() calls
-        would leave it in, so scalar and bulk draws mix freely.
+        Below _BULK_MIN outputs the recurrence runs on Python ints, which is
+        faster than stepping lanes; from there on draw_u64s steps lanes.
         """
-        if count < _BULK_MIN:
-            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
-        state = np.array([[self.s0, self.s1, self.s2, self.s3]], dtype=np.uint64)
-        out = draw_u64s(state, count)[0]
-        self.s0, self.s1, self.s2, self.s3 = state[0].tolist()
-        return out
-
-    def random(self) -> float:
-        """Uniform double in [0, 1) using the top 53 bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        if count >= _BULK_MIN:
+            return draw_u64s(self.state, count)[0]
+        s0, s1, s2, s3 = self.state[0].tolist()
+        words = []
+        for _ in range(count):
+            x = (s1 * 5) & MASK64
+            words.append((((x << 7) | (x >> 57)) * 9) & MASK64)  # rotl(s1 * 5, 7) * 9
+            t = (s1 << 17) & MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self.state[0] = s0, s1, s2, s3
+        return np.array(words, dtype=np.uint64)
 
     def uniforms(self, count: int) -> np.ndarray:
-        """The next count random() values as a float64 array."""
+        """The next count words as units() doubles in [0, 1)."""
         return units(self.next_u64s(count))
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection-free multiply-shift."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        return (self.next_u64() * n) >> 64
 
     def distinct_runs(self, n: int, count: int) -> np.ndarray:
         """(n, count) int64 array, row i: count distinct integers from [0, n)
-        other than i in draw order, the values and end state of the below(n)
-        loop that fills the rows in turn and skips repeats and i. The n * count
-        draws the rows take at least come in bulk, each draw a skip adds after."""
+        other than i in draw order, the values and end state of the loop that
+        fills the rows in turn from mul_high(word, n), one word at a time, and
+        skips repeats and i. The n * count draws the rows take at least come in
+        bulk, each draw a skip adds after."""
         if count >= n > 0:
             raise ValueError(f"cannot draw {count} distinct values from {n - 1} candidates")
         draws = itertools.chain(mul_high(self.next_u64s(n * count), n).tolist(),
-                                iter(lambda: self.below(n), None))
+                                iter(lambda: int(mul_high(self.next_u64s(1), n)[0]), None))
         picks = []
         for i in range(n):
             seen, left = {i}, count
@@ -276,8 +240,9 @@ class Xoshiro256StarStar:
 
     def bernoulli_pairs(self, n: int,
                         prob: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """Node pairs (i, j), i < j < n, kept where random() < prob(i, j), one
-        draw per pair in row-major order, as an (m, 2) int64 array.
+        """Node pairs (i, j), i < j < n, kept where their uniforms() draw is
+        below prob(i, j), one draw per pair in row-major order, as an (m, 2)
+        int64 array.
 
         prob maps the row and column index arrays of the pairs to their
         probabilities. Draws come in blocks of whole rows of about
@@ -306,7 +271,7 @@ class Xoshiro256StarStar:
 
         The walk skips from kept pair to kept pair over the n(n-1)/2 pairs in
         row-major order (Batagelj & Brandes, "Efficient generation of large
-        random networks", 2005): each step draws u = random() and skips
+        random networks", 2005): each step draws one uniforms() value u and skips
         floor(log(1 - u) / log1p(-p)) pairs, and the first step past the
         last pair ends the walk, so it takes m + 1 draws. log is libm's
         (math), as in normals. The draws come in chunks a little short of the
@@ -322,7 +287,7 @@ class Xoshiro256StarStar:
             # the walk, but at least 16 draws, so the last few take one chunk
             expected = (total - 1 - last) * p
             count = min(_GAP_BLOCK, max(16, int(expected - 2.0 * math.sqrt(expected))))
-            start = (self.s0, self.s1, self.s2, self.s3)
+            start = self.state.copy()
             u = self.uniforms(count)
             logs = np.fromiter(map(math.log, (1.0 - u).tolist()), dtype=np.float64, count=count)
             with np.errstate(over="ignore"):  # a tiny p overflows to an infinite skip
@@ -333,7 +298,7 @@ class Xoshiro256StarStar:
             if past.any():
                 end = int(past.argmax())
                 kept.append(index[:end])
-                self.s0, self.s1, self.s2, self.s3 = start  # rewind, then take the end + 1 draws used
+                self.state = start  # rewind, then take the end + 1 draws used
                 self.next_u64s(end + 1)
                 break
             kept.append(index)
@@ -345,8 +310,8 @@ class Xoshiro256StarStar:
         return np.column_stack((row, index - first[row] + row + 1))
 
     def normals(self, count: int) -> np.ndarray:
-        """count standard normals by Box-Muller, one pair per two random()
-        draws (u1 = 1 - first, u2 = second; the odd last z1 is dropped).
+        """count standard normals by Box-Muller, one pair per two uniforms()
+        values (u1 = 1 - first, u2 = second; the odd last z1 is dropped).
 
         log, cos and sin are libm's (math), not numpy's vectorised ones,
         whose last bits differ; sqrt and products are correctly rounded in

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from coles import evaluation
 from coles import rng as rng_module
 from coles.graph_core import SparseSym, as_dense
-from coles.rng import Xoshiro256StarStar, stream_key
+from coles.rng import Xoshiro256StarStar
 
 
 def random_graph(n, extra_per_node, seed):
@@ -26,7 +26,7 @@ def random_graph(n, extra_per_node, seed):
 def weighted_graph(n, extra_per_node, seed):
     """random_graph's pattern with symmetric weights drawn from [0.1, 2.1)."""
     upper = sp.triu(random_graph(n, extra_per_node, seed).csr, format="coo")
-    rng = Xoshiro256StarStar(seed + 1)
+    rng = ScalarXoshiro(seed + 1)
     weights = np.array([0.1 + 2.0 * rng.random() for _ in range(upper.nnz)])
     m = sp.coo_matrix((weights, (upper.row, upper.col)), shape=(n, n))
     return SparseSym.from_scipy(m + m.T)
@@ -34,6 +34,74 @@ def weighted_graph(n, extra_per_node, seed):
 
 def rand_x(n, d, seed=0):
     return np.array(Xoshiro256StarStar(seed).normals(n * d)).reshape(n, d)
+
+
+# -- the scalar reference generator --------------------------------------------
+# splitmix64, the substream key and xoshiro256** one word at a time, as in the
+# public-domain C reference code. rng's array forms (streams, draw_u64s,
+# Xoshiro256StarStar) must reproduce them bit for bit, and tests that need
+# scalar draws for their data take them from here.
+
+MASK64 = (1 << 64) - 1
+GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def splitmix64(state):
+    """One splitmix64 step: returns (new_state, output)."""
+    state = (state + GOLDEN64) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
+def stream_key(seed, index):
+    """Key of the index-th substream of a seed: the seed XOR index times the
+    64-bit golden ratio (index 0 keeps the seed)."""
+    return (seed ^ ((index * GOLDEN64) & MASK64)) & MASK64
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK64
+
+
+class ScalarXoshiro:
+    """xoshiro256** of substream index of seed, seeded by the first four
+    splitmix64 outputs after stream_key(seed, index), one word per next_u64()."""
+
+    def __init__(self, seed, index=0):
+        state = stream_key(seed, index)
+        state, self.s0 = splitmix64(state)
+        state, self.s1 = splitmix64(state)
+        state, self.s2 = splitmix64(state)
+        state, self.s3 = splitmix64(state)
+
+    @property
+    def state(self):
+        return [self.s0, self.s1, self.s2, self.s3]
+
+    def next_u64(self):
+        result = (_rotl((self.s1 * 5) & MASK64, 7) * 9) & MASK64
+        t = (self.s1 << 17) & MASK64
+        self.s2 ^= self.s0
+        self.s3 ^= self.s1
+        self.s1 ^= self.s2
+        self.s0 ^= self.s3
+        self.s2 ^= t
+        self.s3 = _rotl(self.s3, 45)
+        return result
+
+    def random(self):
+        """Uniform double in [0, 1) from the top 53 bits."""
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def below(self, n):
+        """Uniform integer in [0, n) by multiply-shift."""
+        return loop_below(self, n)
+
+    def normals(self, count):
+        """Box-Muller from scalar random() pairs, as the library's normals."""
+        return np.array(loop_normals(self, count))
 
 
 # -- scalar references for the bulk draws -------------------------------------
@@ -103,7 +171,7 @@ def _sq_dists(y: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     )
 
 
-def _kmeanspp(y: np.ndarray, k: int, rng: Xoshiro256StarStar) -> np.ndarray:
+def _kmeanspp(y: np.ndarray, k: int, rng: ScalarXoshiro) -> np.ndarray:
     n = y.shape[0]
     centroids = np.empty((k, y.shape[1]))
     centroids[0] = y[rng.below(n)]
@@ -161,7 +229,7 @@ def loop_kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         raise ValueError(f"k-means inertia is not finite: |y| up to {scale:.3g} is too large")
     best_inertia, best_assign = math.inf, None
     for restart in range(evaluation.KMEANS_RESTARTS):
-        rng = Xoshiro256StarStar(stream_key(seed, restart))
+        rng = ScalarXoshiro(seed, restart)
         centroids = _kmeanspp(y, k, rng)
         assign = loop_lloyd(y, centroids)
         inertia = float(np.sum((y - centroids[assign]) ** 2))

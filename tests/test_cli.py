@@ -17,8 +17,9 @@ from coles.graph_core import SparseSym, load_edge_list, save_edge_list
 from coles.io import read_clsm, read_dense, write_clsm, write_csv, write_labels
 from coles.negative_sampling import NegSampleConfig
 from coles.spectral_filters import FilterConfig
-from coles.rng import Xoshiro256StarStar, stream_key
+from coles.rng import Xoshiro256StarStar
 from coles.synthetic import SbmSpec
+from helpers import stream_key
 
 
 EVAL_COMMANDS = ("eval-classify", "eval-cluster", "diagnose")
@@ -640,8 +641,8 @@ TWO_POW_63 = 2**63
     ("embed", "--hash-dim", TWO_POW_63, "--hash-dim must lie in [-2**63, 2**63)"),
     ("diagnose", "--grid-points", TWO_POW_63, "--grid-points must lie in [-2**63, 2**63)"),
     ("diagnose", "--grid-points", TWO_POW_63 - 1, "more values than a float64 array can hold"),
-    ("eval-cluster", "--n-runs", 2**62, "array is too big"),
-    ("eval-classify", "--n-splits", 2**62, "array is too big"),
+    ("eval-cluster", "--n-runs", 2**62, "config error: --n-runs 4611686018427387904 is too large"),
+    ("eval-classify", "--n-splits", 2**62, "config error: --n-splits 4611686018427387904 is too large"),
 ], ids=["synth-per-block", "embed-hash-dim", "diagnose-grid-points",
         "diagnose-grid-points-below-2**63", "eval-cluster-n-runs", "eval-classify-n-splits"])
 def test_huge_integer_settings_are_refused_in_one_line(synth_dir, tmp_path, capsys, subcommand,

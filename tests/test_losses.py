@@ -12,7 +12,7 @@ from coles.losses import (ContrastiveBatch, align_uniform, block_form,
                           sampled_nce_sigmoid)
 from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles.rng import Xoshiro256StarStar
-from helpers import rand_x, random_graph
+from helpers import ScalarXoshiro, rand_x, random_graph
 
 # frozen via the stable log-sigmoid -log(1+exp(-x)) evaluated independently
 LOG_SIG_0 = -0.6931471805599453
@@ -205,7 +205,7 @@ def test_mean_rejects_bad_inputs():
 
 
 def test_power_mean_monotone_in_p():
-    rng = Xoshiro256StarStar(10)
+    rng = ScalarXoshiro(10)
     for _ in range(300):
         vals = [0.01 + 10.0 * rng.random() for _ in range(2 + rng.below(6))]
         ms = [generalized_mean(vals, p) for p in (-1.0, 0.0, 1.0, 2.0)]

@@ -13,11 +13,11 @@ from coles.graph_core import SparseSym, add_self_loops, degree_normalize, normal
 from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles import evaluation
 from coles.evaluation import SplitSpec, kmeans, logreg_fit, random_splits
-from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, stream_key, streams
+from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, streams
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
 from coles.synthetic import SbmSpec, generate_sbm
 import helpers
-from helpers import loop_kmeans, rand_x, random_graph, weighted_graph
+from helpers import ScalarXoshiro, loop_kmeans, rand_x, random_graph, stream_key, weighted_graph
 
 PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -25,7 +25,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 def repeated_spectrum(n, distinct, seed):
     """Q diag(lam) Q^T whose n eigenvalues take at most `distinct` values."""
-    rng = Xoshiro256StarStar(seed)
+    rng = ScalarXoshiro(seed)
     lam = [float(rng.below(distinct)) - 1.5 for _ in range(n)]
     q, _ = np.linalg.qr(rand_x(n, n, seed=seed + 1))
     m = q @ np.diag(lam) @ q.T
@@ -222,12 +222,12 @@ def test_relabelling_nodes_permutes_embedding_rows(seed, per_block, kind, d_prim
        count=st.integers(0, 3 * _LANE))
 def test_lane_draws_equal_scalar_steps_of_each_generator(seed, keys, count):
     states = streams(seed, np.arange(keys))
-    scalar = [Xoshiro256StarStar(seed, s) for s in range(keys)]
+    scalar = [ScalarXoshiro(seed, s) for s in range(keys)]
     got = draw_u64s(states, count)
     assert got.dtype == np.uint64 and got.shape == (keys, count)
     assert got.tolist() == [[g.next_u64() for _ in range(count)] for g in scalar]
     # each stream ends where count scalar steps leave it
-    assert states.tolist() == [[g.s0, g.s1, g.s2, g.s3] for g in scalar]
+    assert states.tolist() == [g.state for g in scalar]
 
 
 @PROPERTY
@@ -251,7 +251,7 @@ def test_random_splits_row_is_the_keyed_random_split(seed, per_class, data, n_sp
        n_classes=st.integers(2, 5), l2=st.sampled_from([0.0, 1e-4, 0.1]))
 def test_stacked_logreg_fit_equals_per_set_fits(seed, n_sets, m, d, n_classes, l2):
     x = rand_x(n_sets * m, d, seed=seed).reshape(n_sets, m, d)
-    rng = Xoshiro256StarStar(seed + 1)
+    rng = ScalarXoshiro(seed + 1)
     labels = np.array([rng.below(n_classes) for _ in range(n_sets * m)]).reshape(n_sets, m)
     labels[:, 0], labels[:, 1] = 0, n_classes - 1  # two classes, and C the same, in each set
     w, losses = logreg_fit(x, labels, l2=l2, epochs=30, return_losses=True)
@@ -289,7 +289,7 @@ def kmeans_points(kind, n, d, seed):
     if kind == "rounded":
         return np.round(y)
     if kind == "duplicates":
-        rng = Xoshiro256StarStar(seed + 1)
+        rng = ScalarXoshiro(seed + 1)
         return y[np.array([rng.below(min(n, 3)) for _ in range(n)])]
     if kind == "identical":
         return np.repeat(y[:1], n, axis=0)
@@ -340,10 +340,10 @@ def test_kmeanspp_draws_each_restarts_seeds_as_the_loop(seed, data, n, d, n_rest
     states = streams(seed, np.arange(n_restarts))
     got = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k, states)
     for t, (state, cents) in enumerate(zip(states.tolist(), got)):
-        loop = Xoshiro256StarStar(seed, t)
+        loop = ScalarXoshiro(seed, t)
         want = helpers._kmeanspp(y, k, loop)
         assert np.array_equal(cents.view(np.uint64), want.view(np.uint64))
-        assert state == [loop.s0, loop.s1, loop.s2, loop.s3]  # k draws, no more
+        assert state == loop.state  # k draws, no more
 
 
 @PROPERTY
@@ -359,7 +359,7 @@ def test_batched_seeds_and_centroids_are_the_loops_bits(seed, data, n, d, n_rest
     k = data.draw(st.integers(1, min(n, 6)), label="k")
     cents = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k,
                                  streams(seed, np.arange(n_restarts)))
-    want = [helpers._kmeanspp(y, k, Xoshiro256StarStar(seed, t)) for t in range(n_restarts)]
+    want = [helpers._kmeanspp(y, k, ScalarXoshiro(seed, t)) for t in range(n_restarts)]
     assert np.array_equal(cents.view(np.uint64), np.stack(want).view(np.uint64))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "KMEANS_MAX_ITER", max_iter)

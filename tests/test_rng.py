@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coles
-from coles.rng import (_BULK_MIN, _LANE, GOLDEN64, MASK64, Xoshiro256StarStar, draw_u64s,
-                       mul_high, shuffle_with, splitmix64, stream_key, streams)
-from helpers import bulk_everywhere, loop_distinct, loop_normals, loop_shuffle
+from coles.rng import (_BULK_MIN, _LANE, Xoshiro256StarStar, draw_u64s, mul_high, shuffle_with,
+                       streams, units)
+from helpers import (GOLDEN64, MASK64, ScalarXoshiro, bulk_everywhere, loop_distinct,
+                     loop_normals, loop_shuffle, splitmix64, stream_key)
 
 PROPERTY = settings(max_examples=30)
 SEEDS64 = st.integers(0, MASK64)
@@ -46,27 +47,21 @@ def test_splitmix64_reference_vectors(seed):
 
 @pytest.mark.parametrize("seed", sorted(XOSHIRO_VECTORS))
 def test_xoshiro_reference_vectors(seed):
-    rng = Xoshiro256StarStar(seed)
+    rng = ScalarXoshiro(seed)
     assert [rng.next_u64() for _ in range(5)] == XOSHIRO_VECTORS[seed]
+    assert Xoshiro256StarStar(seed).next_u64s(5).tolist() == XOSHIRO_VECTORS[seed]
 
 
 def test_random_unit_interval():
-    rng = Xoshiro256StarStar(123)
-    vals = [rng.random() for _ in range(2000)]
-    assert all(0.0 <= v < 1.0 for v in vals)
+    vals = units(Xoshiro256StarStar(123).next_u64s(2000))
+    assert np.all((0.0 <= vals) & (vals < 1.0))
     assert abs(np.mean(vals) - 0.5) < 0.03
 
 
 def test_below_range_and_rough_uniformity():
-    rng = Xoshiro256StarStar(9)
-    counts = np.zeros(7, dtype=int)
-    for _ in range(7000):
-        counts[rng.below(7)] += 1
-    assert counts.sum() == 7000
+    counts = np.bincount(mul_high(Xoshiro256StarStar(9).next_u64s(7000), 7).astype(np.int64))
+    assert counts.size == 7 and counts.sum() == 7000
     assert counts.min() > 700  # each bucket near 1000
-
-    with pytest.raises(ValueError):
-        rng.below(0)
 
 
 def shuffle_one(rng, size):
@@ -75,13 +70,13 @@ def shuffle_one(rng, size):
 
 
 def test_distinct_draws():
-    rng, scalar = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    rng, scalar = Xoshiro256StarStar(5), ScalarXoshiro(5)
     got = rng.distinct_runs(10, 9)
     assert got.dtype == np.int64 and got.shape == (10, 9)
     for i, row in enumerate(got.tolist()):
         assert len(set(row)) == 9 and i not in row
         assert row == loop_distinct(scalar, 10, 9, exclude=i)
-    assert rng.next_u64() == scalar.next_u64()
+    assert rng.state.tolist() == [scalar.state]
 
     with pytest.raises(ValueError, match="cannot draw 4 distinct values from 3 candidates"):
         rng.distinct_runs(4, 4)
@@ -111,10 +106,6 @@ def test_stream_key_mixes_index():
     assert stream_key(7, 3) == (7 ^ ((3 * GOLDEN64) & MASK64))
 
 
-def state(rng):
-    return [rng.s0, rng.s1, rng.s2, rng.s3]
-
-
 @PROPERTY
 @given(seed=st.integers(-2**70, 2**70), indices=st.lists(st.integers(0, 2**32), max_size=8))
 @example(seed=-1, indices=[0, 1, 2**32])
@@ -123,31 +114,49 @@ def state(rng):
 def test_streams_are_the_scalar_seeded_states(seed, indices):
     states = streams(seed, np.array(indices, dtype=np.int64))
     assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
-    assert states.tolist() == [state(Xoshiro256StarStar(stream_key(seed, i))) for i in indices]
-    assert states.tolist() == [state(Xoshiro256StarStar(seed, i)) for i in indices]
+    assert states.tolist() == [ScalarXoshiro(stream_key(seed, i)).state for i in indices]
+    assert states.tolist() == [ScalarXoshiro(seed, i).state for i in indices]
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 50])
 @pytest.mark.parametrize("count", [0, 1, _LANE - 1, _LANE + 1, 3 * _LANE])
 def test_draw_u64s_steps_each_stream_as_the_scalar_loop(k, count):
     states = streams(count, np.arange(k))
-    scalar = [Xoshiro256StarStar(count, i) for i in range(k)]
+    scalar = [ScalarXoshiro(count, i) for i in range(k)]
     got = draw_u64s(states, count)
     assert got.dtype == np.uint64 and got.shape == (k, count)
     assert got.tolist() == [[rng.next_u64() for _ in range(count)] for rng in scalar]
-    assert states.tolist() == [state(rng) for rng in scalar]  # advanced in place
+    assert states.tolist() == [rng.state for rng in scalar]  # advanced in place
+
+
+@PROPERTY
+@given(seed=st.integers(-2**70, 2**70), index=st.integers(0, 2**32),
+       counts=st.lists(st.one_of(st.sampled_from([0, 1, _BULK_MIN - 1, _BULK_MIN]),
+                                 st.integers(_BULK_MIN + 1, _BULK_MIN + 2 * _LANE)),
+                       max_size=6))
+@example(seed=0, index=0, counts=[0, 1, _BULK_MIN - 1, _BULK_MIN, _BULK_MIN + _LANE + 3, 1])
+@example(seed=-1, index=2**32, counts=[_BULK_MIN, 1, 1, _BULK_MIN - 1, 0])
+def test_generator_state_is_its_streams_row_through_mixed_draws(seed, index, counts):
+    # one state for both sides of _BULK_MIN: the streams() row, advanced in place
+    rng, reference = Xoshiro256StarStar(seed, index), ScalarXoshiro(seed, index)
+    assert Xoshiro256StarStar.__slots__ == ("state",)
+    assert rng.state.dtype == np.uint64 and np.array_equal(rng.state, streams(seed, [index]))
+    for count in counts:
+        got = rng.next_u64s(count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert got.tolist() == [reference.next_u64() for _ in range(count)]
+        assert rng.state.tolist() == [reference.state]
 
 
 # -- bulk draws against the scalar recurrence -----------------------------------
 
 def check_bulk_draw(seed, count, lanes):
-    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    bulk, scalar = Xoshiro256StarStar(seed), ScalarXoshiro(seed)
     with bulk_everywhere(lanes):
         got = bulk.next_u64s(count)
     assert got.dtype == np.uint64 and got.shape == (count,)
     assert got.tolist() == [scalar.next_u64() for _ in range(count)]
-    # the generator ends where count scalar steps leave it
-    assert [bulk.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
+    assert bulk.state.tolist() == [scalar.state]  # where count scalar steps leave it
 
 
 @pytest.mark.parametrize("seed", [0, MASK64])
@@ -171,11 +180,11 @@ def test_bulk_draw_equals_scalar_steps(seed, count, lanes):
 @example(seed=3, count=_BULK_MIN + 1, lanes=False)
 @example(seed=4, count=2 * _BULK_MIN, lanes=False)
 def test_normals_match_scalar_box_muller(seed, count, lanes):
-    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    bulk, scalar = Xoshiro256StarStar(seed), ScalarXoshiro(seed)
     with bulk_everywhere(lanes):
         got = bulk.normals(count)
     assert got.tolist() == loop_normals(scalar, count)
-    assert bulk.next_u64() == scalar.next_u64()
+    assert bulk.state.tolist() == [scalar.state]
 
 
 @PROPERTY
@@ -193,24 +202,24 @@ def test_bulk_below_is_exact(xs, n):
 @given(seed=SEEDS64, n=st.integers(0, 40), data=st.data(), lanes=st.booleans())
 def test_distinct_runs_match_scalar_calls(seed, n, data, lanes):
     count = data.draw(st.integers(0, n - 1)) if n else 0
-    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    bulk, scalar = Xoshiro256StarStar(seed), ScalarXoshiro(seed)
     with bulk_everywhere(lanes):
         got = bulk.distinct_runs(n, count)
     assert got.dtype == np.int64 and got.shape == (n, count)
     assert got.tolist() == [loop_distinct(scalar, n, count, exclude=i) for i in range(n)]
-    assert bulk.next_u64() == scalar.next_u64()  # the pool never overdraws
+    assert bulk.state.tolist() == [scalar.state]  # the pool never overdraws
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 1000, _BULK_MIN + 2])
 @pytest.mark.parametrize("lanes", [False, True])
 def test_shuffle_matches_scalar_fisher_yates(size, lanes):
     want = list(range(size))
-    bulk, scalar = Xoshiro256StarStar(size), Xoshiro256StarStar(size)
+    bulk, scalar = Xoshiro256StarStar(size), ScalarXoshiro(size)
     with bulk_everywhere(lanes):
         got = shuffle_one(bulk, size)
     loop_shuffle(scalar, want)
     assert got == want
-    assert bulk.next_u64() == scalar.next_u64()
+    assert bulk.state.tolist() == [scalar.state]
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 7, 300])
@@ -220,7 +229,7 @@ def test_shuffle_with_shuffles_each_row_as_the_scalar_loop(size, n_rows):
     got = shuffle_with(np.tile(np.arange(size), (n_rows, 1)), draws)
     for k, row in enumerate(got.tolist()):
         want = list(range(size))
-        loop_shuffle(Xoshiro256StarStar(size, k), want)
+        loop_shuffle(ScalarXoshiro(size, k), want)
         assert row == want
 
 
@@ -254,7 +263,7 @@ def test_rng_boundary_finds_breaches():
 def test_only_rng_draws_scalars_or_reads_rng_internals():
     # other modules draw words in bulk, map them with mul_high and units and
     # take their streams from streams() or Xoshiro256StarStar(seed, index), so
-    # the scalar generator, rng's internals and the key rule change behind that API
+    # rng's internals and the key rule change behind that API
     src = Path(coles.__file__).resolve().parent
     modules = sorted(p for p in src.glob("*.py") if p.name != "rng.py")
     assert modules

@@ -3,16 +3,15 @@ import pytest
 
 from coles.diagnostics import expected_negative_homophily, homophily
 from coles.graph_core import SparseSym
-from coles.rng import Xoshiro256StarStar
 from coles.synthetic import SbmSpec, generate_sbm, simplex_means
-from helpers import bulk_everywhere, loop_normals
+from helpers import ScalarXoshiro, bulk_everywhere, loop_normals
 
 
 def _loop_sbm(spec):
     """generate_sbm as a scalar double loop over pairs, then scalar Box-Muller."""
     n = spec.n_classes * spec.per_block
     labels = np.repeat(np.arange(spec.n_classes), spec.per_block)
-    rng = Xoshiro256StarStar(spec.seed)
+    rng = ScalarXoshiro(spec.seed)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
