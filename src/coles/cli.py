@@ -13,6 +13,7 @@ on success. COLES_LOG={error|info|debug} controls verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -213,30 +214,37 @@ def _read_labeled_embeddings(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     return y, labels
 
 
-def _check_stream_count(cfg: dict, key: str) -> None:
-    """cfg[key], the number of runs or splits, must be at least 1 and few
-    enough that their (count, 4) uint64 stream states can be allocated."""
+@contextlib.contextmanager
+def _stream_count(cfg: dict, key: str):
+    """Check cfg[key], the number of runs or splits (at least 1, its (count, 4)
+    uint64 stream states allocatable), then run the work it scales, naming its flag
+    in a MemoryError."""
+    flag = f"--{key.replace('_', '-')} {cfg[key]}"
     if cfg[key] < 1:
         raise ConfigError(f"{key} must be >= 1")
     try:
         np.empty((cfg[key], 4), dtype=np.uint64)
     except (ValueError, MemoryError):  # numpy's size limit, or the host's
-        raise ConfigError(f"--{key.replace('_', '-')} {cfg[key]} is too large to allocate") from None
+        raise ConfigError(f"{flag} is too large to allocate") from None
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"{flag}: {exc}") from None
 
 
 def cmd_eval_classify(cfg: dict) -> dict:
     y, labels = _read_labeled_embeddings(cfg)
-    _check_stream_count(cfg, "n_splits")
-    spec = SplitSpec(per_class=cfg["per_class"], val_size=cfg["val_size"], seed=cfg["seed"])
-    train, _val, test = random_splits(labels, spec, cfg["n_splits"])
-    if test.shape[1] == 0:
-        raise ConfigError("test set is empty; lower --val-size or --per-class")
-    labels = np.unique(labels, return_inverse=True)[1]  # classes 0..C-1, whatever the ids
-    weights = logreg_fit(y[train], labels[train], l2=cfg["l2"], lr=cfg["lr"],
-                         epochs=cfg["epochs"])
-    scores = [score(logreg_predict(w, y[rows]), labels[rows], mode="classification")
-              for w, rows in zip(weights, test)]
-    mean, std = _write_metrics(cfg, "split", scores)
+    with _stream_count(cfg, "n_splits"):
+        spec = SplitSpec(per_class=cfg["per_class"], val_size=cfg["val_size"], seed=cfg["seed"])
+        train, _val, test = random_splits(labels, spec, cfg["n_splits"])
+        if test.shape[1] == 0:
+            raise ConfigError("test set is empty; lower --val-size or --per-class")
+        labels = np.unique(labels, return_inverse=True)[1]  # classes 0..C-1, whatever the ids
+        weights = logreg_fit(y[train], labels[train], l2=cfg["l2"], lr=cfg["lr"],
+                             epochs=cfg["epochs"])
+        scores = [score(logreg_predict(w, y[rows]), labels[rows], mode="classification")
+                  for w, rows in zip(weights, test)]
+        mean, std = _write_metrics(cfg, "split", scores)
     log.info("classification over %d splits: acc %.4f +- %.4f",
              cfg["n_splits"], mean["accuracy"], std["accuracy"])
     return cfg
@@ -245,12 +253,12 @@ def cmd_eval_classify(cfg: dict) -> dict:
 def cmd_eval_cluster(cfg: dict) -> dict:
     y, labels = _read_labeled_embeddings(cfg)
     k = cfg["k"] or int(np.unique(labels).size)
-    _check_stream_count(cfg, "n_runs")
-    # a draw of substream r, not its key: kmeans XORs restart t into its seed too
-    seeds = draw_u64s(streams(cfg["seed"], np.arange(cfg["n_runs"])), 1)[:, 0].tolist()
-    scores = [score(kmeans(y, k, seed=s), labels, mode="clustering") for s in seeds]
     resolved = {**cfg, "k": k}
-    mean, _ = _write_metrics(resolved, "run", scores)
+    with _stream_count(cfg, "n_runs"):
+        # a draw of substream r, not its key: kmeans XORs restart t into its seed too
+        seeds = draw_u64s(streams(cfg["seed"], np.arange(cfg["n_runs"])), 1)[:, 0].tolist()
+        scores = [score(kmeans(y, k, seed=s), labels, mode="clustering") for s in seeds]
+        mean, _ = _write_metrics(resolved, "run", scores)
     log.info("clustering over %d runs: acc %.4f, nmi %.4f",
              cfg["n_runs"], mean["accuracy"], mean["nmi"])
     return resolved

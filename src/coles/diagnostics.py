@@ -171,14 +171,11 @@ def lipschitz_check(u, u_prime, v) -> LipschitzCheck:
     return LipschitzCheck(lhs, rhs, lhs <= rhs + 1e-12)
 
 
-def homophily(adj: SparseSym, labels, weighted: bool = False) -> float:
+def homophily(adj: SparseSym, labels) -> float:
     """Mean same-label neighbor fraction, self-loops excluded.
 
     The mean runs over the nodes with at least one neighbor other than
     themselves; isolated nodes have no neighbor fraction and are skipped.
-    weighted=True instead sums W_ij over same-label pairs and divides by the
-    same node count, for a degree-normalized W (the two coincide only under
-    row normalization).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != adj.n:
@@ -191,8 +188,6 @@ def homophily(adj: SparseSym, labels, weighted: bool = False) -> float:
     has_neighbor = degree > 0
     if not has_neighbor.any():
         raise ValueError("no node has a neighbor other than itself; homophily undefined")
-    if weighted:
-        return float(np.sum(coo.data[off][same])) / int(np.count_nonzero(has_neighbor))
     hits = np.bincount(rows, weights=same, minlength=adj.n)
     return float(np.mean(hits[has_neighbor] / degree[has_neighbor]))
 

@@ -7,12 +7,14 @@ A foreign matrix enters only through from_scipy, which checks it, bit-exact
 symmetry included; from_edges and the graph operations of this package keep
 symmetry by construction and do not recheck.
 Dense matrices are plain 2-D float64 C-contiguous numpy arrays.
-_parse_lines reads every text format: edge lists here, CSV and labels in io;
-a plain edge list, as save_edge_list writes it, is read in one pass instead.
+_read_table reads every text format, edge lists here, CSV and labels in io:
+np.loadtxt parses the file, and _parse_lines, one line at a time, takes any
+file that loadtxt refuses or reads otherwise, and names its first bad line.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +179,23 @@ def _parse_lines(path, parse, what: str) -> list:
     return out
 
 
+def _read_table(path, parse, what: str, dtype, delimiter=None, valid=None) -> np.ndarray:
+    """The rows of a text file as an array of dtype: np.loadtxt's 2-D table if it
+    reads the open file (given a path, numpy would decompress .gz files and fetch
+    URLs) with no error or warning and valid(table) holds, else the rows of
+    _parse_lines, whose grammar and messages rule."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file only warns
+            table = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError too
+        pass
+    else:
+        if valid is None or valid(table):
+            return table
+    return np.array(_parse_lines(path, parse, what), dtype=dtype)
+
+
 def _edge(line: str) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
@@ -194,44 +213,17 @@ def _edge(line: str) -> tuple[int, int]:
     return u, v
 
 
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[ord("0"):ord("9") + 1] = True
-
-
-def _plain_edges(data: bytes) -> np.ndarray | None:
-    """The (m, 2) pairs of a file of plain "u v" lines, in one pass, or None.
-
-    A plain file is what save_edge_list writes: lines of two ASCII-digit ids
-    of at most 10 digits (int64 holds them), joined by one space, no self-loop and no id above
-    MAX_NODE_ID, each line ended by a newline (the last one optional). Every
-    such file parses as _edge parses it; None sends anything else (comments,
-    blank lines, other whitespace, signs, errors) to the per-line parse.
-    """
-    codes = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", dtype=np.uint8)
-    breaks = np.flatnonzero(~_DIGIT[codes])  # a plain line's are one space, then a newline
-    digits = np.diff(breaks, prepend=-1) - 1  # length of the digit run before each break
-    if (breaks.size % 2 or np.any(codes[breaks[0::2]] != ord(" "))
-            or np.any(codes[breaks[1::2]] != ord("\n")) or digits.min() < 1 or digits.max() > 10):
-        return None
-    pairs = np.array(data.split(), dtype=np.int64).reshape(-1, 2)
-    if pairs.max() > MAX_NODE_ID or np.any(pairs[:, 0] == pairs[:, 1]):
-        return None
-    return pairs
-
-
 def load_edge_list(path, n: int | None = None) -> SparseSym:
     """Read an undirected binary graph from a "u v" text file.
 
     Lines starting with '#' and blank lines are ignored. Duplicate lines and
     reversed pairs collapse to one edge. Node count is 1 + max id unless a
-    larger n is given explicitly (trailing isolated nodes). A plain file
-    (_plain_edges) is parsed in one pass; any other goes line by line, which
-    names the first bad line.
+    larger n is given explicitly (trailing isolated nodes). np.loadtxt reads
+    a clean file in one call; any other goes through the per-line parse,
+    which names the first bad line.
     """
-    with open(path, "rb") as fh:
-        pairs = _plain_edges(fh.read())
-    if pairs is None:
-        pairs = np.array(_parse_lines(path, _edge, "edge list"), dtype=np.int64)
+    pairs = _read_table(path, _edge, "edge list", np.int64, valid=lambda t: (
+        t.shape[1] == 2 and 0 <= t.min() and t.max() <= MAX_NODE_ID and np.all(t[:, 0] != t[:, 1])))
     max_id = int(pairs.max())
     if n is not None and n <= max_id:
         raise ValueError(f"{path}: node id {max_id} exceeds requested n={n}")

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .graph_core import LabeledGraph, _parse_lines, as_dense, save_edge_list
+from .graph_core import LabeledGraph, _read_table, as_dense, save_edge_list
 
 CLSM_MAGIC = b"CLSM"
 CLSM_VERSION = 1
@@ -71,7 +71,7 @@ def read_csv(path) -> np.ndarray:
             raise ValueError(f"expected {width} columns, got {len(values)}")
         return values
 
-    return as_dense(np.array(_parse_lines(path, row, "matrix file")), path)
+    return as_dense(_read_table(path, row, "matrix file", np.float64, delimiter=","), path)
 
 
 def read_dense(path) -> np.ndarray:
@@ -99,7 +99,8 @@ def _label(line: str) -> int:
 
 
 def read_labels(path) -> np.ndarray:
-    return np.array(_parse_lines(path, _label, "labels file"), dtype=np.int64)
+    return _read_table(path, _label, "labels file", np.int64,
+                       valid=lambda t: t.shape[1] == 1 and t.min() >= 0).reshape(-1)
 
 
 def write_fixture(graph: LabeledGraph, out_dir) -> None:

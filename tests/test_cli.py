@@ -670,6 +670,25 @@ def test_huge_integer_settings_are_refused_in_one_line(synth_dir, tmp_path, caps
     assert not out.exists() or not any(out.iterdir())  # nothing written
 
 
+@pytest.mark.parametrize("subcommand,flag,target,extra", [
+    ("eval-classify", "--n-splits", "logreg_fit", ("--per-class", 5, "--val-size", 6)),
+    ("eval-cluster", "--n-runs", "kmeans", ()),
+])
+def test_out_of_memory_after_the_count_check_names_the_count(
+        separable_embedding, tmp_path, capsys, monkeypatch, subcommand, flag, target, extra):
+    # the (count, 4) stream states fit, a later array scaled by the count does not
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.01 GiB for an array")
+
+    monkeypatch.setattr(cli, target, exhausted)
+    emb, lab = separable_embedding
+    out = tmp_path / "out"
+    code = run(subcommand, "--embeddings", emb, "--labels", lab, "--out", out, *extra, flag, 3)
+    err = capsys.readouterr().err
+    assert_refused(code, err, 1, f"coles: out of memory: {flag} 3: Unable to allocate", out)
+    assert err.count("\n") == 1 and not (out / "metrics.json").exists()
+
+
 # -- every float setting, walked from build_parser's own declarations --------------
 
 def strict_json(path):

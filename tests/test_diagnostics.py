@@ -9,7 +9,7 @@ from coles.diagnostics import (LOG2, expected_negative_homophily, homophily,
                                js_divergence, js_from_densities, lipschitz_check, pair_scores,
                                parzen_density, score_densities, separation, shared_grid,
                                silverman_bandwidth, wasserstein1)
-from coles.graph_core import SparseSym, add_self_loops, normalized_adjacency
+from coles.graph_core import SparseSym, add_self_loops
 from coles.negative_sampling import NegSampleConfig, sample_negative_graph
 from coles.rng import Xoshiro256StarStar
 from helpers import ScalarXoshiro, rand_x, random_graph
@@ -240,24 +240,14 @@ def test_homophily_random_labels_concentrates():
 
 
 def test_homophily_skips_isolated_nodes():
-    # node 2 has no neighbor: both forms average over nodes 0 and 1 only
+    # node 2 has no neighbor: the mean runs over nodes 0 and 1 only
     adj = SparseSym.from_edges(3, [(0, 1)])
     assert homophily(adj, np.array([0, 0, 1])) == 1.0
     assert homophily(adj, np.array([0, 1, 1])) == 0.0
-    assert homophily(adj, np.array([0, 0, 1]), weighted=True) == 1.0
     # a self-loop is not a neighbor; with no neighbor anywhere there is no mean
     loops_only = add_self_loops(SparseSym.from_edges(3, []))
     with pytest.raises(ValueError, match="no node has a neighbor"):
         homophily(loops_only, np.array([0, 0, 1]))
-
-
-def test_homophily_weighted_form():
-    adj = SparseSym.from_edges(3, [(0, 1), (1, 2)])
-    w = normalized_adjacency(adj, self_loops=False)
-    labels = np.array([0, 0, 1])
-    # same-label weight: entries (0,1) and (1,0) = 1/sqrt(2) each
-    expected = 2.0 * (1.0 / math.sqrt(2.0)) / 3.0
-    assert abs(homophily(w, labels, weighted=True) - expected) < 1e-12
 
 
 def test_expected_negative_homophily():

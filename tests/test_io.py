@@ -1,5 +1,5 @@
+import gzip
 import os
-import re
 import tempfile
 
 import numpy as np
@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from coles import graph_core
-from coles.graph_core import (MAX_NODE_ID, LabeledGraph, SparseSym, load_edge_list,
-                              save_edge_list)
+from coles.graph_core import LabeledGraph, SparseSym, load_edge_list, save_edge_list
 from coles.io import (read_clsm, read_csv, read_dense, read_labels, write_clsm,
                       write_csv, write_fixture, write_labels)
 from coles.rng import Xoshiro256StarStar
@@ -179,12 +178,19 @@ FINITE = st.one_of(
 ROUNDTRIP = settings(max_examples=60)
 
 
+def per_line_parse_forbidden(path, parse, what):
+    raise AssertionError(f"{path}, as its writer wrote it, went to the per-line parse")
+
+
 def roundtrip(write, read, value, same):
-    """Write value, read it back, write that again: equal values, equal bytes."""
+    """Write value, read it back, write that again: equal values, equal bytes.
+    A text file its own writer wrote takes np.loadtxt's fast path."""
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a"), os.path.join(tmp, "b")
         write(value, first)
-        back = read(first)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_parse_lines", per_line_parse_forbidden)
+            back = read(first)
         assert same(back, value)
         write(back, second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
@@ -261,63 +267,145 @@ def test_edge_list_roundtrip_property(data, n, tail):
               lambda a, b: a.equals(b))
 
 
-# mostly ids below 200, the node count the files are read with; a few zero-padded or too large
-PLAIN_ID = st.integers(0, 199).map(
-    lambda i: str(i) if i < 196 else ["007", "0000000001", "4294967295", "4294967296"][i - 196])
-PLAIN_LINE = st.tuples(PLAIN_ID, PLAIN_ID).map(" ".join)
-EDGE_ID = st.one_of(PLAIN_ID, st.sampled_from(["00000000001", "+3", "-1", "1_0", "\u0663", "\uff13",
-                                               "x"]))
-ODD_LINE = st.one_of(
-    st.tuples(EDGE_ID, EDGE_ID).map(" ".join),
-    st.tuples(EDGE_ID, st.sampled_from(["\t", "  ", " \t"]), EDGE_ID).map("".join),
-    st.tuples(EDGE_ID, EDGE_ID, EDGE_ID).map(" ".join),
-    st.sampled_from(["", "   ", "# a comment", "#1 2", " 1 2", "1 2 ", "1 ", " 1", "\ufeff1 2",
-                     "\x0c", "\udcff 1"]))  # the last is the byte 0xff, not UTF-8
-PLAIN_EDGES = re.compile(rb"([0-9]{1,10} [0-9]{1,10}\n)*[0-9]{1,10} [0-9]{1,10}\n?")
+# -- np.loadtxt's fast path against the per-line parse ------------------------------
+
+def edge_arrays(path):
+    csr = load_edge_list(path, n=200).csr  # n keeps a huge id from sizing the graph
+    return csr.indptr, csr.indices, csr.data
 
 
-def is_plain(raw: bytes) -> bool:
-    """save_edge_list's own format: "u v" lines of ASCII ids, no self-loop, no id
-    above MAX_NODE_ID."""
-    if not PLAIN_EDGES.fullmatch(raw):
-        return False
-    ids = [int(t) for t in raw.split()]
-    return max(ids) <= MAX_NODE_ID and all(u != v for u, v in zip(ids[0::2], ids[1::2]))
+READERS = {  # each returns the arrays it read
+    "edges": edge_arrays,
+    "csv": lambda path: (read_csv(path),),
+    "labels": lambda path: (read_labels(path),),
+}
+
+# Line soups, each line one draw from a fixed list, which keeps the examples cheap.
+# Edge ids: mostly below 200, the node count edge lists are read with; a few
+# zero-padded or too large.
+PLAIN_IDS = [str(i) for i in range(196)] + ["007", "0000000001", "4294967295", "4294967296"]
+ODD_IDS = ["5", "00000000001", "+3", "-1", "-0", "1_0", "\u0663", "\uff13", "1.0", str(2**63), "x"]
+ANY_LINES = ["", "   ", "# a comment", "#1 2", "\x0c", "\u2028", "\x00", "1\x00", "\ufeff1",
+             "\udcff 1"]  # the last is the byte 0xff, not UTF-8
+FIELDS = [repr(v) for v in [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                            -1.7976931348623157e308, 1.5, -2.0, 0.1, 123456789.125, 3e-7]]
+ODD_FIELDS = ["", " ", " 1.5 ", "1.5\xa0", "1_0", "\u0663", "\uff13", "+.5E-3", "-0", "inf", "nan",
+              "1e400", "0x1", "1d3", "1 2", "x", "#1", "1\u20282", "\ufeff1"]
+# per format: lines as its writer writes them, and other lines, good or bad
+SOUPS = {
+    "edges": (st.integers(0, 200 * 200 - 1).map(lambda k: f"{PLAIN_IDS[k // 200]} "
+                                                           f"{PLAIN_IDS[k % 200]}"),
+              st.sampled_from(ANY_LINES + [" 1 2", "1 2 ", "1 ", " 1", "1 2 3", "1 2 #3"] + [
+                  u + sep + v for u in ODD_IDS for v in ("1", *ODD_IDS)
+                  for sep in (" ", "\t", "  ", " \t", "\xa0", "\u2028")])),
+    "csv": (st.tuples(st.sampled_from(FIELDS), st.sampled_from(FIELDS)).map(",".join),
+            st.one_of(st.sampled_from(ANY_LINES + ["1,2#3"]),
+                      st.lists(st.sampled_from(FIELDS + ODD_FIELDS), min_size=1, max_size=3)
+                      .map(",".join))),
+    "labels": (st.integers(0, 2**63 - 1).map(str),
+               st.sampled_from(ANY_LINES + ["+3", "-1", "-0", " 4 ", "4 #5", "1 2", "1.0", "1_0",
+                                            "\u0663", "\uff13", "0x1", str(2**63),
+                                            "99999999999999999999"])),
+}
 
 
-def edge_list_outcome(path):
+def refuse(*args, **kwargs):
+    raise ValueError("loadtxt switched off")
+
+
+def read_outcome(fmt, path):
     try:
-        return load_edge_list(path, n=200)
+        return READERS[fmt](path)
     except ValueError as exc:
         return str(exc)
 
 
-@settings(max_examples=300)
-@given(lines=st.lists(PLAIN_LINE, max_size=8),
-       odd=st.one_of(st.just([]), st.just([]),
-                     st.lists(st.tuples(st.integers(0, 8), ODD_LINE), min_size=1, max_size=2)),
-       ends=st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]), last_end=st.booleans())
-@example(lines=[], odd=[], ends="\n", last_end=False)
-@example(lines=["0 4294967295"], odd=[], ends="\n", last_end=True)
-@example(lines=["0 4294967296"], odd=[], ends="\n", last_end=True)
-@example(lines=["3 1", "1 2", "3 1", "2 3"], odd=[], ends="\n", last_end=False)
-@example(lines=["00000000001 5"], odd=[], ends="\n", last_end=True)
-@example(lines=["99999999999999999999 1"], odd=[], ends="\n", last_end=True)
-def test_edge_list_one_pass_agrees_with_the_per_line_parse(lines, odd, ends, last_end):
-    """Both parses give the same graph or the same message, and the one-pass
-    parse takes exactly the plain files."""
-    lines = list(lines)
-    for at, line in odd:
-        lines.insert(at, line)
-    raw = (ends.join(lines) + (ends if last_end else "")).encode("utf-8", "surrogateescape")
+def assert_fast_path_agrees(fmt, raw: bytes):
+    """A file of raw bytes reads as it does with np.loadtxt switched off, which
+    leaves every line to _parse_lines: the same arrays (dtype, shape and bytes)
+    or the same message."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "edges.txt")
+        path = os.path.join(tmp, "table.txt")
         with open(path, "wb") as fh:
             fh.write(raw)
-        got = edge_list_outcome(path)
+        got = read_outcome(fmt, path)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_core, "_plain_edges", lambda data: None)
-            want = edge_list_outcome(path)
-    assert (graph_core._plain_edges(raw) is not None) == is_plain(raw)
+            mp.setattr(np, "loadtxt", refuse)
+            want = read_outcome(fmt, path)
     assert type(got) is type(want)
-    assert got == want if isinstance(want, str) else got.equals(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+            [(b.dtype, b.shape, b.tobytes()) for b in want]
+
+
+def text_file(plain, odd):
+    """Files of the writer's lines, half of them with other lines mixed in, in
+    any line ending, with or without a BOM."""
+    def join(lines, end, last_end, bom):
+        text = bom + end.join(lines) + (end if last_end else "")
+        return text.encode("utf-8", "surrogateescape")
+    return st.builds(join, st.one_of(st.lists(plain, max_size=8),
+                                     st.lists(st.one_of(plain, odd), max_size=8)),
+                     st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]), st.booleans(),
+                     st.sampled_from(["", "\ufeff"]))
+
+
+TEXT_FILES = {fmt: text_file(plain, odd) for fmt, (plain, odd) in SOUPS.items()}
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_FILES))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_loadtxt_fast_path_agrees_with_the_per_line_parse(fmt, data):
+    assert_fast_path_agrees(fmt, data.draw(TEXT_FILES[fmt]))
+
+
+FALLBACK_TRIGGERS = {  # format: files that loadtxt refuses, or reads where valid() fails
+    "edges": [b"", b"0 4294967296\n", b"00000000001 5\n", b"99999999999999999999 1\n",
+              b"# a comment\n0 1\n", b"0 1 # a comment\n", b"1_0 2\n", "\u0663 1\n".encode(),
+              b"0 1\n\xff\n", b"\xef\xbb\xbf0 1\n\xef\xbb\xbf1 2\n", "0 1\u20282 3\n".encode(),
+              f"{2**63} 1\n".encode(), b"0 -1\n", b"2 2\n", b"0 1 2\n", b"1.0 2\n"],
+    "csv": [b"", b"# 1 x 2\n1,2\n", b"1,2 # a comment\n", b"1,2\n   \n3,4\n", b"1_0,2\n",
+            "\u0663,1\n".encode(), b"1,2\n\xff\n", b"1,2\n\xef\xbb\xbf3,4\n",
+            "1,2\u20283,4\n".encode(), b"1,2\n3\n"],
+    "labels": [b"", b"# one\n0\n", b"0 # a comment\n", b"1_0\n", "\u0663\n".encode(),
+               b"0\n\xff\n", b"0\n\xef\xbb\xbf1\n", "1\u20282\n".encode(),
+               f"{2**63}\n".encode(), b"0\n-1\n",
+               b"1.0\n"],  # numpy 1.23 deprecated loadtxt's reading "1.0" as an integer; it warned
+}
+ACCEPTED = {  # format: files that loadtxt reads as the per-line parse does
+    "edges": [b"0 4294967295\n", b"3 1\n1 2\n3 1\n2 3", b"\xef\xbb\xbf0 1\n", b"0 1\r1 2\r",
+              b"0 1\r\n1 2\r\n", "0\u20281\n".encode()],
+    "csv": [b"\xef\xbb\xbf1,2\n", b"1,2\r3,4", b" 1.5 , -0.0 \n", b"5e-324\n1e-300\n"],
+    "labels": [b"\xef\xbb\xbf0\n", b"0\r1\r", f"{2**63 - 1}\n+3\n-0\n".encode()],
+}
+
+
+@pytest.mark.parametrize("fmt,raw", [(fmt, raw) for table in (FALLBACK_TRIGGERS, ACCEPTED)
+                                     for fmt, files in table.items() for raw in files])
+def test_loadtxt_fast_path_agrees_on_explicit_files(fmt, raw):
+    assert_fast_path_agrees(fmt, raw)
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_text_readers_report_a_missing_file_or_a_directory_as_open_does(tmp_path, fmt):
+    # numpy would say "... not found." of a missing path; open()'s message stays
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(OSError) as want:
+            open(path, encoding="utf-8")
+        with pytest.raises(OSError) as got:
+            READERS[fmt](path)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_FORMATS))
+def test_text_formats_refuse_a_gzip_file(tmp_path, fmt):
+    # numpy decompresses a .gz path by its name; the readers take the bytes as they are
+    _, text, _ = TEXT_FORMATS[fmt]
+    path = tmp_path / "x.gz"
+    path.write_bytes(gzip.compress(text.encode("utf-8")))
+    with pytest.raises(ValueError) as err:
+        READERS[fmt](path)
+    assert str(err.value) == f"{path}:1: byte 0x8b is not UTF-8"
