@@ -1,9 +1,11 @@
 """Downstream evaluation: random splits, logistic regression, k-means, metrics.
 
 The protocol mirrors the usual transductive setup: a fixed number of labeled
-nodes per class form the training set, 500 further nodes the validation set,
-the remainder the test set; classification happens in embedding space with
-a multinomial logistic regression, clustering with restarted k-means, and
+nodes per class form the training set, 500 further nodes the validation set
+(drawn and kept out of the test set, but nothing is fitted or tuned on it),
+the remainder the test set; classification happens in embedding space with a
+softmax (multinomial logistic) model, 500 full-batch gradient steps from zero
+that stop short of the L2 optimum, clustering with restarted k-means, and
 clustering accuracy uses the optimal cluster-to-class assignment.
 """
 
@@ -83,7 +85,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
                epochs: int = 500, return_losses: bool = False):
-    """Multinomial logistic regression by full-batch gradient descent.
+    """A softmax (multinomial logistic) model by epochs steps of full-batch
+    gradient descent, stopped there, not run to the L2 optimum.
 
     Zero-initialized weights of shape (d+1, C); the trailing row is the bias
     (a constant feature is appended) and is regularized with the rest.

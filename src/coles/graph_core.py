@@ -8,8 +8,7 @@ symmetry included; from_edges and the graph operations of this package keep
 symmetry by construction and do not recheck.
 Dense matrices are plain 2-D float64 C-contiguous numpy arrays.
 _read_table reads every text format, edge lists here, CSV and labels in io:
-np.loadtxt parses the file, and _parse_lines, one line at a time, takes any
-file that loadtxt refuses or reads otherwise, and names its first bad line.
+np.loadtxt is the one grammar, and each format's checks run on its table.
 """
 
 from __future__ import annotations
@@ -129,13 +128,6 @@ class SparseSym:
         upper = rows < self.indices
         return np.column_stack((rows[upper], self.indices[upper]))
 
-    def equals(self, other: "SparseSym") -> bool:
-        """Bit-identical structural and numerical equality."""
-        return (self.n == other.n
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.data, other.data))
-
 
 @dataclass
 class LabeledGraph:
@@ -157,60 +149,82 @@ class LabeledGraph:
 
 # -- text files ---------------------------------------------------------------
 
-def _parse_lines(path, parse, what: str) -> list:
-    """parse(line) for each stripped line of a UTF-8 text file, BOM skipped, but
-    blank and '#' lines; errors, a byte that is not UTF-8 too, name "path:line",
-    or "path: empty <what>" if no line is left."""
-    out = []
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(map(str.strip, fh), start=1):
-            try:
-                if not line.isascii():  # a byte that is not UTF-8 reads as a lone surrogate
-                    line.encode("utf-8")
-                if line and not line.startswith("#"):
-                    out.append(parse(line))
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise ValueError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not out:
-        raise ValueError(f"{path}: empty {what}")
-    return out
+def _loadtxt(source, dtype, delimiter) -> np.ndarray:
+    """np.loadtxt's 2-D table of an open file or lines; warnings (empty input) raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
 
 
-def _read_table(path, parse, what: str, dtype, delimiter=None, valid=None) -> np.ndarray:
-    """The rows of a text file as an array of dtype: np.loadtxt's 2-D table if it
-    reads the open file (given a path, numpy would decompress .gz files and fetch
-    URLs) with no error or warning and valid(table) holds, else the rows of
-    _parse_lines, whose grammar and messages rule."""
+def _parse(lines, dtype, delimiter) -> tuple[np.ndarray, tuple | None]:
+    """_loadtxt's table of lines up to the first line that it refuses, alone or at
+    the width of the lines before, and that line's (index, message), or None.
+    A refused run of lines is halved until the line is found: O(lines) work."""
+    parts = []
+
+    def refusal(lo, hi):
+        try:
+            part = _loadtxt(lines[lo:hi], dtype, delimiter)
+            width = parts[0].shape[1] if parts else part.shape[1]
+            if part.shape[1] == width:
+                parts.append(part)
+                return None
+            message = f"expected {width} columns, got {part.shape[1]}"
+        except (ValueError, Warning):
+            message = f"cannot read {{line!r}} as {np.dtype(dtype)} values"
+        mid = (lo + hi) // 2
+        return (lo, message) if hi - lo == 1 else refusal(lo, mid) or refusal(mid, hi)
+
+    refused = refusal(0, len(lines))
+    return np.concatenate(parts or [np.empty((0, 0), dtype)]), refused
+
+
+def _first_failure(table: np.ndarray, checks) -> tuple | None:
+    """(row, message) of the first row that fails a check, with the first check it
+    fails, or None."""
+    failures = []
+    for holds, message in checks:
+        ok = holds(table)  # a bool per row or per entry: the first False is in the first bad row
+        if not ok.all():
+            failures.append((int(np.argmin(ok)) // (ok.size // len(table)), message))
+    return min(failures, key=lambda failure: failure[0], default=None)
+
+
+def _read_table(path, what: str, dtype, delimiter, checks) -> np.ndarray:
+    """The rows of a UTF-8 text file as a 2-D array of dtype passing every check:
+    (holds, message) pairs, holds(table) a bool per row or entry and message a
+    str.format template of the failing row's line. np.loadtxt reads the whole
+    file, opened here (given a path, numpy would unzip .gz files and fetch
+    URLs). If it cannot or a check fails, the stripped lines but blank and '#'
+    ones, BOM skipped, go to the same np.loadtxt call, and an error names the
+    first line that it refuses or that fails a check, or a byte not UTF-8."""
     try:
-        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file only warns
-            table = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+        with open(path, encoding="utf-8-sig") as fh:
+            table = _loadtxt(fh, dtype, delimiter)
     except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError too
-        pass
-    else:
-        if valid is None or valid(table):
-            return table
-    return np.array(_parse_lines(path, parse, what), dtype=dtype)
-
-
-def _edge(line: str) -> tuple[int, int]:
-    parts = line.split()
-    if len(parts) != 2:
-        raise ValueError(f"expected 'u v', got {line!r}")
-    try:
-        u, v = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"non-integer node id in {line!r}") from None
-    if u < 0 or v < 0:
-        raise ValueError("negative node id")
-    if u > MAX_NODE_ID or v > MAX_NODE_ID:
-        raise ValueError("node id overflow")
-    if u == v:
-        raise ValueError(f"self-loop in input ({u} {v})")
-    return u, v
+        table = None
+    if table is not None and _first_failure(table, checks) is None:
+        return table
+    numbers, lines = [], []
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for number, line in enumerate(map(str.strip, fh), start=1):
+            if not line.isascii():  # a byte that is not UTF-8 reads as a lone surrogate
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ValueError(f"{path}:{number}: byte {byte:#04x} is not UTF-8") from None
+            if line and not line.startswith("#"):
+                numbers.append(number)
+                lines.append(line)
+    if not lines:
+        raise ValueError(f"{path}: empty {what}")
+    table, refused = _parse(lines, dtype, delimiter)
+    failure = _first_failure(table, checks) or refused
+    if failure:
+        row, message = failure
+        raise ValueError(f"{path}:{numbers[row]}: " + message.format(line=lines[row]))
+    return table
 
 
 def load_edge_list(path, n: int | None = None) -> SparseSym:
@@ -218,12 +232,14 @@ def load_edge_list(path, n: int | None = None) -> SparseSym:
 
     Lines starting with '#' and blank lines are ignored. Duplicate lines and
     reversed pairs collapse to one edge. Node count is 1 + max id unless a
-    larger n is given explicitly (trailing isolated nodes). np.loadtxt reads
-    a clean file in one call; any other goes through the per-line parse,
-    which names the first bad line.
+    larger n is given explicitly (trailing isolated nodes).
     """
-    pairs = _read_table(path, _edge, "edge list", np.int64, valid=lambda t: (
-        t.shape[1] == 2 and 0 <= t.min() and t.max() <= MAX_NODE_ID and np.all(t[:, 0] != t[:, 1])))
+    pairs = _read_table(path, "edge list", np.int64, None, (
+        (lambda t: np.full(len(t), t.shape[1] == 2), "expected 'u v', got {line!r}"),
+        (lambda t: (t >= 0) & (t <= MAX_NODE_ID),
+         f"node id outside [0, {MAX_NODE_ID}] in {{line!r}}"),
+        (lambda t: t[:, :1] != t[:, -1:], "self-loop in {line!r}"),
+    ))
     max_id = int(pairs.max())
     if n is not None and n <= max_id:
         raise ValueError(f"{path}: node id {max_id} exceeds requested n={n}")

@@ -58,20 +58,8 @@ def write_csv(x: np.ndarray, path, header: str | None = None) -> None:
 
 
 def read_csv(path) -> np.ndarray:
-    width = None
-
-    def row(line: str) -> np.ndarray:
-        nonlocal width
-        try:
-            values = np.array(line.split(","), dtype=np.float64)
-        except ValueError:
-            raise ValueError("non-numeric value") from None
-        width = len(values) if width is None else width
-        if len(values) != width:
-            raise ValueError(f"expected {width} columns, got {len(values)}")
-        return values
-
-    return as_dense(_read_table(path, row, "matrix file", np.float64, delimiter=","), path)
+    return _read_table(path, "matrix file", np.float64, ",",
+                       ((np.isfinite, "non-finite value in {line!r}"),))
 
 
 def read_dense(path) -> np.ndarray:
@@ -86,21 +74,11 @@ def write_labels(labels, path) -> None:
         fh.writelines(f"{v}\n" for v in np.asarray(labels, dtype=np.int64).tolist())
 
 
-def _label(line: str) -> int:
-    try:
-        label = int(line)
-    except ValueError:
-        raise ValueError(f"non-integer label {line!r}") from None
-    if label < 0:
-        raise ValueError(f"negative label {label}")
-    if label > 2**63 - 1:
-        raise ValueError(f"label {label} does not fit in int64")
-    return label
-
-
 def read_labels(path) -> np.ndarray:
-    return _read_table(path, _label, "labels file", np.int64,
-                       valid=lambda t: t.shape[1] == 1 and t.min() >= 0).reshape(-1)
+    return _read_table(path, "labels file", np.int64, None, (
+        (lambda t: np.full(len(t), t.shape[1] == 1), "expected one label, got {line!r}"),
+        (lambda t: t >= 0, "negative label {line}"),
+    )).reshape(-1)
 
 
 def write_fixture(graph: LabeledGraph, out_dir) -> None:

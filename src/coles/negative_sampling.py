@@ -58,8 +58,9 @@ def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> np.ndar
 
 
 def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
-    """Sample negative graph k and normalize it like the positive graph
-    (self-loops, then degree normalization), so both share one scale."""
+    """Sample negative graph k, then add self-loops and degree-normalize it,
+    whatever the data graph's self_loops: a random draw can leave a node
+    isolated, and degree_normalize refuses a node of zero degree."""
     if n < 2:
         raise ValueError("need at least 2 nodes to sample a negative graph")
     if k < 0 or (cfg.kappa and k >= cfg.kappa):

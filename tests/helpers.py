@@ -32,6 +32,12 @@ def weighted_graph(n, extra_per_node, seed):
     return SparseSym.from_scipy(m + m.T)
 
 
+def sparse_equal(a: SparseSym, b: SparseSym) -> bool:
+    """Bit-identical structural and numerical equality."""
+    return (a.n == b.n and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
 def rand_x(n, d, seed=0):
     return np.array(Xoshiro256StarStar(seed).normals(n * d)).reshape(n, d)
 

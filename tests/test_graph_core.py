@@ -5,7 +5,7 @@ from coles.graph_core import (LabeledGraph, SparseSym, add_self_loops, as_dense,
                               degree_normalize, load_edge_list, normalized_adjacency,
                               save_edge_list, spmm)
 from coles.rng import Xoshiro256StarStar
-from helpers import ScalarXoshiro, random_graph, weighted_graph
+from helpers import ScalarXoshiro, random_graph, sparse_equal, weighted_graph
 
 
 def path3():
@@ -78,10 +78,11 @@ def test_from_scipy_sorts_and_sums_rows_before_the_symmetry_check():
                              shape=(3, 3))
 
     # rows: [1], [2, 0], [1] -- row 1 is out of order
-    assert SparseSym.from_scipy(csr([0, 1, 3, 4], [1, 2, 0, 1], [1, 1, 1, 1])).equals(path3())
+    assert sparse_equal(SparseSym.from_scipy(csr([0, 1, 3, 4], [1, 2, 0, 1], [1, 1, 1, 1])),
+                        path3())
     # rows: [1], [0, 2, 0], [1] -- row 1 repeats column 0, and the halves sum to (0, 1)'s weight
     summed = SparseSym.from_scipy(csr([0, 1, 4, 5], [1, 0, 2, 0, 1], [1, 0.5, 1, 0.5, 1]))
-    assert summed.equals(path3())
+    assert sparse_equal(summed, path3())
     # rows: [1], [0, 2], [1, 1] -- row 2 repeats column 1, so (2, 1) sums to 2 against 1
     with pytest.raises(ValueError, match="symmetric"):
         SparseSym.from_scipy(csr([0, 1, 3, 5], [1, 0, 2, 1, 1], [1, 1, 1, 1, 1]))
@@ -120,7 +121,7 @@ def test_vectorised_graph_ops_match_loops(seed):
     edges = [(rng.below(n), rng.below(n)) for _ in range(80)]
     edges = [(u, v) for u, v in edges if u != v] + [(v, u) for u, v in edges[:10] if u != v]
     s = SparseSym.from_edges(n, edges)
-    assert s.equals(_loop_from_edges(n, edges))
+    assert sparse_equal(s, _loop_from_edges(n, edges))
     assert np.array_equal(s.edge_list(), _loop_edge_list(s))
     assert s.edge_list().dtype == np.int64
     assert s.has_diagonal() is _loop_has_diagonal(s) is False
@@ -132,9 +133,9 @@ def test_vectorised_graph_ops_match_loops(seed):
 def test_equals_is_bit_exact():
     a = path3()
     b = path3()
-    assert a.equals(b)
+    assert sparse_equal(a, b)
     c = SparseSym.from_edges(3, [(0, 1)])
-    assert not a.equals(c)
+    assert not sparse_equal(a, c)
 
 
 # -- edge list I/O -------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_load_edge_list_basic(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("0 1\n1 2\n")
     s = load_edge_list(p)
-    assert s.equals(path3())
+    assert sparse_equal(s, path3())
 
 
 def test_load_edge_list_dedupes_reversed(tmp_path):
@@ -156,28 +157,44 @@ def test_load_edge_list_dedupes_reversed(tmp_path):
 def test_load_edge_list_rejects_self_loop(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("0 0\n")
-    with pytest.raises(ValueError, match="self-loop"):
+    with pytest.raises(ValueError, match=":1: self-loop in '0 0'"):
         load_edge_list(p)
 
 
 def test_load_edge_list_reports_line_numbers(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("# comment\n0 1\n\n2 x\n")
-    with pytest.raises(ValueError, match=":4:"):
+    with pytest.raises(ValueError, match=":4: cannot read '2 x' as int64 values"):
         load_edge_list(p)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0 1\n2 2\n0 -1\n", "2: self-loop in '2 2'"),
+    ("0 -1\n2 2\n", "1: node id outside [0, 4294967295] in '0 -1'"),
+    ("-1 -1\n", "1: node id outside [0, 4294967295] in '-1 -1'"),  # the first check wins a tie
+    ("0 1\n2 2\n3 x\n", "2: self-loop in '2 2'"),  # a failed check before a refused line
+    ("0 1\n3 x\n2 2\n", "2: cannot read '3 x' as int64 values"),
+    ("0 1 2\n0 1\n", "1: expected 'u v', got '0 1 2'"),
+])
+def test_load_edge_list_names_the_first_bad_line(tmp_path, text, message):
+    p = tmp_path / "edges.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_edge_list(p)
+    assert str(err.value) == f"{p}:{message}"
 
 
 def test_load_edge_list_empty_file(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("# nothing\n")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match=": empty edge list"):
         load_edge_list(p)
 
 
 def test_load_edge_list_overflow(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text(f"0 {2**40}\n")
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match=f":1: node id outside \\[0, 4294967295\\] in '0 {2**40}'"):
         load_edge_list(p)
 
 
@@ -194,7 +211,7 @@ def test_edge_list_roundtrip(tmp_path):
     s = random_graph(23, 2, seed=99)
     path = tmp_path / "rt.txt"
     save_edge_list(s, path)
-    assert load_edge_list(path).equals(s)
+    assert sparse_equal(load_edge_list(path), s)
 
 
 # -- self loops / normalization / Laplacian I - W ---------------------------------

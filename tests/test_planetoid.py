@@ -73,5 +73,5 @@ def test_test_index_errors_name_the_line(tmp_path):
     index = dataset_files(str(tmp_path), "bad")[7]
     with open(index, "w") as fh:
         fh.write("5\n# comment\nfour\n")
-    with pytest.raises(ValueError, match=r"test\.index:3: non-integer label 'four'"):
+    with pytest.raises(ValueError, match=r"test\.index:3: cannot read 'four' as int64 values"):
         load_planetoid(str(tmp_path), "bad")

@@ -17,7 +17,8 @@ from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, stream
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
 from coles.synthetic import SbmSpec, generate_sbm
 import helpers
-from helpers import ScalarXoshiro, loop_kmeans, rand_x, random_graph, stream_key, weighted_graph
+from helpers import (ScalarXoshiro, loop_kmeans, rand_x, random_graph, sparse_equal, stream_key,
+                     weighted_graph)
 
 PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -73,7 +74,7 @@ def test_sym_eig_zero_matrix_property(n):
 
 def assert_checked_rebuild(out):
     """An unchecked result passes the entry check unchanged and stores no zeros."""
-    assert SparseSym.from_scipy(out.csr).equals(out)
+    assert sparse_equal(SparseSym.from_scipy(out.csr), out)
     assert np.all(out.data != 0)
 
 
@@ -106,7 +107,7 @@ def test_from_edges_passes_the_checked_constructor(data, n):
     want = np.zeros((n, n))  # the definition: a unit weight per undirected pair in the set
     for u, v in {tuple(sorted(p)) for p in pairs}:
         want[u, v] = want[v, u] = 1.0
-    assert out.equals(SparseSym.from_scipy(want))
+    assert sparse_equal(out, SparseSym.from_scipy(want))
 
 
 def delta_instance(n, seed, kappa, mode):
