@@ -169,7 +169,12 @@ def cmd_embed(cfg: dict) -> dict:
     t0 = time.perf_counter()
     features = _read_input(io.read_dense, cfg["features"], "--features")
     if cfg["hash_dim"]:
-        features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
+        try:
+            features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
+        except ValueError as exc:  # also numpy's size limit on the n x hash_dim output
+            raise ConfigError(f"--hash-dim {cfg['hash_dim']}: {exc}") from None
+        except MemoryError as exc:
+            raise MemoryError(f"--hash-dim {cfg['hash_dim']}: {exc}") from None
     adjacency = _read_input(load_edge_list, cfg["edges"], "--edges", n=features.shape[0])
     result = solve_linear_coles(features, adjacency, _coles_config(cfg, features.shape[1]))
 
@@ -272,6 +277,8 @@ def cmd_diagnose(cfg: dict) -> dict:
     neg_cfg = NegSampleConfig(per_node=cfg["per_node"], mode=cfg["mode"],
                               p_prime=cfg["p_prime"], seed=cfg["seed"])
     negative = sample_negative_graph(y.shape[0], neg_cfg, 0)
+    if negative.nnz == negative.n:  # self-loops only: an Erdos-Renyi draw with no edge
+        raise ConfigError(f"the negative graph has no pairs to score (--p-prime {cfg['p_prime']})")
     pos_scores = pair_scores(y, adjacency, normalize=cfg["normalize"], tau=cfg["tau"])
     neg_scores = pair_scores(y, negative, normalize=cfg["normalize"], tau=cfg["tau"])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
@@ -395,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, default=0.0,
                    help="Parzen bandwidth; 0 means Silverman's rule per sample")
     p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=1.0,
+                   help="> 0: each row's norm before scoring; no effect under --no-normalize")
     p.add_argument("--no-normalize", dest="normalize", action="store_false",
                    help="score raw embeddings instead of tau-normalized rows")
     p.set_defaults(func=cmd_diagnose)

@@ -211,9 +211,10 @@ def separation(score_pos: float, score_neg: float) -> float:
 
 def pair_scores(y: np.ndarray, graph: SparseSym, normalize: bool = True,
                 tau: float = 1.0) -> np.ndarray:
-    """Dot-product scores y_i . y_j over the graph's (i < j) edges."""
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
+    """Dot-product scores y_i . y_j over the graph's (i < j) edges, each row
+    first scaled to norm tau > 0 when normalize is set (tau is unused otherwise)."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     y = np.asarray(y, dtype=np.float64)
     u, v = graph.edge_list().T
     if not u.size:

@@ -49,18 +49,11 @@ class NegSampleConfig:
             raise ValueError("eta_prime must lie in [0, 1]")
 
 
-def _raw_edges(n: int, cfg: NegSampleConfig, rng: Xoshiro256StarStar) -> np.ndarray:
-    """Raw negative edges as an (m, 2) array of node pairs, repeats allowed."""
-    if cfg.mode == "per-node-k":
-        rows = np.repeat(np.arange(n), cfg.per_node)
-        return np.column_stack((rows, rng.distinct_runs(n, cfg.per_node).ravel()))
-    return rng.geometric_pairs(n, cfg.p_prime)
-
-
 def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
     """Sample negative graph k, then add self-loops and degree-normalize it,
     whatever the data graph's self_loops: a random draw can leave a node
-    isolated, and degree_normalize refuses a node of zero degree."""
+    isolated, and degree_normalize refuses a node of zero degree. An
+    Erdos-Renyi draw is used as drawn, so one with no edge gives the identity."""
     if n < 2:
         raise ValueError("need at least 2 nodes to sample a negative graph")
     if k < 0 or (cfg.kappa and k >= cfg.kappa):
@@ -68,11 +61,11 @@ def sample_negative_graph(n: int, cfg: NegSampleConfig, k: int) -> SparseSym:
     if cfg.mode == "per-node-k" and cfg.per_node >= n:
         raise ValueError(f"per_node={cfg.per_node} must be < n={n}")
     rng = Xoshiro256StarStar(cfg.seed, k)
-    edges = _raw_edges(n, cfg, rng)
-    if not len(edges) and cfg.mode == "erdos-renyi":
-        edges = _raw_edges(n, cfg, rng)  # one resample for degenerate draws
-        if not len(edges):
-            raise ValueError(f"empty negative graph twice in a row (p_prime={cfg.p_prime})")
+    if cfg.mode == "per-node-k":
+        rows = np.repeat(np.arange(n), cfg.per_node)
+        edges = np.column_stack((rows, rng.distinct_runs(n, cfg.per_node).ravel()))
+    else:
+        edges = rng.geometric_pairs(n, cfg.p_prime)
     return normalized_adjacency(SparseSym.from_edges(n, edges))
 
 

@@ -273,33 +273,27 @@ class Xoshiro256StarStar:
         row-major order (Batagelj & Brandes, "Efficient generation of large
         random networks", 2005): each step draws one uniforms() value u and skips
         floor(log(1 - u) / log1p(-p)) pairs, and the first step past the
-        last pair ends the walk, so it takes m + 1 draws. log is libm's
-        (math), as in normals. The draws come in chunks a little short of the
-        expected count; a chunk the walk ends in is drawn again only up to
-        its end, so the generator ends where the one-draw-per-step loop does.
+        last pair ends the walk, so it uses m + 1 words. log is libm's
+        (math), as in normals. The words come in chunks that cover the pairs
+        still expected plus a few sd, so the walk may draw a few more words
+        than it uses; the generator's state after it is not promised.
         """
         total = n * (n - 1) // 2
         log_q = math.log1p(-p)
-        kept = [np.empty(0, dtype=np.int64)]
-        last = -1  # row-major index of the last kept pair
+        kept, last = [], -1  # last: row-major index of the last kept pair
         while True:
-            # 2 sd short of the pairs still expected, so a chunk seldom outlasts
-            # the walk, but at least 16 draws, so the last few take one chunk
+            # the pairs still expected, 4 sd and 16 more, so the last chunk seldom falls short
             expected = (total - 1 - last) * p
-            count = min(_GAP_BLOCK, max(16, int(expected - 2.0 * math.sqrt(expected))))
-            start = self.state.copy()
+            count = min(_GAP_BLOCK, 16 + int(expected + 4.0 * math.sqrt(expected)))
             u = self.uniforms(count)
             logs = np.fromiter(map(math.log, (1.0 - u).tolist()), dtype=np.float64, count=count)
             with np.errstate(over="ignore"):  # a tiny p overflows to an infinite skip
                 skips = np.floor(logs / log_q)
             # a skip past every pair left ends the walk; clip it before the int conversion
             index = last + np.cumsum(np.minimum(skips, total).astype(np.int64) + 1)
-            past = index >= total
-            if past.any():
-                end = int(past.argmax())
-                kept.append(index[:end])
-                self.state = start  # rewind, then take the end + 1 draws used
-                self.next_u64s(end + 1)
+            past = np.flatnonzero(index >= total)
+            if past.size:  # the first step past the last pair ends the walk
+                kept.append(index[:past[0]])
                 break
             kept.append(index)
             last = int(index[-1])

@@ -141,8 +141,9 @@ def test_config_unknown_key_rejected(synth_dir, tmp_path, capsys):
     ("embed", {"dim": "abc"}, "--dim"), ("embed", {"kappa": 1.5}, "--kappa"),
     ("embed", {"dim": True}, "--dim"), ("embed", {"self_loops": "no"}, "self_loops"),
     ("eval-classify", {"per_class": 7}, "--per-class"), ("embed", {"out": None}, "out"),
+    ("embed", ["dim", 3], "expected a JSON object"),
 ], ids=["str-for-int", "float-for-int", "bool-for-int", "str-for-on-off", "bad-choice",
-        "null-value"])
+        "null-value", "array-not-object"])
 def test_bad_config_value_exits_1(synth_dir, separable_embedding, tmp_path, capsys,
                                   subcommand, bad, named):
     cfg = tmp_path / "bad.json"
@@ -311,6 +312,34 @@ def test_embeddings_without_columns_rejected(tmp_path, capsys, command):
     assert "--embeddings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", EVAL_COMMANDS)
+def test_label_count_must_match_the_embedding_rows(tmp_path, capsys, command):
+    code, out = _evaluate(command, np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0]),
+                          tmp_path)
+    assert_refused(code, capsys.readouterr().err, 1, "--labels: 5 labels for 6 embeddings", out)
+
+
+@pytest.mark.parametrize("subcommand,dropped", [
+    ("embed", "--features"), ("diagnose", "--edges"), ("eval-classify", "--labels"),
+    ("eval-cluster", "--out"),
+])
+def test_missing_required_option_is_named(synth_dir, tmp_path, capsys, subcommand, dropped):
+    emb = tmp_path / "emb"
+    assert run(*embed_args(synth_dir, emb)) == 0
+    paths = {"--out": tmp_path / "o", "--edges": synth_dir / "edges.txt",
+             "--features": synth_dir / "features.csv", "--embeddings": emb / "embeddings.clsm",
+             "--labels": synth_dir / "labels.txt"}
+    flags = {"embed": ("--out", "--edges", "--features"),
+             "diagnose": ("--out", "--embeddings", "--edges", "--labels"),
+             "eval-classify": ("--out", "--embeddings", "--labels"),
+             "eval-cluster": ("--out", "--embeddings", "--labels")}[subcommand]
+    argv = [arg for flag in flags if flag != dropped for arg in (flag, paths[flag])]
+    capsys.readouterr()
+    code = run(subcommand, *argv)
+    assert_refused(code, capsys.readouterr().err, 1, f"missing required option: {dropped}",
+                   tmp_path / "o")
+
+
 def test_diagnose_outputs(synth_dir, tmp_path):
     emb_out = tmp_path / "emb"
     assert run(*embed_args(synth_dir, emb_out)) == 0
@@ -391,9 +420,25 @@ def test_embed_identity_filter_and_er_mode(synth_dir, tmp_path):
     assert meta["config"]["mode"] == "erdos-renyi"
 
 
+def test_an_empty_erdos_renyi_draw_embeds_and_diagnose_names_it(tmp_path, capsys):
+    # at p' = 1e-300 every negative graph draws no edge and is the identity
+    data, emb, diag = tmp_path / "data", tmp_path / "emb", tmp_path / "diag"
+    assert run("synth", "--out", data, "--classes", 2, "--per-block", 10, "--p-in", "0.5",
+               "--feat-dim", 4, "--seed", 3) == 0
+    er = ("--mode", "erdos-renyi", "--p-prime", "1e-300")
+    assert run("embed", "--edges", data / "edges.txt", "--features", data / "features.csv",
+               "--out", emb, "--dim", 2, "--kappa", 2, *er) == 0
+    capsys.readouterr()
+    code = run("diagnose", "--embeddings", emb / "embeddings.clsm", "--edges", data / "edges.txt",
+               "--labels", data / "labels.txt", "--out", diag, *er)
+    assert_refused(code, capsys.readouterr().err, 1, "the negative graph has no pairs to score",
+                   diag)
+
+
 @pytest.mark.parametrize("extra,named", [
     (("--threads", 4), "--threads"), (("--dim", "abc"), "--dim"),
-    (("--filter", "gcn"), "--filter"), (("--hash-dim", -1), "n_buckets"),
+    (("--filter", "gcn"), "--filter"),
+    (("--hash-dim", -3), "--hash-dim -3: n_buckets must be >= 1"),
 ], ids=["unknown-flag", "bad-value", "bad-choice", "negative-hash-dim"])
 def test_embed_bad_command_line_exits_1(synth_dir, tmp_path, capsys, extra, named):
     out = tmp_path / "o"
@@ -524,6 +569,17 @@ def test_eval_classify_refuses_a_nan_model(separable_embedding, tmp_path, capsys
     assert not (out / "metrics.json").exists()
 
 
+def test_eval_classify_with_no_test_node_says_what_to_lower(separable_embedding, tmp_path,
+                                                            capsys):
+    # 90 nodes: 3 classes x 5 training nodes and 85 validation nodes leave no test node
+    emb, lab = separable_embedding
+    out = tmp_path / "ev"
+    code = run("eval-classify", "--embeddings", emb, "--labels", lab, "--out", out,
+               "--per-class", 5, "--val-size", 85)
+    assert_refused(code, capsys.readouterr().err, 1,
+                   "test set is empty; lower --val-size or --per-class", out)
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["out-is-file", "out-below-file"])
 def test_out_blocked_by_file_is_file_error(tmp_path, capsys, below):
     blocker = tmp_path / "blocker"
@@ -564,8 +620,9 @@ def diagnose_args(synth_dir, tmp_path):
     (("--bandwidth", "1e-320"), 2, "non-finite"),
     (("--grid-points", 1), 1, "grid_points must be >= 2, got 1"),
     (("--grid-points", -3), 1, "grid_points must be >= 2, got -3"),
+    (("--tau", "0"), 1, "tau must be finite and > 0, got 0.0"),  # every score would be 0
 ], ids=["oversized-grid", "infinite-bandwidth", "negative-bandwidth", "subnormal-bandwidth",
-        "one-grid-point", "negative-grid-points"])
+        "one-grid-point", "negative-grid-points", "zero-tau"])
 def test_diagnose_refuses_unusable_densities(diagnose_args, tmp_path, capsys, extra,
                                              expected, named):
     out = tmp_path / "diag"
@@ -639,11 +696,16 @@ TWO_POW_63 = 2**63
 @pytest.mark.parametrize("subcommand,flag,value,named", [
     ("synth", "--per-block", TWO_POW_63, "--per-block must lie in [-2**63, 2**63)"),
     ("embed", "--hash-dim", TWO_POW_63, "--hash-dim must lie in [-2**63, 2**63)"),
+    # the n x hash_dim output: numpy's size limit, and more than the host holds
+    ("embed", "--hash-dim", 2**62,
+     "config error: --hash-dim 4611686018427387904: array is too big"),
+    ("embed", "--hash-dim", 2**40, "out of memory: --hash-dim 1099511627776: Unable to allocate"),
     ("diagnose", "--grid-points", TWO_POW_63, "--grid-points must lie in [-2**63, 2**63)"),
     ("diagnose", "--grid-points", TWO_POW_63 - 1, "more values than a float64 array can hold"),
     ("eval-cluster", "--n-runs", 2**62, "config error: --n-runs 4611686018427387904 is too large"),
     ("eval-classify", "--n-splits", 2**62, "config error: --n-splits 4611686018427387904 is too large"),
-], ids=["synth-per-block", "embed-hash-dim", "diagnose-grid-points",
+], ids=["synth-per-block", "embed-hash-dim", "embed-hash-dim-too-big", "embed-hash-dim-no-memory",
+        "diagnose-grid-points",
         "diagnose-grid-points-below-2**63", "eval-cluster-n-runs", "eval-classify-n-splits"])
 def test_huge_integer_settings_are_refused_in_one_line(synth_dir, tmp_path, capsys, subcommand,
                                                        flag, value, named):

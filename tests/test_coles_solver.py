@@ -136,6 +136,17 @@ def test_quadratic_form_dimension_mismatch():
         build_quadratic_form(np.ones((3, 2)), delta_fixture(4))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: ColesConfig(d_prime=0), "d_prime must be >= 1"),
+    (lambda: coles_objective(np.ones((3, 2)), delta_fixture(4)), "y has 3 rows, delta_w is 4x4"),
+    (lambda: solve_linear_coles(np.eye(7), random_graph(8, 2, seed=67), ColesConfig(d_prime=2)),
+     "adjacency has 8 nodes, features have 7 rows"),
+], ids=["no-dims", "objective-rows", "solver-rows"])
+def test_solver_refuses_bad_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- objectives -------------------------------------------------------------------
 
 def test_objective_zero_embedding():

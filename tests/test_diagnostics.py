@@ -68,6 +68,10 @@ def test_silverman_rule_values():
     assert abs(h - 1.06 * np.std(samples, ddof=1) * 1000 ** (-0.2)) < 1e-12
 
 
+def test_silverman_constant_sample_takes_unit_sigma():
+    assert silverman_bandwidth(np.full(32, 3.0)) == 1.06 * 32 ** (-0.2)  # 32 ** -0.2 = 0.5
+
+
 # -- JS divergence ------------------------------------------------------------------
 
 def test_js_identical_samples_near_zero():
@@ -301,9 +305,10 @@ def test_pair_scores_equal_edge_loop(d, normalize):
         assert got.tobytes() == loop_pair_scores(y, graph, normalize, 0.7).tobytes()
 
 
-@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
 def test_pair_scores_refuse_a_non_finite_tau(tau):
-    with pytest.raises(ValueError, match="tau must be finite"):
+    # 0 would turn every score into 0, and a negative tau mirror them
+    with pytest.raises(ValueError, match=r"tau must be finite and > 0"):
         pair_scores(np.eye(3), SparseSym.from_edges(3, [(0, 1), (1, 2)]), tau=tau)
 
 
@@ -313,3 +318,17 @@ def test_pair_scores_overflow_is_value_error(normalize):
     y = np.array([[1e200, 0.0], [1e200, 1.0], [0.0, 2.0]])
     with pytest.raises(ValueError, match="pair scores overflow"):
         pair_scores(y, SparseSym.from_edges(3, [(0, 1), (1, 2)]), normalize=normalize)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: wasserstein1([], [1.0]), "p is empty"),
+    (lambda: silverman_bandwidth([1.0, np.nan]), "sample contains non-finite values"),
+    (lambda: lipschitz_check([1.0, 2.0], [1.0], [0.5, 0.5]), "share one dimension"),
+    (lambda: homophily(SparseSym.from_edges(3, [(0, 1)]), [0, 1]),
+     "labels length must match node count"),
+    (lambda: pair_scores(np.eye(3), SparseSym.from_edges(3, [])), "no off-diagonal edges"),
+], ids=["empty-sample", "non-finite-sample", "lipschitz-shapes", "homophily-labels",
+        "pair-scores-no-edges"])
+def test_diagnostics_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

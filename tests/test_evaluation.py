@@ -380,3 +380,21 @@ def test_score_matches_loop_definitions(data, ids):
     assert (c.macro_f1, c.micro_f1) in [loop_f1(relabeled, truth)
                                         for relabeled, h in zip(relabelings, hits) if h == best]
     assert c.nmi == m.nmi
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SplitSpec(per_class=0), "per_class must be >= 1"),
+    (lambda: SplitSpec(val_size=-1), "val_size must be >= 0"),
+    (lambda: logreg_fit(np.zeros((4, 2)), np.array([0, 1, 0])),
+     "labels length must match row count"),
+    (lambda: logreg_predict(np.zeros((3, 2)), np.zeros((4, 3))),
+     "weights expect 2 features, got 3"),
+    (lambda: score(np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+     "cannot score empty predictions"),
+    (lambda: score(np.array([0, 1]), np.array([0, 1]), mode="ranking"),
+     "mode must be 'classification' or 'clustering'"),
+], ids=["no-train-per-class", "negative-val-size", "fit-labels-shape", "predict-width",
+        "score-empty", "score-mode"])
+def test_evaluation_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

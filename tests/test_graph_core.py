@@ -367,3 +367,12 @@ def test_labeled_graph_validation():
 def test_as_dense_rejects_nan():
     with pytest.raises(ValueError, match="finite"):
         as_dense(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: as_dense(np.zeros(3), "x"), r"x must be 2-D, got shape \(3,\)"),
+    (lambda: SparseSym.from_scipy(np.zeros((2, 3))), "matrix must be square"),
+], ids=["as-dense-1d", "from-scipy-not-square"])
+def test_matrix_entries_refuse_bad_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -44,6 +44,18 @@ def test_clsm_rejects_garbage(tmp_path):
         read_clsm(p)
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"CLSM\x01\x00", "truncated header"),
+    (b"CLSM" + (2).to_bytes(4, "little") + bytes(16), "unsupported version 2"),
+], ids=["truncated-header", "version-2"])
+def test_clsm_header_refusals_name_the_file(tmp_path, content, message):
+    p = tmp_path / "m.clsm"
+    p.write_bytes(content)
+    with pytest.raises(ValueError, match=message) as exc:
+        read_clsm(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
 def test_clsm_rejects_truncation(tmp_path):
     p = tmp_path / "m.clsm"
     write_clsm(np.ones((4, 4)), p)

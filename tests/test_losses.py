@@ -98,6 +98,18 @@ def test_dimension_mismatch_rejected():
         batch((1.0, 0.0), pos=[(1.0, 0.0, 0.0)])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: batch((1.0, 0.0), pos=[(1.0, 0.0)], eta=-0.5), "eta must be >= 0"),
+    (lambda: align_uniform(batch((1.0, 0.0), neg=[(0.0, 1.0)]), 1.0), "exactly one positive"),
+    (lambda: align_uniform(batch((1.0, 0.0), pos=[(1.0, 0.0)]), 1.0), "at least one negative"),
+    (lambda: align_uniform(batch((1.0, 0.0), pos=[(1.0, 0.0)], neg=[(0.0, 1.0)]), 1.0, tau=0.0),
+     "tau must be > 0"),
+], ids=["negative-eta", "no-positive", "no-negative", "zero-tau"])
+def test_batch_and_align_uniform_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- block form ---------------------------------------------------------------------
 
 def test_block_form_hand_example():
@@ -202,6 +214,10 @@ def test_mean_rejects_bad_inputs():
         generalized_mean([1.0, 0.0], 0.0)
     with pytest.raises(ValueError, match="positive"):
         generalized_mean([1.0, -2.0], -1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        generalized_mean([1.0, -2.0], 2.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        generalized_mean([1.0, np.inf], 1.0)
 
 
 def test_power_mean_monotone_in_p():

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from coles import negative_sampling
 from coles.graph_core import SparseSym, add_self_loops, degree_normalize, normalized_adjacency
 from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles.rng import Xoshiro256StarStar
@@ -42,12 +41,7 @@ def _loop_raw_edges(n, cfg, rng):
 
 
 def _loop_negative_graph(n, cfg, k):
-    rng = ScalarXoshiro(cfg.seed, k)
-    edges = _loop_raw_edges(n, cfg, rng)
-    if not edges and cfg.mode == "erdos-renyi":
-        edges = _loop_raw_edges(n, cfg, rng)
-        if not edges:
-            raise ValueError("empty negative graph twice in a row")
+    edges = _loop_raw_edges(n, cfg, ScalarXoshiro(cfg.seed, k))
     return degree_normalize(add_self_loops(SparseSym.from_edges(n, edges)))
 
 
@@ -66,40 +60,17 @@ def test_negative_graph_matches_loops(n, cfg, k, bulk):
     assert sparse_equal(got, _loop_negative_graph(n, cfg, k))
 
 
-def _resampled(n, cfg):
-    """True when graph 0's first draw is empty and its second is not."""
-    rng = ScalarXoshiro(cfg.seed)
-    return not _loop_raw_edges(n, cfg, rng) and bool(_loop_raw_edges(n, cfg, rng))
-
-
-@pytest.mark.parametrize("bulk", [False, True])
-def test_er_resample_continues_the_stream(bulk):
-    n = 6
-    cfg = next(c for c in (cfg_er(p=0.03, seed=s) for s in range(200)) if _resampled(n, c))
-    with bulk_everywhere(bulk):
-        got = sample_negative_graph(n, cfg, 0)
-    assert got.nnz > n and sparse_equal(got, _loop_negative_graph(n, cfg, 0))
-
-
-@pytest.mark.parametrize("bulk", [False, True])
-def test_er_empty_twice_is_an_error(bulk):
-    cfg = cfg_er(p=1e-12, seed=3)
-    with pytest.raises(ValueError, match="empty negative graph twice"):
-        _loop_negative_graph(5, cfg, 0)
-    with bulk_everywhere(bulk), pytest.raises(ValueError, match="empty negative graph twice"):
-        sample_negative_graph(5, cfg, 0)
-
-
 @pytest.mark.parametrize("bulk", [False, True])
 @pytest.mark.parametrize("n, p, seed", [(2, 0.5, 1), (9, 0.2, 2), (60, 0.05, 3),
                                         (120, 0.9, 4), (300, 0.01, 5)])
 def test_er_edges_and_end_state_match_the_scalar_walk(n, p, seed, bulk):
-    rng, loop_rng = Xoshiro256StarStar(seed), ScalarXoshiro(seed)
+    """The chunked walk keeps the scalar walk's pairs and ends where it does,
+    at the first skip past the last pair; the generator's state after the
+    walk is not promised, so it is not compared."""
     with bulk_everywhere(bulk):
-        got = negative_sampling._raw_edges(n, cfg_er(p=p), rng)
-    want = sorted(_loop_raw_edges(n, cfg_er(p=p), loop_rng))
+        got = Xoshiro256StarStar(seed).geometric_pairs(n, p)
+    want = sorted(_loop_raw_edges(n, cfg_er(p=p), ScalarXoshiro(seed)))
     assert list(map(tuple, got.tolist())) == want  # row-major order, each pair once
-    assert rng.state.tolist() == [loop_rng.state]
 
 
 @pytest.mark.parametrize("bulk", [False, True])
@@ -116,12 +87,25 @@ def test_er_keeps_every_pair_with_probability_p(bulk):
     assert np.all(np.abs(share - p) < 4 * math.sqrt(p * (1 - p) / runs))
 
 
+def test_er_negative_graph_keeps_each_pair_with_probability_p():
+    """An empty draw is used as drawn, not drawn again, so on 3 nodes, where
+    a draw at p = 0.3 is empty with probability 0.7**3 = 0.343, each pair of
+    graph 0 is still kept in a share of the seeds within 4 sd of p."""
+    n, p, runs = 3, 0.3, 2000
+    kept = np.zeros((n, n))
+    for seed in range(runs):
+        w = sample_negative_graph(n, cfg_er(p=p, seed=seed), 0).toarray()
+        kept += w > 0
+    share = kept[np.triu_indices(n, 1)] / runs
+    assert np.all(np.abs(share - p) < 4 * math.sqrt(p * (1 - p) / runs))
+
+
 @pytest.mark.parametrize("bulk", [False, True])
-def test_er_smallest_p_is_empty_twice_without_overflow(bulk):
+def test_er_smallest_p_is_the_identity_without_overflow(bulk):
     with bulk_everywhere(bulk), warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from the infinite skips
-        with pytest.raises(ValueError, match="empty negative graph twice"):
-            sample_negative_graph(50, cfg_er(p=5e-324, seed=1), 0)
+        w = sample_negative_graph(50, cfg_er(p=5e-324, seed=1), 0)
+    assert w.nnz == 50 and np.array_equal(w.toarray(), np.eye(50))  # no edge: self-loops only
 
 
 @pytest.mark.parametrize("bulk", [False, True])
@@ -130,15 +114,6 @@ def test_er_largest_p_below_one_is_complete(bulk):
     with bulk_everywhere(bulk):
         w = sample_negative_graph(n, cfg_er(p=1 - 2**-53, seed=2), 0)
     assert w.nnz == n * n
-
-
-@pytest.mark.parametrize("bulk", [False, True])
-def test_er_walk_draws_once_per_edge_and_once_more(bulk):
-    rng, twin = Xoshiro256StarStar(7), Xoshiro256StarStar(7)
-    with bulk_everywhere(bulk):
-        edges = rng.geometric_pairs(30000, 2e-5)
-    twin.next_u64s(len(edges) + 1)
-    assert len(edges) > 8000 and np.array_equal(rng.state, twin.state)
 
 
 def test_two_nodes_forced_single_edge():
@@ -211,6 +186,17 @@ def test_non_finite_p_prime_rejected_in_every_mode(mode, p_prime):
         NegSampleConfig(mode=mode, p_prime=p_prime)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: NegSampleConfig(kappa=-1), "kappa must be >= 0"),
+    (lambda: NegSampleConfig(mode="uniform"), "mode must be one of"),
+    (lambda: NegSampleConfig(per_node=0), "per_node must be >= 1"),
+    (lambda: sample_negative_graph(1, cfg_pn(), 0), "need at least 2 nodes"),
+], ids=["negative-kappa", "unknown-mode", "no-partners", "one-node"])
+def test_sampling_refuses_bad_settings(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_graph_index_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         sample_negative_graph(10, cfg_pn(kappa=2), 5)
@@ -269,7 +255,7 @@ def test_negative_graphs_keep_self_loops_when_the_data_graph_drops_them():
     # ER draw can leave a node isolated, which degree_normalize refuses, so
     # every negative graph is normalized with its self-loops
     n, cfg = 30, cfg_er(p=0.05, kappa=2)
-    raw = SparseSym.from_edges(n, negative_sampling._raw_edges(n, cfg, Xoshiro256StarStar(0, 0)))
+    raw = SparseSym.from_edges(n, Xoshiro256StarStar(0, 0).geometric_pairs(n, cfg.p_prime))
     assert np.any(raw.degrees() == 0)
     with pytest.raises(ValueError, match="zero degree"):
         degree_normalize(raw)
