@@ -247,8 +247,8 @@ def cmd_eval_classify(cfg: dict) -> dict:
         labels = np.unique(labels, return_inverse=True)[1]  # classes 0..C-1, whatever the ids
         weights = logreg_fit(y[train], labels[train], l2=cfg["l2"], lr=cfg["lr"],
                              epochs=cfg["epochs"])
-        scores = [score(logreg_predict(w, y[rows]), labels[rows], mode="classification")
-                  for w, rows in zip(weights, test)]
+        scores = [score(pred, truth, mode="classification")
+                  for pred, truth in zip(logreg_predict(weights, y[test]), labels[test])]
         mean, std = _write_metrics(cfg, "split", scores)
     log.info("classification over %d splits: acc %.4f +- %.4f",
              cfg["n_splits"], mean["accuracy"], std["accuracy"])
@@ -262,7 +262,7 @@ def cmd_eval_cluster(cfg: dict) -> dict:
     with _stream_count(cfg, "n_runs"):
         # a draw of substream r, not its key: kmeans XORs restart t into its seed too
         seeds = draw_u64s(streams(cfg["seed"], np.arange(cfg["n_runs"])), 1)[:, 0].tolist()
-        scores = [score(kmeans(y, k, seed=s), labels, mode="clustering") for s in seeds]
+        scores = [score(assign, labels, mode="clustering") for assign in kmeans(y, k, seed=seeds)]
         mean, _ = _write_metrics(resolved, "run", scores)
     log.info("clustering over %d runs: acc %.4f, nmi %.4f",
              cfg["n_runs"], mean["accuracy"], mean["nmi"])

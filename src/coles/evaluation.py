@@ -7,11 +7,16 @@ the remainder the test set; classification happens in embedding space with a
 softmax (multinomial logistic) model, 500 full-batch gradient steps from zero
 that stop short of the L2 optimum, clustering with restarted k-means, and
 clustering accuracy uses the optimal cluster-to-class assignment.
+
+Both loops are batched and keep the bits of their unbatched forms. The fits
+of all splits run as one stacked gradient loop, class-major and in place:
+the softmax works on contiguous (S, m) class rows and sums them in numpy's
+own reduction order. The restarts of all k-means runs advance together in
+blocks of bounded memory.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -75,12 +80,29 @@ def random_splits(labels, spec: SplitSpec, n_splits: int):
 
 # -- logistic regression -----------------------------------------------------
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    # the row max is exact in any order; column by column beats reducing a
-    # short last axis
-    z = logits - functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """e.sum over axis 1 of e (S, C, m), its (S, m) class rows added in the
+    order np.add.reduce adds a contiguous axis (numpy's pairwise sum), so the
+    row sums of an (S, m, C) array keep their bits: in order from 0.0 below
+    8 terms, into 8 running sums up to 128, as two halves split at a
+    multiple of 8 above that."""
+    n = e.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(e[:, :half]) + _class_sum(e[:, half:])
+    whole = n - n % 8
+    if whole:
+        acc = e[:, :8].copy()
+        for i in range(8, whole, 8):
+            acc += e[:, i:i + 8]
+        while acc.shape[1] > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            acc = acc[:, 0::2] + acc[:, 1::2]
+        total = acc[:, 0]
+    else:
+        total = np.zeros((e.shape[0], e.shape[2]))
+    for c in range(whole, n):
+        total += e[:, c]
+    return total
 
 
 def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
@@ -95,6 +117,11 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     fit of its set, except that C is one more than the largest label of
     any set. Weights are then (S, d+1, C), and losses one (S,) array per
     epoch.
+
+    Each epoch copies the logits xb @ w into a class-major (S, C, m) buffer,
+    where the softmax and the subtraction of the one-hot labels run in
+    place on contiguous class rows; the gradient product reads the buffer
+    through its transpose. Every value is the one a (S, m, C) softmax gives.
     """
     x = np.asarray(y_train)
     labels = np.asarray(labels, dtype=np.int64)
@@ -115,18 +142,28 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
         raise ValueError("training set contains a single class")
     xb = np.concatenate([x, np.ones((n_sets, m, 1))], axis=2)
     xb_t = xb.transpose(0, 2, 1)  # a view: its products must match the 2-D xb.T's bits
-    onehot = np.zeros((n_sets, m, n_classes))
-    np.put_along_axis(onehot, labels[:, :, None], 1.0, axis=2)
+    onehot = np.zeros((n_sets, n_classes, m))
+    np.put_along_axis(onehot, labels[:, None, :], 1.0, axis=1)
+    probs = np.empty((n_sets, n_classes, m))
+    probs_t = probs.transpose(0, 2, 1)  # (S, m, C), the layout of the logits
+    top = np.empty((n_sets, m))
     w = np.zeros((n_sets, xb.shape[2], n_classes))
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
         for _ in range(epochs):
-            probs = _softmax(xb @ w)
+            np.copyto(probs_t, xb @ w)
+            np.copyto(top, probs[:, 0])  # the row max is exact in any order
+            for c in range(1, n_classes):
+                np.maximum(top, probs[:, c], out=top)
+            probs -= top[:, None]
+            np.exp(probs, out=probs)
+            probs /= _class_sum(probs)[:, None]
             if return_losses:
-                hit = np.maximum(probs[onehot == 1.0], 1e-300).reshape(n_sets, m)
+                hit = np.take_along_axis(probs, labels[:, None, :], axis=1)[:, 0]
                 penalty = (w * w).reshape(n_sets, -1).sum(axis=1)
-                losses.append(-np.mean(np.log(hit), axis=1) + l2 * penalty)
-            grad = xb_t @ (probs - onehot) / m + 2.0 * l2 * w
+                losses.append(-np.mean(np.log(np.maximum(hit, 1e-300)), axis=1) + l2 * penalty)
+            probs -= onehot
+            grad = xb_t @ probs_t / m + 2.0 * l2 * w
             w = w - lr * grad
     if not np.all(np.isfinite(w)):
         raise ValueError("logistic regression weights are not finite: lower lr or rescale")
@@ -136,18 +173,26 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
 
 
 def logreg_predict(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Argmax class per row (ties resolve to the lowest class id)."""
-    x = as_dense(y, "y")
-    if x.shape[1] + 1 != weights.shape[0]:
-        raise ValueError(f"weights expect {weights.shape[0] - 1} features, got {x.shape[1]}")
-    xb = np.hstack([x, np.ones((x.shape[0], 1))])
-    return np.argmax(xb @ weights, axis=1).astype(np.int64)
+    """Argmax class per row (ties resolve to the lowest class id).
+
+    An (S, d+1, C) weight stack takes an (S, t, d) stack of rows and gives
+    (S, t) classes, row s of each the 2-D prediction of set s.
+    """
+    x = np.asarray(y)
+    x = as_dense(x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x, "y").reshape(x.shape)
+    if x.ndim != weights.ndim or x.shape[:-2] != weights.shape[:-2]:
+        raise ValueError(f"weights of shape {weights.shape} do not fit rows of shape {x.shape}")
+    if x.shape[-1] + 1 != weights.shape[-2]:
+        raise ValueError(f"weights expect {weights.shape[-2] - 1} features, got {x.shape[-1]}")
+    xb = np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
+    return np.argmax(xb @ weights, axis=-1).astype(np.int64)
 
 
 # -- k-means -----------------------------------------------------------------
-# All restarts of one call run as one batched Lloyd loop on (B, n, k) arrays,
-# each restart bit for bit the loop it would run alone: every product, sum
-# and mean below is taken in the order the per-restart loop takes it.
+# All restarts of one call, of every run it is given, run as batched Lloyd
+# loops on (B, n, k) arrays, each restart bit for bit the loop it would run
+# alone: every product, sum and mean below is taken in the order the
+# per-restart loop takes it.
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -238,14 +283,16 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
     return assign
 
 
-def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+def kmeans(y: np.ndarray, k: int, seed=0) -> np.ndarray:
     """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia.
 
-    Restart t draws its seeds from substream t of seed. The restarts run
+    Restart t draws its seeds from substream t of seed. seed may also be a
+    sequence of R seeds, one per run: the result is then (R, n), row r the
+    assignment kmeans(y, k, seed[r]) gives. The restarts of all runs run
     together in blocks whose temporaries hold about _KMEANS_BLOCK values,
-    and a restart stops once its assignment repeats; the best is picked in
-    restart order, the first of equal inertias. Every restart ends with k
-    non-empty clusters, also when fewer than k rows differ.
+    and a restart stops once its assignment repeats; each run's best is
+    picked in restart order, the first of equal inertias. Every restart ends
+    with k non-empty clusters, also when fewer than k rows differ.
     """
     y = as_dense(y, "y")
     n = y.shape[0]
@@ -256,17 +303,24 @@ def kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     scale = float(np.max(np.abs(y), initial=0.0))  # every d2 and inertia <= 4 y.size scale^2
     if 4.0 * y.size * scale * scale > np.finfo(np.float64).max:
         raise ValueError(f"k-means inertia is not finite: |y| up to {scale:.3g} is too large")
+    runs = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not runs:
+        raise ValueError("seed is an empty sequence: give at least one run's seed")
     yy, y2 = (y * y).sum(axis=1), 2.0 * y
+    # restart t of run r in row r * KMEANS_RESTARTS + t
+    states = np.concatenate([streams(s, np.arange(KMEANS_RESTARTS)) for s in runs])
     block = max(1, _KMEANS_BLOCK // (n * (k + 8)))  # d2 and a few n-long arrays per restart
-    best_inertia, best_assign = math.inf, None
-    for first in range(0, KMEANS_RESTARTS, block):
-        restarts = np.arange(first, min(first + block, KMEANS_RESTARTS))
-        centroids = _kmeanspp(y, yy, y2, k, streams(seed, restarts))
-        for assign, cents in zip(_lloyd(y, yy, y2, centroids), centroids):
+    best_inertia = [math.inf] * len(runs)
+    best_assign = np.empty((len(runs), n), dtype=np.int64)
+    for first in range(0, len(states), block):
+        centroids = _kmeanspp(y, yy, y2, k, states[first:first + block])
+        for row, (assign, cents) in enumerate(zip(_lloyd(y, yy, y2, centroids), centroids),
+                                              first):
+            run = row // KMEANS_RESTARTS
             inertia = float(np.sum((y - cents[assign]) ** 2))
-            if inertia < best_inertia:
-                best_inertia, best_assign = inertia, assign.copy()
-    return best_assign
+            if inertia < best_inertia[run]:  # finite, by the scale check
+                best_inertia[run], best_assign[run] = inertia, assign
+    return best_assign if np.ndim(seed) else best_assign[0]
 
 
 # -- metrics -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -242,3 +243,38 @@ def loop_kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         if inertia < best_inertia:
             best_inertia, best_assign = inertia, assign.copy()
     return best_assign
+
+
+# -- the (S, m, C) reference for the class-major logistic regression ------------
+# evaluation.logreg_fit's epoch as it ran before its softmax moved into a
+# class-major buffer: the same products, every array in (S, m, C) order. The
+# fit must reproduce its weights and losses bit for bit.
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    # the row max is exact in any order; column by column beats reducing a
+    # short last axis
+    z = logits - functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def loop_logreg(x: np.ndarray, labels: np.ndarray, l2: float = 1e-4, lr: float = 0.1,
+                epochs: int = 500):
+    """The weights (S, d+1, C) and per-epoch (S,) losses of the fits of an
+    (S, m, d) stack of training sets with (S, m) labels."""
+    n_sets, m, _ = x.shape
+    n_classes = int(labels.max()) + 1
+    xb = np.concatenate([x, np.ones((n_sets, m, 1))], axis=2)
+    xb_t = xb.transpose(0, 2, 1)
+    onehot = np.zeros((n_sets, m, n_classes))
+    np.put_along_axis(onehot, labels[:, :, None], 1.0, axis=2)
+    w = np.zeros((n_sets, xb.shape[2], n_classes))
+    losses = []
+    for _ in range(epochs):
+        probs = _softmax(xb @ w)
+        hit = np.maximum(probs[onehot == 1.0], 1e-300).reshape(n_sets, m)
+        penalty = (w * w).reshape(n_sets, -1).sum(axis=1)
+        losses.append(-np.mean(np.log(hit), axis=1) + l2 * penalty)
+        grad = xb_t @ (probs - onehot) / m + 2.0 * l2 * w
+        w = w - lr * grad
+    return w, losses

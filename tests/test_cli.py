@@ -259,11 +259,11 @@ def test_eval_cluster_runs_draw_distinct_restart_streams(separable_embedding, tm
                                                         monkeypatch):
     # kmeans keys restart t of a run seeded s with stream_key(s, t); keying the
     # runs by stream_key(seed, r) too made run r's restart t run t's restart r,
-    # 46 distinct streams of 100
+    # 46 distinct streams of 100; all runs go to one kmeans call
     seeds = []
 
     def recording_kmeans(y, k, seed):
-        seeds.append(seed)
+        seeds.extend(seed)
         return evaluation.kmeans(y, k, seed=seed)
 
     monkeypatch.setattr(cli, "kmeans", recording_kmeans)

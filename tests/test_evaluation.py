@@ -153,6 +153,30 @@ def test_logreg_fit_deterministic():
     assert np.array_equal(logreg_fit(x, y), logreg_fit(x, y))
 
 
+@pytest.mark.parametrize("n_classes", list(range(1, 20)) + [127, 128, 129, 136, 300])
+def test_class_sum_adds_in_numpys_reduction_order(n_classes):
+    # the row sums of a contiguous last axis: in order below 8 terms, eight
+    # running sums to 128, halves above; the fit's probabilities keep their bits
+    e = np.exp(3.0 * np.array(Xoshiro256StarStar(n_classes).normals(4 * 7 * n_classes)))
+    rows_last = e.reshape(4, 7, n_classes)
+    got = evaluation._class_sum(np.ascontiguousarray(rows_last.transpose(0, 2, 1)))
+    assert np.array_equal(got.view(np.uint64), rows_last.sum(axis=-1).view(np.uint64))
+
+
+def test_stacked_predictions_are_the_per_set_predictions():
+    rng = Xoshiro256StarStar(23)
+    x = np.array(rng.normals(4 * 30 * 3)).reshape(4, 30, 3)
+    labels = (x[:, :, 0] > 0).astype(int) + (x[:, :, 1] > 0.5)
+    labels[:, :3] = [0, 1, 2]
+    w = logreg_fit(x[:, :20], labels[:, :20], epochs=50)
+    got = logreg_predict(w, x[:, 20:])
+    assert got.shape == (4, 10) and got.dtype == np.int64
+    for s in range(4):
+        assert np.array_equal(got[s], logreg_predict(w[s], x[s, 20:]))
+    # equal logits go to the lowest class id
+    assert np.array_equal(logreg_predict(np.zeros((4, 4, 3)), x[:, 20:]), np.zeros((4, 10)))
+
+
 # -- k-means ------------------------------------------------------------------------
 
 def test_kmeans_two_far_blobs():
@@ -389,12 +413,20 @@ def test_score_matches_loop_definitions(data, ids):
      "labels length must match row count"),
     (lambda: logreg_predict(np.zeros((3, 2)), np.zeros((4, 3))),
      "weights expect 2 features, got 3"),
+    (lambda: logreg_predict(np.zeros((2, 3, 2)), np.zeros((3, 4, 2))),
+     r"weights of shape \(2, 3, 2\) do not fit rows of shape \(3, 4, 2\)"),
+    (lambda: logreg_predict(np.zeros((2, 3, 2)), np.zeros((4, 2))),
+     r"weights of shape \(2, 3, 2\) do not fit rows of shape \(4, 2\)"),
+    (lambda: logreg_predict(np.zeros((2, 3, 2)), np.full((2, 4, 2), np.nan)),
+     "y contains non-finite values"),
+    (lambda: kmeans(np.zeros((4, 2)), 2, seed=[]), "seed is an empty sequence"),
     (lambda: score(np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
      "cannot score empty predictions"),
     (lambda: score(np.array([0, 1]), np.array([0, 1]), mode="ranking"),
      "mode must be 'classification' or 'clustering'"),
 ], ids=["no-train-per-class", "negative-val-size", "fit-labels-shape", "predict-width",
-        "score-empty", "score-mode"])
+        "predict-stack-count", "predict-stack-rank", "predict-stack-non-finite",
+        "kmeans-no-seeds", "score-empty", "score-mode"])
 def test_evaluation_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -263,7 +263,35 @@ def test_stacked_logreg_fit_equals_per_set_fits(seed, n_sets, m, d, n_classes, l
         assert [float(loss[s]) for loss in losses] == losses_s
 
 
+@PROPERTY
+@given(seed=SEEDS, n_sets=st.integers(1, 4), m=st.integers(2, 30), d=st.integers(1, 5),
+       n_classes=st.integers(2, 12), l2=st.sampled_from([0.0, 1e-4, 0.1]),
+       scale=st.sampled_from([1.0, 10.0]), epochs=st.integers(1, 30))
+@example(seed=8, n_sets=3, m=40, d=3, n_classes=11, l2=1e-4, scale=1.0, epochs=25)
+def test_logreg_fit_is_the_reference_epoch_bit_for_bit(seed, n_sets, m, d, n_classes, l2,
+                                                       scale, epochs):
+    # the class-major loop against the (S, m, C) softmax it replaced; from 8
+    # classes on the class sum takes numpy's eight-accumulator order
+    x = scale * rand_x(n_sets * m, d, seed=seed).reshape(n_sets, m, d)
+    rng = ScalarXoshiro(seed + 1)
+    labels = np.array([rng.below(n_classes) for _ in range(n_sets * m)]).reshape(n_sets, m)
+    labels[:, 0], labels[:, 1] = 0, n_classes - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_w, want_losses = helpers.loop_logreg(x, labels, l2=l2, epochs=epochs)
+    assume(np.all(np.isfinite(want_w)))  # else the fit refuses its weights
+    w = logreg_fit(x, labels, l2=l2, epochs=epochs)
+    w_l, losses = logreg_fit(x, labels, l2=l2, epochs=epochs, return_losses=True)
+    for got in (w, w_l):
+        assert np.array_equal(got.view(np.uint64), want_w.view(np.uint64))
+    assert np.array_equal(np.stack(losses).view(np.uint64), np.stack(want_losses).view(np.uint64))
+    w_0, losses_0 = logreg_fit(x[0], labels[0], l2=l2, epochs=epochs, return_losses=True)
+    assert np.array_equal(w_0.view(np.uint64), want_w[0].view(np.uint64))
+    assert np.array_equal(logreg_fit(x[0], labels[0], l2=l2, epochs=epochs), w_0)
+    assert losses_0 == [float(loss[0]) for loss in want_losses]
+
+
 # -- blocked Parzen kernel: bit for bit the full kernel matrix -------------------
+
 
 @PROPERTY
 @given(seed=SEEDS, data=st.data(), bandwidth=st.floats(1e-3, 10.0),
@@ -314,6 +342,25 @@ def test_kmeans_equals_the_per_restart_loop(seed, data, n, d, kind, max_iter):
             mp.setattr(evaluation, "_KMEANS_BLOCK", per_block * n * (k + 8))
         got = kmeans(y, k, seed=seed)
         want = loop_kmeans(y, k, seed=seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(seed=SEEDS, data=st.data(), n=st.integers(1, 60), d=st.integers(1, 5),
+       seeds=st.lists(SEEDS, min_size=1, max_size=4),
+       kind=st.sampled_from(["continuous", "rounded", "duplicates", "identical"]),
+       per_block=st.sampled_from([None, 1, 3, 7, 13]))
+def test_kmeans_runs_are_the_per_seed_calls(seed, data, n, d, seeds, kind, per_block):
+    # eval-cluster passes all its run seeds at once; blocks of 3, 7 or 13
+    # restarts straddle two runs
+    y = kmeans_points(kind, n, d, seed)
+    k = data.draw(st.integers(1, min(n, 6)), label="k")
+    want = np.stack([kmeans(y, k, seed=s) for s in seeds])
+    with pytest.MonkeyPatch.context() as mp:
+        if per_block is not None:
+            mp.setattr(evaluation, "_KMEANS_BLOCK", per_block * n * (k + 8))
+        got = kmeans(y, k, seed=seeds)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
