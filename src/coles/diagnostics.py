@@ -216,6 +216,8 @@ def pair_scores(y: np.ndarray, graph: SparseSym, normalize: bool = True,
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     y = np.asarray(y, dtype=np.float64)
+    if y.shape[0] != graph.n:
+        raise ValueError(f"y has {y.shape[0]} rows, graph is {graph.n}x{graph.n}")
     u, v = graph.edge_list().T
     if not u.size:
         raise ValueError("graph has no off-diagonal edges to score")

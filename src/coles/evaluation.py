@@ -10,9 +10,10 @@ clustering accuracy uses the optimal cluster-to-class assignment.
 
 Both loops are batched and keep the bits of their unbatched forms. The fits
 of all splits run as one stacked gradient loop, class-major and in place:
-the softmax works on contiguous (S, m) class rows and sums them in numpy's
-own reduction order. The restarts of all k-means runs advance together in
-blocks of bounded memory.
+the softmax works on contiguous (S, m) class rows, and numpy's own sum adds
+them in the order of the (S, m, C) layout. The restarts of all k-means runs
+advance together in blocks of bounded memory, and each Lloyd step sums its
+clusters by one sparse one-hot product.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph_core import as_dense
 from .rng import draw_u64s, mul_high, shuffle_with, streams, units
@@ -81,28 +83,13 @@ def random_splits(labels, spec: SplitSpec, n_splits: int):
 # -- logistic regression -----------------------------------------------------
 
 def _class_sum(e: np.ndarray) -> np.ndarray:
-    """e.sum over axis 1 of e (S, C, m), its (S, m) class rows added in the
-    order np.add.reduce adds a contiguous axis (numpy's pairwise sum), so the
-    row sums of an (S, m, C) array keep their bits: in order from 0.0 below
-    8 terms, into 8 running sums up to 128, as two halves split at a
-    multiple of 8 above that."""
-    n = e.shape[1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _class_sum(e[:, :half]) + _class_sum(e[:, half:])
-    whole = n - n % 8
-    if whole:
-        acc = e[:, :8].copy()
-        for i in range(8, whole, 8):
-            acc += e[:, i:i + 8]
-        while acc.shape[1] > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-            acc = acc[:, 0::2] + acc[:, 1::2]
-        total = acc[:, 0]
-    else:
-        total = np.zeros((e.shape[0], e.shape[2]))
-    for c in range(whole, n):
-        total += e[:, c]
-    return total
+    """e.sum over axis 1 of e (S, C, m), bit for bit the row sums of the
+    (S, m, C) array it transposes. numpy adds an outer axis row by row from
+    0.0, which is its pairwise order below 8 terms; from 8 on, the sum is
+    taken over the contiguous transpose itself."""
+    if e.shape[1] < 8:
+        return e.sum(axis=1)
+    return np.ascontiguousarray(e.transpose(0, 2, 1)).sum(axis=-1)
 
 
 def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
@@ -137,6 +124,8 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     n_sets, m, _ = x.shape
+    if labels.min() < 0:
+        raise ValueError(f"labels must be >= 0, got {labels.min()}")
     n_classes = int(labels.max()) + 1
     if np.any(np.all(labels == labels[:, :1], axis=1)):
         raise ValueError("training set contains a single class")
@@ -152,6 +141,7 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
         for _ in range(epochs):
             np.copyto(probs_t, xb @ w)
+            # a loop: max(axis=1) took 9.5 against 7.3 µs per epoch at 50 x 2 x 40
             np.copyto(top, probs[:, 0])  # the row max is exact in any order
             for c in range(1, n_classes):
                 np.maximum(top, probs[:, c], out=top)
@@ -210,7 +200,8 @@ def _sq_dists(yy: np.ndarray, y2: np.ndarray, centroids: np.ndarray) -> np.ndarr
 
 
 def _first_argmin(d2: np.ndarray) -> np.ndarray:
-    """argmin over the last, short axis (the first minimum), column by column."""
+    """argmin over the last, short axis (the first minimum), column by column:
+    faster than np.argmin(axis=-1), 154 against 290 µs at 13 x 1000 x 2."""
     best = d2[..., 0].copy()
     idx = np.zeros(best.shape, dtype=np.int64)
     for c in range(1, d2.shape[-1]):
@@ -258,8 +249,6 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
     (B, n) assignments and leaves their centroids in centroids."""
     n_restarts, k, _ = centroids.shape
     n = y.shape[0]
-    # bincount sums each cluster's rows in row order, one column at a time
-    columns = np.ascontiguousarray(y.T)
     assign = np.full((n_restarts, n), -1, dtype=np.int64)
     live = np.arange(n_restarts)
     for _ in range(KMEANS_MAX_ITER):
@@ -270,9 +259,11 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
         counts = np.bincount((new + offsets).ravel(),
                              minlength=live.size * k).reshape(live.size, k)
         _reseed(d2, new, counts)
-        keys = (new + offsets).ravel()
-        sums = np.stack([np.bincount(keys, weights=np.tile(col, live.size),
-                                     minlength=counts.size) for col in columns], axis=1)
+        # a one-hot CSR product adds each cluster's rows in row order from 0.0
+        onehot = sp.csr_matrix((np.ones(new.size), ((new + offsets).ravel(),
+                                                    np.tile(np.arange(n), live.size))),
+                               shape=(counts.size, n))
+        sums = onehot @ y
         cents = (sums / counts.reshape(-1, 1)).reshape(cents.shape)
         centroids[live] = cents
         done = np.all(new == assign[live], axis=1)
@@ -328,6 +319,10 @@ def kmeans(y: np.ndarray, k: int, seed=0) -> np.ndarray:
 def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """table[a, b] counts the items predicted labels[a] whose truth is
     labels[b], over the sorted labels either side uses."""
+    if pred.shape != truth.shape:
+        raise ValueError("pred and truth must have equal length")
+    if pred.size == 0:
+        raise ValueError("cannot score empty predictions")
     labels, codes = np.unique(np.concatenate([pred, truth]), return_inverse=True)
     k = labels.size
     return np.bincount(codes[:pred.size] * k + codes[pred.size:], minlength=k * k).reshape(k, k)
@@ -365,10 +360,6 @@ def score(pred, truth, mode: str = "classification") -> Metrics:
     """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape:
-        raise ValueError("pred and truth must have equal length")
-    if pred.size == 0:
-        raise ValueError("cannot score empty predictions")
     if mode not in ("classification", "clustering"):
         raise ValueError("mode must be 'classification' or 'clustering'")
     table = _contingency(pred, truth)

@@ -327,8 +327,12 @@ def test_pair_scores_overflow_is_value_error(normalize):
     (lambda: homophily(SparseSym.from_edges(3, [(0, 1)]), [0, 1]),
      "labels length must match node count"),
     (lambda: pair_scores(np.eye(3), SparseSym.from_edges(3, [])), "no off-diagonal edges"),
+    (lambda: pair_scores(np.ones((10, 2)), SparseSym.from_edges(5, [(0, 1)])),
+     "y has 10 rows, graph is 5x5"),
+    (lambda: pair_scores(np.ones((3, 2)), SparseSym.from_edges(5, [(3, 4)])),
+     "y has 3 rows, graph is 5x5"),
 ], ids=["empty-sample", "non-finite-sample", "lipschitz-shapes", "homophily-labels",
-        "pair-scores-no-edges"])
+        "pair-scores-no-edges", "pair-scores-more-rows", "pair-scores-fewer-rows"])
 def test_diagnostics_refuse_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

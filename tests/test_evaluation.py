@@ -155,8 +155,9 @@ def test_logreg_fit_deterministic():
 
 @pytest.mark.parametrize("n_classes", list(range(1, 20)) + [127, 128, 129, 136, 300])
 def test_class_sum_adds_in_numpys_reduction_order(n_classes):
-    # the row sums of a contiguous last axis: in order below 8 terms, eight
-    # running sums to 128, halves above; the fit's probabilities keep their bits
+    # the row sums of a contiguous last axis: below 8 terms numpy adds the
+    # outer class axis in order, which is its pairwise order there; from 8 on
+    # the sum runs over the transpose; the fit's probabilities keep their bits
     e = np.exp(3.0 * np.array(Xoshiro256StarStar(n_classes).normals(4 * 7 * n_classes)))
     rows_last = e.reshape(4, 7, n_classes)
     got = evaluation._class_sum(np.ascontiguousarray(rows_last.transpose(0, 2, 1)))
@@ -411,6 +412,8 @@ def test_score_matches_loop_definitions(data, ids):
     (lambda: SplitSpec(val_size=-1), "val_size must be >= 0"),
     (lambda: logreg_fit(np.zeros((4, 2)), np.array([0, 1, 0])),
      "labels length must match row count"),
+    (lambda: logreg_fit(np.zeros((6, 2)), np.array([-1, -1, 0, 0, 1, 1])),
+     "labels must be >= 0, got -1"),
     (lambda: logreg_predict(np.zeros((3, 2)), np.zeros((4, 3))),
      "weights expect 2 features, got 3"),
     (lambda: logreg_predict(np.zeros((2, 3, 2)), np.zeros((3, 4, 2))),
@@ -424,9 +427,12 @@ def test_score_matches_loop_definitions(data, ids):
      "cannot score empty predictions"),
     (lambda: score(np.array([0, 1]), np.array([0, 1]), mode="ranking"),
      "mode must be 'classification' or 'clustering'"),
-], ids=["no-train-per-class", "negative-val-size", "fit-labels-shape", "predict-width",
-        "predict-stack-count", "predict-stack-rank", "predict-stack-non-finite",
-        "kmeans-no-seeds", "score-empty", "score-mode"])
+    (lambda: nmi_score([0, 1, 1, 0], [0]), "pred and truth must have equal length"),
+    (lambda: nmi_score([], []), "cannot score empty predictions"),
+], ids=["no-train-per-class", "negative-val-size", "fit-labels-shape", "fit-negative-label",
+        "predict-width", "predict-stack-count", "predict-stack-rank",
+        "predict-stack-non-finite", "kmeans-no-seeds", "score-empty", "score-mode",
+        "nmi-lengths", "nmi-empty"])
 def test_evaluation_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
