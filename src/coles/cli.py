@@ -61,8 +61,9 @@ def _setup_logging() -> None:
 def _require_file(path, key: str) -> str:
     if path is None:
         raise ConfigError(f"missing required option: {key}")
-    if not os.path.isfile(path):
-        raise ConfigError(f"{key}: file not found: {path}")
+    if not os.path.isfile(path):  # open() on a FIFO would block
+        reason = "not a regular file" if os.path.exists(path) else "file not found"
+        raise ConfigError(f"{key}: {reason}: {path}")
     return path
 
 
@@ -72,6 +73,14 @@ def _read_input(reader, path, key: str, **kwargs):
         return reader(_require_file(path, key), **kwargs)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
+
+
+def _read_matrix(path, key: str) -> np.ndarray:
+    """io.read_dense of a required input file, refused if it has no columns."""
+    x = _read_input(io.read_dense, path, key)
+    if x.shape[1] == 0:
+        raise ConfigError(f"{key}: {path} has no columns")
+    return x
 
 
 def _load_config_file(path) -> dict:
@@ -167,7 +176,7 @@ def _coles_config(cfg: dict, d: int) -> ColesConfig:
 def cmd_embed(cfg: dict) -> dict:
     out = cfg["out"]
     t0 = time.perf_counter()
-    features = _read_input(io.read_dense, cfg["features"], "--features")
+    features = _read_matrix(cfg["features"], "--features")
     if cfg["hash_dim"]:
         try:
             features = hash_features(features, cfg["hash_dim"], seed=cfg["seed"])
@@ -210,9 +219,7 @@ def _write_metrics(cfg: dict, unit: str, scores: list[Metrics]) -> tuple[dict, d
 
 
 def _read_labeled_embeddings(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    y = _read_input(io.read_dense, cfg["embeddings"], "--embeddings")
-    if y.shape[1] == 0:
-        raise ConfigError(f"--embeddings: {cfg['embeddings']} has no columns")
+    y = _read_matrix(cfg["embeddings"], "--embeddings")
     labels = _read_input(io.read_labels, cfg["labels"], "--labels")
     if labels.shape[0] != y.shape[0]:
         raise ConfigError(f"--labels: {labels.shape[0]} labels for {y.shape[0]} embeddings")

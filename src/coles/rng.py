@@ -18,19 +18,19 @@ tests, which check every draw here against it. Other modules draw only in
 bulk and map words with `mul_high` (to [0, n)) and `units` (to [0, 1)).
 
 The xoshiro256** transition is linear over GF(2) (Blackman & Vigna,
-"Scrambled linear pseudorandom number generators", 2021), so the state
-`_LANE` steps ahead is a fixed 256x256 bit matrix times the current state
-(the jump-ahead of Haramoto et al., 2008), found once per process and
-applied exactly by XOR through byte lookup tables. A bulk draw jumps to the
-start of each lane of `_LANE` outputs and steps all lanes, of many streams
-at once, in numpy; below `_BULK_MIN` outputs a generator's `next_u64s` runs
-the recurrence on Python ints instead.
+"Scrambled linear pseudorandom number generators", 2021), so the state L
+steps ahead is a fixed 256x256 bit matrix times the current state (the
+jump-ahead of Haramoto et al., 2008), found once per process and lane
+length L and applied exactly by XOR through byte lookup tables. Every draw,
+of one stream or many, is `draw_u64s`: it jumps to the start of each lane of
+L outputs and steps all lanes of all streams at once in numpy. L is
+`_SHORT_LANE` below `_LONG_FROM` words in all, where fewer steps save more
+than the extra jumps cost, and `_LONG_LANE` from there.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable
 
@@ -39,9 +39,8 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 
-_LANE = 512  # consecutive outputs per lane of a bulk draw
-# below this many outputs of one generator the scalar recurrence beats stepping lanes
-_BULK_MIN = 8 * _LANE
+_SHORT_LANE, _LONG_LANE = 64, 512  # consecutive outputs per lane of a draw
+_LONG_FROM = 1 << 15  # words of a draw, over all its streams, from which lanes are long
 _PAIR_BLOCK = 1 << 17  # node pairs per block of bernoulli_pairs
 _GAP_BLOCK = 1 << 16  # most draws per chunk of geometric_pairs
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -94,17 +93,17 @@ def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _lane_jump() -> np.ndarray:
-    """Byte tables of the state transition _LANE steps ahead.
+def _lane_jump(lane: int) -> np.ndarray:
+    """Byte tables of the state transition lane steps ahead.
 
     The transition is linear over GF(2), so it is fixed by where it takes
-    the 256 single-bit states: step each of them _LANE times as a lane.
+    the 256 single-bit states: step each of them lane times as a lane.
     """
     images = np.zeros((4, 256), dtype=np.uint64)
     bit = np.arange(256)
     images[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
     scratch = np.empty(256, dtype=np.uint64)
-    for _ in range(_LANE):
+    for _ in range(lane):
         _advance(*images, scratch)
     table = _byte_tables(images.T.copy())
     table.flags.writeable = False  # one cached copy serves every generator
@@ -131,20 +130,22 @@ def draw_u64s(states: np.ndarray, count: int) -> np.ndarray:
     """The next count outputs of each of the (k, 4) uint64 xoshiro256**
     states as a (k, count) array; states is advanced in place past them.
 
-    Each stream's draw is cut into lanes of _LANE consecutive outputs:
-    lane j starts j * _LANE steps ahead, and lane `full` holds the last
-    `rest` outputs and the state the draw ends in. All lanes of all
-    streams step together.
+    Each stream's draw is cut into lanes of `lane` consecutive outputs
+    (_SHORT_LANE below _LONG_FROM words in all, else _LONG_LANE): lane j
+    starts j * lane steps ahead, and lane `full` holds the last `rest`
+    outputs and the state the draw ends in. All lanes of all streams step
+    together.
     """
     k = states.shape[0]
-    full, rest = divmod(count, _LANE)
+    lane = _LONG_LANE if k * count >= _LONG_FROM else _SHORT_LANE
+    full, rest = divmod(count, lane)
     lanes = full + 1
     starts = np.empty((k, lanes, 4), dtype=np.uint64)
     starts[:, 0] = states
     for j in range(full):
-        starts[:, j + 1] = _apply(_lane_jump(), starts[:, j])
+        starts[:, j + 1] = _apply(_lane_jump(lane), starts[:, j])
     s0, s1, s2, s3 = starts.reshape(-1, 4).T.copy()  # lane j of stream i at i * lanes + j
-    steps = _LANE if full else rest
+    steps = lane if full else rest
     scratch = np.empty(k * lanes, dtype=np.uint64)
     seen = np.empty((k * lanes, steps), dtype=np.uint64)  # row: one lane's s1 values
     for step in range(steps + 1):
@@ -191,27 +192,8 @@ class Xoshiro256StarStar:
         self.state = streams(seed, [index])
 
     def next_u64s(self, count: int) -> np.ndarray:
-        """The next count outputs as a uint64 array, and the state after them.
-
-        Below _BULK_MIN outputs the recurrence runs on Python ints, which is
-        faster than stepping lanes; from there on draw_u64s steps lanes.
-        """
-        if count >= _BULK_MIN:
-            return draw_u64s(self.state, count)[0]
-        s0, s1, s2, s3 = self.state[0].tolist()
-        words = []
-        for _ in range(count):
-            x = (s1 * 5) & MASK64
-            words.append((((x << 7) | (x >> 57)) * 9) & MASK64)  # rotl(s1 * 5, 7) * 9
-            t = (s1 << 17) & MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-        self.state[0] = s0, s1, s2, s3
-        return np.array(words, dtype=np.uint64)
+        """The next count outputs as a uint64 array, and the state after them."""
+        return draw_u64s(self.state, count)[0]
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next count words as units() doubles in [0, 1)."""
@@ -221,18 +203,19 @@ class Xoshiro256StarStar:
         """(n, count) int64 array, row i: count distinct integers from [0, n)
         other than i in draw order, the values and end state of the loop that
         fills the rows in turn from mul_high(word, n), one word at a time, and
-        skips repeats and i. The n * count draws the rows take at least come in
-        bulk, each draw a skip adds after."""
+        skips repeats and i. Whenever the words run out it draws as many as
+        the picks still to make take at least (the first time, n * count), so
+        it never draws a word the loop would not take."""
         if count >= n > 0:
             raise ValueError(f"cannot draw {count} distinct values from {n - 1} candidates")
-        draws = itertools.chain(mul_high(self.next_u64s(n * count), n).tolist(),
-                                iter(lambda: int(mul_high(self.next_u64s(1), n)[0]), None))
-        picks = []
+        picks, words = [], iter(())
         for i in range(n):
             seen, left = {i}, count
             while left:
-                j = next(draws)
-                if j not in seen:
+                j = next(words, None)
+                if j is None:
+                    words = iter(mul_high(self.next_u64s(left + (n - 1 - i) * count), n).tolist())
+                elif j not in seen:
                     seen.add(j)
                     picks.append(j)
                     left -= 1

@@ -117,12 +117,12 @@ class ScalarXoshiro:
 
 @contextmanager
 def bulk_everywhere(enabled=True):
-    """Make every bulk draw step lanes, however short, split node pairs into
+    """Make every draw step long lanes, however short, split node pairs into
     blocks of a few rows and geometric skips into chunks of a few draws, so
     small inputs reach every bulk code path."""
     with pytest.MonkeyPatch.context() as mp:
         if enabled:
-            mp.setattr(rng_module, "_BULK_MIN", 0)
+            mp.setattr(rng_module, "_LONG_FROM", 0)
             mp.setattr(rng_module, "_PAIR_BLOCK", 300)
             mp.setattr(rng_module, "_GAP_BLOCK", 40)
         yield

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -76,6 +77,30 @@ def test_embed_missing_features_names_path(tmp_path, capsys):
                "--out", tmp_path / "o")
     assert code == 1
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("special", ["directory", "device"])
+@pytest.mark.parametrize("command,flag", [("embed", "--features"),
+                                          ("eval-cluster", "--embeddings")])
+def test_input_that_is_not_a_regular_file_is_named(synth_dir, tmp_path, capsys, special,
+                                                   command, flag):
+    # refused before any open(), which would block on a FIFO
+    path = tmp_path if special == "directory" else os.devnull
+    inputs = {"embed": ["--edges", synth_dir / "edges.txt"],
+              "eval-cluster": ["--labels", synth_dir / "labels.txt"]}[command]
+    code = run(command, flag, path, *inputs, "--out", tmp_path / "o")
+    assert_refused(code, capsys.readouterr().err, 1, f"{flag}: not a regular file: {path}",
+                   tmp_path / "o")
+
+
+@pytest.mark.parametrize("hash_dim", [None, 4])
+def test_embed_refuses_features_without_columns(synth_dir, tmp_path, capsys, hash_dim):
+    write_clsm(np.zeros((36, 0)), tmp_path / "features.clsm")
+    argv = ["embed", "--edges", synth_dir / "edges.txt", "--features", tmp_path / "features.clsm",
+            "--out", tmp_path / "o"]
+    code = run(*argv, *(["--hash-dim", hash_dim] if hash_dim else []))
+    assert_refused(code, capsys.readouterr().err, 1,
+                   f"--features: {tmp_path / 'features.clsm'} has no columns", tmp_path / "o")
 
 
 def test_embed_deterministic_bytes(synth_dir, tmp_path):

@@ -13,12 +13,12 @@ from coles.graph_core import SparseSym, add_self_loops, degree_normalize, normal
 from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles import evaluation
 from coles.evaluation import SplitSpec, kmeans, logreg_fit, random_splits
-from coles.rng import _LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, streams
+from coles.rng import _LONG_LANE, Xoshiro256StarStar, draw_u64s, shuffle_with, streams
 from coles.spectral_filters import KINDS, FilterConfig, apply_filter
 from coles.synthetic import SbmSpec, generate_sbm
 import helpers
-from helpers import (ScalarXoshiro, loop_kmeans, rand_x, random_graph, sparse_equal, stream_key,
-                     weighted_graph)
+from helpers import (ScalarXoshiro, bulk_everywhere, loop_kmeans, rand_x, random_graph,
+                     sparse_equal, stream_key, weighted_graph)
 
 PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -220,11 +220,12 @@ def test_relabelling_nodes_permutes_embedding_rows(seed, per_block, kind, d_prim
 
 @PROPERTY
 @given(seed=st.integers(0, 2**64 - 1), keys=st.integers(0, 6),
-       count=st.integers(0, 3 * _LANE))
-def test_lane_draws_equal_scalar_steps_of_each_generator(seed, keys, count):
+       count=st.integers(0, 3 * _LONG_LANE), long_lanes=st.booleans())
+def test_lane_draws_equal_scalar_steps_of_each_generator(seed, keys, count, long_lanes):
     states = streams(seed, np.arange(keys))
     scalar = [ScalarXoshiro(seed, s) for s in range(keys)]
-    got = draw_u64s(states, count)
+    with bulk_everywhere(long_lanes):
+        got = draw_u64s(states, count)
     assert got.dtype == np.uint64 and got.shape == (keys, count)
     assert got.tolist() == [[g.next_u64() for _ in range(count)] for g in scalar]
     # each stream ends where count scalar steps leave it

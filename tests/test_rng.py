@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coles
-from coles.rng import (_BULK_MIN, _LANE, Xoshiro256StarStar, draw_u64s, mul_high, shuffle_with,
-                       streams, units)
+from coles import rng as rng_module
+from coles.rng import (_LONG_FROM, _LONG_LANE, _SHORT_LANE, Xoshiro256StarStar, draw_u64s, mul_high,
+                       shuffle_with, streams, units)
 from helpers import (GOLDEN64, MASK64, ScalarXoshiro, bulk_everywhere, loop_distinct,
                      loop_normals, loop_shuffle, splitmix64, stream_key)
 
@@ -118,31 +119,67 @@ def test_streams_are_the_scalar_seeded_states(seed, indices):
     assert states.tolist() == [ScalarXoshiro(seed, i).state for i in indices]
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, 50])
-@pytest.mark.parametrize("count", [0, 1, _LANE - 1, _LANE + 1, 3 * _LANE])
-def test_draw_u64s_steps_each_stream_as_the_scalar_loop(k, count):
+def check_draw_u64s(k, count):
+    """draw_u64s of k streams against k scalar loops; returns the lane lengths it used."""
     states = streams(count, np.arange(k))
     scalar = [ScalarXoshiro(count, i) for i in range(k)]
-    got = draw_u64s(states, count)
+    jump, lanes = rng_module._lane_jump, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_lane_jump", lambda lane: lanes.append(lane) or jump(lane))
+        got = draw_u64s(states, count)
     assert got.dtype == np.uint64 and got.shape == (k, count)
     assert got.tolist() == [[rng.next_u64() for _ in range(count)] for rng in scalar]
     assert states.tolist() == [rng.state for rng in scalar]  # advanced in place
+    return set(lanes)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 50])
+@pytest.mark.parametrize("count", [0, 1, _SHORT_LANE - 1, _SHORT_LANE + 1, _LONG_LANE - 1,
+                                   _LONG_LANE + 1, 3 * _LONG_LANE])
+def test_draw_u64s_steps_each_stream_as_the_scalar_loop(k, count):
+    check_draw_u64s(k, count)
+
+
+def counts_around_long_from(k):
+    """Words per stream lane * j - 1 and lane * j + 1, for each lane length and
+    for the last j whose draw of k streams stays below _LONG_FROM words in all
+    and the first j whose draw reaches it: four short-lane counts, then four
+    long-lane ones."""
+    edge = -(-_LONG_FROM // k)  # the fewest words per stream that reach _LONG_FROM
+    lanes = (_SHORT_LANE, _LONG_LANE)
+    below = [lane * ((edge - 2) // lane) + d for lane in lanes for d in (-1, 1)]
+    above = [lane * -(-(edge + 1) // lane) + d for lane in lanes for d in (-1, 1)]
+    return below + above
+
+
+@pytest.mark.parametrize("k", [1, 3, 50])
+@pytest.mark.parametrize("at", range(8))
+def test_draw_u64s_at_lane_edges_on_both_sides_of_long_from(k, at):
+    count = counts_around_long_from(k)[at]
+    long_lanes = at >= 4
+    assert (k * count >= _LONG_FROM) == long_lanes
+    assert check_draw_u64s(k, count) == {_LONG_LANE if long_lanes else _SHORT_LANE}
 
 
 @PROPERTY
 @given(seed=st.integers(-2**70, 2**70), index=st.integers(0, 2**32),
-       counts=st.lists(st.one_of(st.sampled_from([0, 1, _BULK_MIN - 1, _BULK_MIN]),
-                                 st.integers(_BULK_MIN + 1, _BULK_MIN + 2 * _LANE)),
-                       max_size=6))
-@example(seed=0, index=0, counts=[0, 1, _BULK_MIN - 1, _BULK_MIN, _BULK_MIN + _LANE + 3, 1])
-@example(seed=-1, index=2**32, counts=[_BULK_MIN, 1, 1, _BULK_MIN - 1, 0])
-def test_generator_state_is_its_streams_row_through_mixed_draws(seed, index, counts):
-    # one state for both sides of _BULK_MIN: the streams() row, advanced in place
+       draws=st.lists(st.tuples(st.one_of(st.sampled_from([0, 1, _SHORT_LANE - 1, _SHORT_LANE,
+                                                            _LONG_LANE - 1, _LONG_LANE]),
+                                          st.integers(_LONG_LANE + 1, 10 * _LONG_LANE)),
+                                st.booleans()),
+                      max_size=6))
+@example(seed=0, index=0, draws=[(0, False), (1, True), (_LONG_LANE - 1, False), (_LONG_LANE, True),
+                                 (9 * _LONG_LANE + 3, False), (1, False)])
+@example(seed=-1, index=2**32, draws=[(8 * _LONG_LANE, True), (1, False), (1, True),
+                                      (8 * _LONG_LANE - 1, False), (0, True)])
+def test_generator_state_is_its_streams_row_through_mixed_draws(seed, index, draws):
+    # one state for short and long lanes: the streams() row, advanced in place
     rng, reference = Xoshiro256StarStar(seed, index), ScalarXoshiro(seed, index)
     assert Xoshiro256StarStar.__slots__ == ("state",)
     assert rng.state.dtype == np.uint64 and np.array_equal(rng.state, streams(seed, [index]))
-    for count in counts:
-        got = rng.next_u64s(count)
+    for count, long_lanes in draws:
+        with bulk_everywhere(long_lanes):
+            got = rng.next_u64s(count)
         assert got.dtype == np.uint64 and got.shape == (count,)
         assert got.tolist() == [reference.next_u64() for _ in range(count)]
         assert rng.state.tolist() == [reference.state]
@@ -160,25 +197,27 @@ def check_bulk_draw(seed, count, lanes):
 
 
 @pytest.mark.parametrize("seed", [0, MASK64])
-@pytest.mark.parametrize("count", [0, 1, _LANE - 1, _LANE, _LANE + 1, 3 * _LANE + 5,
-                                   _BULK_MIN - 1, _BULK_MIN, _BULK_MIN + 1, 19 * _LANE])
+@pytest.mark.parametrize("count", [0, 1, _SHORT_LANE - 1, _SHORT_LANE, _SHORT_LANE + 1,
+                                   _LONG_LANE - 1, _LONG_LANE, _LONG_LANE + 1, 3 * _LONG_LANE + 5,
+                                   8 * _LONG_LANE - 1, 8 * _LONG_LANE, 8 * _LONG_LANE + 1,
+                                   19 * _LONG_LANE])
 @pytest.mark.parametrize("lanes", [False, True])
 def test_bulk_draw_at_lane_boundaries(seed, count, lanes):
     check_bulk_draw(seed, count, lanes)
 
 
 @PROPERTY
-@given(seed=SEEDS64, count=st.integers(0, 24 * _LANE), lanes=st.booleans())
+@given(seed=SEEDS64, count=st.integers(0, 24 * _LONG_LANE), lanes=st.booleans())
 def test_bulk_draw_equals_scalar_steps(seed, count, lanes):
     check_bulk_draw(seed, count, lanes)
 
 
 @PROPERTY
-@given(seed=SEEDS64, count=st.integers(0, 3 * _BULK_MIN), lanes=st.booleans())
+@given(seed=SEEDS64, count=st.integers(0, 24 * _LONG_LANE), lanes=st.booleans())
 @example(seed=0, count=7, lanes=True)
 @example(seed=MASK64, count=8, lanes=True)
-@example(seed=3, count=_BULK_MIN + 1, lanes=False)
-@example(seed=4, count=2 * _BULK_MIN, lanes=False)
+@example(seed=3, count=8 * _LONG_LANE + 1, lanes=False)
+@example(seed=4, count=16 * _LONG_LANE, lanes=False)
 def test_normals_match_scalar_box_muller(seed, count, lanes):
     bulk, scalar = Xoshiro256StarStar(seed), ScalarXoshiro(seed)
     with bulk_everywhere(lanes):
@@ -210,7 +249,21 @@ def test_distinct_runs_match_scalar_calls(seed, n, data, lanes):
     assert bulk.state.tolist() == [scalar.state]  # the pool never overdraws
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 3, 1000, _BULK_MIN + 2])
+@pytest.mark.parametrize("n", [2, 3, 10, 60])
+def test_distinct_runs_of_every_other_node_draw_each_shortfall_at_once(n):
+    # count = n - 1: every row takes all other nodes, so most rows run out of words
+    bulk, scalar = Xoshiro256StarStar(n), ScalarXoshiro(n)
+    draw, sizes = Xoshiro256StarStar.next_u64s, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Xoshiro256StarStar, "next_u64s",
+                   lambda self, count: sizes.append(count) or draw(self, count))
+        got = bulk.distinct_runs(n, n - 1)
+    assert got.tolist() == [loop_distinct(scalar, n, n - 1, exclude=i) for i in range(n)]
+    assert bulk.state.tolist() == [scalar.state]  # no shortfall overdraws
+    assert sizes[0] == n * (n - 1) and len(sizes) > n // 2
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 1000, 8 * _LONG_LANE + 2, _LONG_FROM + 2])
 @pytest.mark.parametrize("lanes", [False, True])
 def test_shuffle_matches_scalar_fisher_yates(size, lanes):
     want = list(range(size))
@@ -254,9 +307,9 @@ def rng_boundary_breaches(source: str) -> list[str]:
 
 
 def test_rng_boundary_finds_breaches():
-    assert rng_boundary_breaches("from .rng import _LANE, draw_u64s, stream_key, MASK64\n"
+    assert rng_boundary_breaches("from .rng import _LONG_LANE, draw_u64s, stream_key, MASK64\n"
                                  "r.below(3)\nr.random()\nr.next_u64()\nr.next_u64s(4)\n") == [
-        "line 1: imports _LANE", "line 1: imports stream_key", "line 1: imports MASK64",
+        "line 1: imports _LONG_LANE", "line 1: imports stream_key", "line 1: imports MASK64",
         "line 2: .below()", "line 3: .random()", "line 4: .next_u64()"]
 
 

@@ -3,14 +3,20 @@
 The SHA-256 pins were computed with the scalar draw loops, before draws were
 batched. Any change to what a seed produces (SBM edges and features,
 negative graphs, splits) fails here and has to be made deliberately. The
-sizes are large enough that every draw runs through the bulk paths. The
-diagnose pin was computed with the full grid x sample kernel matrix, before
+sizes are large enough that every draw runs through the bulk paths. Draws
+of 2^15 words or more step 512-output lanes, smaller ones 64-output lanes:
+the SBM pair draw (101k words) and the split draw (60k) take long lanes;
+the SBM features (18k), the per-node-k pool (9k) and its shortfall draw,
+the Erdos-Renyi chunks (4-5k) and the k-means blobs take short ones, and the
+k-means++ seeds fit in one lane. The diagnose pin was computed with the full grid x sample kernel matrix, before
 the Parzen kernel was evaluated in blocks; its samples span several blocks.
 The two pins that hold an Erdos-Renyi graph were computed again with the
 scalar geometric-skip walk when that graph stopped taking one draw per pair.
 The k-means pins were computed with the per-restart Lloyd loop, before the
 restarts were batched; their shapes are those of the benchmark workloads'
-embeddings.
+embeddings. They hash assignments, which do not see the order in which a
+centroid's rows are summed, so the centroid pins, computed later with the
+batched loop, hash every restart's final centroids as well.
 """
 
 import hashlib
@@ -18,9 +24,10 @@ import hashlib
 import numpy as np
 
 from coles.diagnostics import js_divergence, pair_scores, score_densities, wasserstein1
+from coles import evaluation
 from coles.evaluation import SplitSpec, kmeans, random_splits
 from coles.negative_sampling import NegSampleConfig, sample_negative_graph
-from coles.rng import Xoshiro256StarStar
+from coles.rng import Xoshiro256StarStar, streams
 from coles.synthetic import SbmSpec, generate_sbm
 
 
@@ -93,3 +100,25 @@ def test_kmeans_digest_wide_features_shape():
     y = _blobs(600, 16, 3, 32)
     assert digest(*[kmeans(y, 3, seed=s) for s in range(10)]) == (
         "2f8bd35927b177a629408675ae0ba9ac8bb12216375402b58c2b48fcda22d969")
+
+
+def _restart_centroids(y, k, seeds):
+    """The final centroids and assignments of every restart of kmeans(y, k, s)
+    for s in seeds: _kmeanspp's seeds, then _lloyd's loop, in one block."""
+    yy, y2 = (y * y).sum(axis=1), 2.0 * y
+    states = np.concatenate([streams(s, np.arange(evaluation.KMEANS_RESTARTS)) for s in seeds])
+    centroids = evaluation._kmeanspp(y, yy, y2, k, states)
+    return centroids, evaluation._lloyd(y, yy, y2, centroids)
+
+
+def test_kmeans_centroids_digest_er_negatives_shape():
+    # the centroid bytes see the order in which each cluster's rows are summed
+    centroids, assign = _restart_centroids(_blobs(1000, 8, 2, 31), 2, range(10))
+    assert digest(centroids, assign) == (
+        "1f8511d4bf82117a75e3cfe2f1827e54350a8ebb0ed95c53a1d3b954d87d3d5c")
+
+
+def test_kmeans_centroids_digest_wide_features_shape():
+    centroids, assign = _restart_centroids(_blobs(600, 16, 3, 32), 3, range(10))
+    assert digest(centroids, assign) == (
+        "8b087e754c5a8766312d97ae7b80e9acd250a55f160979f9056cbe1b2ef32ddc")
