@@ -10,10 +10,10 @@ clustering accuracy uses the optimal cluster-to-class assignment.
 
 Both loops are batched and keep the bits of their unbatched forms. The fits
 of all splits run as one stacked gradient loop, class-major and in place:
-the softmax works on contiguous (S, m) class rows, and numpy's own sum adds
-them in the order of the (S, m, C) layout. The restarts of all k-means runs
-advance together in blocks of bounded memory, and each Lloyd step sums its
-clusters by one sparse one-hot product.
+the softmax works on contiguous (S, m) class rows, which numpy's own sum
+adds in class order. The restarts of all k-means runs advance together in
+blocks of bounded memory, and each Lloyd step sums its clusters by one
+sparse one-hot product.
 """
 
 from __future__ import annotations
@@ -82,16 +82,6 @@ def random_splits(labels, spec: SplitSpec, n_splits: int):
 
 # -- logistic regression -----------------------------------------------------
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
-    """e.sum over axis 1 of e (S, C, m), bit for bit the row sums of the
-    (S, m, C) array it transposes. numpy adds an outer axis row by row from
-    0.0, which is its pairwise order below 8 terms; from 8 on, the sum is
-    taken over the contiguous transpose itself."""
-    if e.shape[1] < 8:
-        return e.sum(axis=1)
-    return np.ascontiguousarray(e.transpose(0, 2, 1)).sum(axis=-1)
-
-
 def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
                epochs: int = 500, return_losses: bool = False):
     """A softmax (multinomial logistic) model by epochs steps of full-batch
@@ -108,7 +98,8 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     Each epoch copies the logits xb @ w into a class-major (S, C, m) buffer,
     where the softmax and the subtraction of the one-hot labels run in
     place on contiguous class rows; the gradient product reads the buffer
-    through its transpose. Every value is the one a (S, m, C) softmax gives.
+    through its transpose. The class sum is numpy's sum over that outer
+    axis, which adds the class rows in order from 0.0 for any class count.
     """
     x = np.asarray(y_train)
     labels = np.asarray(labels, dtype=np.int64)
@@ -147,7 +138,7 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
                 np.maximum(top, probs[:, c], out=top)
             probs -= top[:, None]
             np.exp(probs, out=probs)
-            probs /= _class_sum(probs)[:, None]
+            probs /= probs.sum(axis=1)[:, None]
             if return_losses:
                 hit = np.take_along_axis(probs, labels[:, None, :], axis=1)[:, 0]
                 penalty = (w * w).reshape(n_sets, -1).sum(axis=1)

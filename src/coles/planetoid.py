@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +30,10 @@ def is_available(root: str, name: str) -> bool:
 
 def _load_pickle(path: str):
     with open(path, "rb") as fh:
-        return pickle.load(fh, encoding="latin1")
+        try:
+            return pickle.load(fh, encoding="latin1")
+        except (EOFError, pickle.UnpicklingError) as exc:  # a truncated or foreign file
+            raise ValueError(f"{path}: not a readable pickle: {exc}") from exc
 
 
 def load_planetoid(root: str, name: str) -> LabeledGraph:
@@ -40,37 +44,41 @@ def load_planetoid(root: str, name: str) -> LabeledGraph:
     x, y, tx, ty, allx, ally, graph = (_load_pickle(p) for p in dataset_files(root, name)[:7])
     test_idx = read_labels(dataset_files(root, name)[7])
     test_sorted = np.sort(test_idx)
+    tx = sp.csr_matrix(tx).toarray()
 
-    n_base = allx.shape[0]
     span = int(test_sorted.max()) - int(test_sorted.min()) + 1
     if span > tx.shape[0]:
         # isolated test nodes (citeseer): widen with zero feature rows / labels
-        tx_ext = sp.lil_matrix((span, tx.shape[1]))
-        tx_ext[test_sorted - test_sorted.min(), :] = tx
-        tx = tx_ext.tocsr()
-        ty_ext = np.zeros((span, ty.shape[1]))
-        ty_ext[test_sorted - test_sorted.min(), :] = ty
-        ty = ty_ext
+        rows = test_sorted - test_sorted.min()
+        tx_ext, ty_ext = np.zeros((span, tx.shape[1])), np.zeros((span, ty.shape[1]))
+        tx_ext[rows], ty_ext[rows] = tx, ty
+        tx, ty = tx_ext, ty_ext
 
-    features = sp.vstack([sp.csr_matrix(allx), sp.csr_matrix(tx)]).tolil()
+    features = np.vstack([sp.csr_matrix(allx).toarray(), tx], dtype=np.float64)
     features[test_idx, :] = features[test_sorted, :]
     onehot = np.vstack([ally, ty])
     onehot[test_idx, :] = onehot[test_sorted, :]
     labels = np.argmax(onehot, axis=1).astype(np.int64)
 
-    n = n_base + tx.shape[0]
+    n = features.shape[0]
     edges = [(int(u), int(v)) for u, nbrs in graph.items() for v in nbrs
              if u != v and 0 <= u < n and 0 <= v < n]
     adjacency = SparseSym.from_edges(n, edges)
-    return LabeledGraph(adjacency=adjacency,
-                        features=np.asarray(features.todense(), dtype=np.float64),
-                        labels=labels)
+    return LabeledGraph(adjacency=adjacency, features=features, labels=labels)
 
 
-if __name__ == "__main__":  # python -m coles.planetoid <root> <name> <out_dir>
-    import sys
+def main(argv=None) -> int:
+    """python -m coles.planetoid <root> <name> <out_dir>: export for the CLI."""
+    args = sys.argv[1:] if argv is None else argv
+    try:
+        if len(args) != 3:
+            raise ValueError("usage: python -m coles.planetoid <root> <name> <out_dir>")
+        write_fixture(load_planetoid(args[0], args[1]), args[2])
+    except (OSError, ValueError) as exc:
+        print(f"coles.planetoid: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
-    if len(sys.argv) != 4:
-        print("usage: python -m coles.planetoid <root> <name> <out_dir>", file=sys.stderr)
-        sys.exit(1)
-    write_fixture(load_planetoid(sys.argv[1], sys.argv[2]), sys.argv[3])
+
+if __name__ == "__main__":
+    sys.exit(main())

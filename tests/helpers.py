@@ -246,16 +246,15 @@ def loop_kmeans(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
 
 # -- the (S, m, C) reference for the class-major logistic regression ------------
-# evaluation.logreg_fit's epoch as it ran before its softmax moved into a
-# class-major buffer: the same products, every array in (S, m, C) order. The
+# evaluation.logreg_fit's epoch written plainly: the same products, every
+# array in (S, m, C) order, the softmax adding its classes in class order. The
 # fit must reproduce its weights and losses bit for bit.
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # the row max is exact in any order; column by column beats reducing a
-    # short last axis
+    # the row max is exact in any order; the row sum adds class 0, 1, 2, ...
     z = logits - functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / functools.reduce(np.add, np.moveaxis(e, -1, 0))[..., None]
 
 
 def loop_logreg(x: np.ndarray, labels: np.ndarray, l2: float = 1e-4, lr: float = 0.1,

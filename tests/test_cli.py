@@ -252,6 +252,25 @@ def test_eval_classify_metrics_digest(tmp_path):
         "e542bdec6397b236498aef83367c5d89e2a86233aa54fd296a8f247c17e7c604")
 
 
+def test_eval_classify_ten_class_metrics_digest(tmp_path):
+    # pins a ten-class run: past the 8 terms from which numpy would add a
+    # contiguous class axis pairwise; the fit adds the classes in order
+    rng = Xoshiro256StarStar(31)
+    labels = np.repeat(np.arange(10), np.arange(12, 22))
+    centers = 1.5 * np.array(rng.normals(10 * 4)).reshape(10, 4)
+    y = centers[labels] + np.array(rng.normals(labels.size * 4)).reshape(-1, 4)
+    write_csv(y, tmp_path / "emb.csv")
+    write_labels(labels, tmp_path / "labels.txt")
+    out = tmp_path / "ev"
+    assert run("eval-classify", "--embeddings", tmp_path / "emb.csv",
+               "--labels", tmp_path / "labels.txt", "--out", out, "--per-class", 5,
+               "--n-splits", 20, "--val-size", 20, "--epochs", 60, "--seed", 9) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    del metrics["config"]  # it echoes tmp_path
+    assert hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest() == (
+        "ca26c64ff8f0e2c1dc0f70c33673b7ecbc72406453d49a9db59fba1fc7db35b8")
+
+
 def test_eval_cluster(separable_embedding, tmp_path):
     emb, lab = separable_embedding
     out = tmp_path / "cl"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -153,15 +154,16 @@ def test_logreg_fit_deterministic():
     assert np.array_equal(logreg_fit(x, y), logreg_fit(x, y))
 
 
-@pytest.mark.parametrize("n_classes", list(range(1, 20)) + [127, 128, 129, 136, 300])
+@pytest.mark.parametrize("n_classes", list(range(1, 21)) + [127, 128, 129, 136, 300])
 def test_class_sum_adds_in_numpys_reduction_order(n_classes):
-    # the row sums of a contiguous last axis: below 8 terms numpy adds the
-    # outer class axis in order, which is its pairwise order there; from 8 on
-    # the sum runs over the transpose; the fit's probabilities keep their bits
-    e = np.exp(3.0 * np.array(Xoshiro256StarStar(n_classes).normals(4 * 7 * n_classes)))
-    rows_last = e.reshape(4, 7, n_classes)
-    got = evaluation._class_sum(np.ascontiguousarray(rows_last.transpose(0, 2, 1)))
-    assert np.array_equal(got.view(np.uint64), rows_last.sum(axis=-1).view(np.uint64))
+    # logreg_fit's class sum: numpy adds the rows of an outer axis one by one,
+    # class 0 first, for every class count; a contiguous last axis would be
+    # added pairwise from 8 terms on
+    for n_sets, m in ((4, 7), (1, 2), (3, 40)):
+        e = np.exp(3.0 * np.array(Xoshiro256StarStar(n_classes + m).normals(
+            n_sets * n_classes * m))).reshape(n_sets, n_classes, m)
+        want = functools.reduce(np.add, e.transpose(1, 0, 2))
+        assert np.array_equal(e.sum(axis=1).view(np.uint64), want.view(np.uint64))
 
 
 def test_stacked_predictions_are_the_per_set_predictions():

@@ -1,10 +1,17 @@
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from coles import cli, planetoid
+from coles.io import read_clsm, read_labels
 from coles.planetoid import dataset_files, is_available, load_planetoid
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def write_fixture(root, name, test_index):
@@ -75,3 +82,43 @@ def test_test_index_errors_name_the_line(tmp_path):
         fh.write("5\n# comment\nfour\n")
     with pytest.raises(ValueError, match=r"test\.index:3: cannot read 'four' as int64 values"):
         load_planetoid(str(tmp_path), "bad")
+
+
+def test_export_usage_error(capsys):
+    assert planetoid.main(["only", "two"]) == 1
+    assert capsys.readouterr().err == (
+        "coles.planetoid: usage: python -m coles.planetoid <root> <name> <out_dir>\n")
+
+
+def test_export_of_a_missing_dataset_is_one_line(tmp_path):
+    # run as README's export command, so the __main__ block is covered too
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run([sys.executable, "-m", "coles.planetoid", str(tmp_path / "none"),
+                           "cora", str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("coles.planetoid: planetoid dataset 'cora' incomplete")
+    assert proc.stderr.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [b"", b"\x80\x04\x95", b"not a pickle"])
+def test_export_of_an_unreadable_pickle_is_one_line(tmp_path, capsys, content):
+    write_fixture(tmp_path, "toy", test_index=[5, 4])
+    (tmp_path / "ind.toy.allx").write_bytes(content)
+    assert planetoid.main([str(tmp_path), "toy", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("coles.planetoid: ") and "ind.toy.allx: not a readable pickle" in err
+    assert err.count("\n") == 1
+
+
+def test_export_feeds_coles_embed(tmp_path):
+    write_fixture(tmp_path, "toy", test_index=[5, 4])
+    out = tmp_path / "toy"
+    assert planetoid.main([str(tmp_path), "toy", str(out)]) == 0
+    g = load_planetoid(str(tmp_path), "toy")
+    assert np.array_equal(read_labels(str(out / "labels.txt")), g.labels)
+    assert cli.main(["embed", "--edges", str(out / "edges.txt"),
+                     "--features", str(out / "features.csv"), "--out", str(tmp_path / "run"),
+                     "--dim", "2", "--per-node", "1", "--seed", "1"]) == 0
+    assert read_clsm(str(tmp_path / "run" / "embeddings.clsm")).shape == (6, 2)

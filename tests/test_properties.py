@@ -269,10 +269,12 @@ def test_stacked_logreg_fit_equals_per_set_fits(seed, n_sets, m, d, n_classes, l
        n_classes=st.integers(2, 12), l2=st.sampled_from([0.0, 1e-4, 0.1]),
        scale=st.sampled_from([1.0, 10.0]), epochs=st.integers(1, 30))
 @example(seed=8, n_sets=3, m=40, d=3, n_classes=11, l2=1e-4, scale=1.0, epochs=25)
+@example(seed=5, n_sets=2, m=30, d=4, n_classes=8, l2=1e-4, scale=10.0, epochs=30)
+@example(seed=13, n_sets=3, m=48, d=5, n_classes=16, l2=0.0, scale=1.0, epochs=30)
 def test_logreg_fit_is_the_reference_epoch_bit_for_bit(seed, n_sets, m, d, n_classes, l2,
                                                        scale, epochs):
-    # the class-major loop against the (S, m, C) softmax it replaced; from 8
-    # classes on the class sum runs over the transpose, below 8 down the class axis
+    # the class-major loop against the plain (S, m, C) epoch, whose softmax
+    # adds the classes in class order, as the fit's class sum does
     x = scale * rand_x(n_sets * m, d, seed=seed).reshape(n_sets, m, d)
     rng = ScalarXoshiro(seed + 1)
     labels = np.array([rng.below(n_classes) for _ in range(n_sets * m)]).reshape(n_sets, m)
@@ -332,7 +334,7 @@ def kmeans_points(kind, n, d, seed):
        max_iter=st.sampled_from([1, 2, evaluation.KMEANS_MAX_ITER]))
 def test_kmeans_equals_the_per_restart_loop(seed, data, n, d, kind, max_iter):
     y = kmeans_points(kind, n, d, seed)
-    k = data.draw(st.one_of(st.just(min(n, 6)), st.integers(1, min(n, 6))), label="k")
+    k = data.draw(st.one_of(st.just(min(n, 12)), st.integers(1, min(n, 12))), label="k")
     # None keeps the default budget (one block); else blocks of that many
     # restarts (kmeans sizes them _KMEANS_BLOCK // (n (k + 8))), the last one
     # short unless it divides KMEANS_RESTARTS
@@ -356,7 +358,7 @@ def test_kmeans_runs_are_the_per_seed_calls(seed, data, n, d, seeds, kind, per_b
     # eval-cluster passes all its run seeds at once; blocks of 3, 7 or 13
     # restarts straddle two runs
     y = kmeans_points(kind, n, d, seed)
-    k = data.draw(st.integers(1, min(n, 6)), label="k")
+    k = data.draw(st.integers(1, min(n, 12)), label="k")
     want = np.stack([kmeans(y, k, seed=s) for s in seeds])
     with pytest.MonkeyPatch.context() as mp:
         if per_block is not None:
@@ -406,7 +408,7 @@ def test_batched_seeds_and_centroids_are_the_loops_bits(seed, data, n, d, n_rest
     # moves one, so compare the seeds and the final centroids themselves;
     # d = 16 is the width of the wide-features embedding
     y = kmeans_points(kind, n, d, seed)
-    k = data.draw(st.integers(1, min(n, 6)), label="k")
+    k = data.draw(st.integers(1, min(n, 12)), label="k")
     cents = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, k,
                                  streams(seed, np.arange(n_restarts)))
     want = [helpers._kmeanspp(y, k, ScalarXoshiro(seed, t)) for t in range(n_restarts)]
