@@ -269,7 +269,7 @@ def cmd_eval_cluster(cfg: dict) -> dict:
     with _stream_count(cfg, "n_runs"):
         # a draw of substream r, not its key: kmeans XORs restart t into its seed too
         seeds = draw_u64s(streams(cfg["seed"], np.arange(cfg["n_runs"])), 1)[:, 0].tolist()
-        scores = [score(assign, labels, mode="clustering") for assign in kmeans(y, k, seed=seeds)]
+        scores = [score(assign, labels, mode="clustering") for assign in kmeans(y, k, seeds)]
         mean, _ = _write_metrics(resolved, "run", scores)
     log.info("clustering over %d runs: acc %.4f, nmi %.4f",
              cfg["n_runs"], mean["accuracy"], mean["nmi"])

@@ -54,7 +54,8 @@ def sym_eig(m: np.ndarray) -> EigResult:
 
     Eigenvalues are returned in descending order; each eigenvector's
     largest-magnitude component is made positive so signs are reproducible.
-    A non-finite matrix or a LAPACK failure raises LinAlgError.
+    A non-finite matrix, one whose symmetrization or eigenvalues overflow
+    float64, or a LAPACK failure raises LinAlgError.
     """
     from scipy.linalg import eigh  # here, not at the top: commands that never solve skip its load
 
@@ -64,12 +65,18 @@ def sym_eig(m: np.ndarray) -> EigResult:
     n = m.shape[0]
     if not np.all(np.isfinite(m)):
         raise LinAlgError("eigensolver failed: matrix has non-finite entries")
-    if n and np.max(np.abs(m - m.T)) > 1e-9:
-        raise ValueError("matrix is not symmetric within 1e-9")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        if n and np.max(np.abs(m - m.T)) > 1e-9:
+            raise ValueError("matrix is not symmetric within 1e-9")
+        m = 0.5 * (m + m.T)
+    if not np.all(np.isfinite(m)):
+        raise LinAlgError("eigensolver failed: the symmetrized matrix overflows float64")
     try:
-        values, vectors = eigh(0.5 * (m + m.T), driver="evr", check_finite=False)
+        values, vectors = eigh(m, driver="evr", check_finite=False)
     except LinAlgError as exc:
         raise LinAlgError(f"eigensolver failed: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise LinAlgError("eigensolver failed: an eigenvalue overflows float64")
     values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
     vectors[:, lead < 0] *= -1.0

@@ -50,8 +50,8 @@ def parzen_density(values, bandwidth: float, grid) -> np.ndarray:
     result is bit-identical to that one-shot form.
     """
     v = _clean_sample(values)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be > 0")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     g = np.asarray(grid, dtype=np.float64).ravel()
     if g.size < 2 or np.any(np.diff(g) <= 0):
         raise ValueError("grid must be sorted with at least 2 distinct points")

@@ -8,12 +8,12 @@ softmax (multinomial logistic) model, 500 full-batch gradient steps from zero
 that stop short of the L2 optimum, clustering with restarted k-means, and
 clustering accuracy uses the optimal cluster-to-class assignment.
 
-Both loops are batched and keep the bits of their unbatched forms. The fits
-of all splits run as one stacked gradient loop, class-major and in place:
-the softmax works on contiguous (S, m) class rows, which numpy's own sum
-adds in class order. The restarts of all k-means runs advance together in
-blocks of bounded memory, and each Lloyd step sums its clusters by one
-sparse one-hot product.
+The splits, fits, predictions and k-means runs come in stacks only; one of
+each is a stack of one, with the bits it has alone. The fits of all splits
+run as one gradient loop, class-major and in place: the softmax works on
+contiguous (S, m) class rows, which numpy's own sum adds in class order. The
+restarts of all k-means runs advance together in blocks of bounded memory,
+and each Lloyd step sums its clusters by one sparse one-hot product.
 """
 
 from __future__ import annotations
@@ -83,17 +83,15 @@ def random_splits(labels, spec: SplitSpec, n_splits: int):
 # -- logistic regression -----------------------------------------------------
 
 def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
-               epochs: int = 500, return_losses: bool = False):
-    """A softmax (multinomial logistic) model by epochs steps of full-batch
-    gradient descent, stopped there, not run to the L2 optimum.
+               epochs: int = 500) -> np.ndarray:
+    """A softmax (multinomial logistic) model per training set of an (S, m, d)
+    stack with (S, m) labels, by epochs steps of full-batch gradient descent,
+    stopped there, not run to the L2 optimum.
 
-    Zero-initialized weights of shape (d+1, C); the trailing row is the bias
-    (a constant feature is appended) and is regularized with the rest.
-    y_train may also be an (S, m, d) stack of S training sets with (S, m)
-    labels: the S fits run as one batched loop, each bit for bit the 2-D
-    fit of its set, except that C is one more than the largest label of
-    any set. Weights are then (S, d+1, C), and losses one (S,) array per
-    epoch.
+    Zero-initialized weights of shape (S, d+1, C), C one more than the
+    largest label of any set; the trailing row is the bias (a constant
+    feature is appended) and is regularized with the rest. A set's weights
+    have the bits of its fit as a stack of one, when that has the same C.
 
     Each epoch copies the logits xb @ w into a class-major (S, C, m) buffer,
     where the softmax and the subtraction of the one-hot labels run in
@@ -102,12 +100,10 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     axis, which adds the class rows in order from 0.0 for any class count.
     """
     x = np.asarray(y_train)
+    if x.ndim != 3:
+        raise ValueError(f"y_train must be an (S, m, d) stack of training sets, got {x.shape}")
+    x = as_dense(x.reshape(-1, x.shape[-1]), "y_train").reshape(x.shape)
     labels = np.asarray(labels, dtype=np.int64)
-    stacked = x.ndim == 3
-    if stacked:
-        x = as_dense(x.reshape(-1, x.shape[-1]), "y_train").reshape(x.shape)
-    else:
-        x, labels = as_dense(x, "y_train")[None], labels[None]
     if labels.shape != x.shape[:2]:
         raise ValueError("labels length must match row count")
     if not (math.isfinite(lr) and math.isfinite(l2)):
@@ -121,14 +117,13 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
     if np.any(np.all(labels == labels[:, :1], axis=1)):
         raise ValueError("training set contains a single class")
     xb = np.concatenate([x, np.ones((n_sets, m, 1))], axis=2)
-    xb_t = xb.transpose(0, 2, 1)  # a view: its products must match the 2-D xb.T's bits
+    xb_t = xb.transpose(0, 2, 1)  # a view: its products must match the reference's bits
     onehot = np.zeros((n_sets, n_classes, m))
     np.put_along_axis(onehot, labels[:, None, :], 1.0, axis=1)
     probs = np.empty((n_sets, n_classes, m))
     probs_t = probs.transpose(0, 2, 1)  # (S, m, C), the layout of the logits
     top = np.empty((n_sets, m))
     w = np.zeros((n_sets, xb.shape[2], n_classes))
-    losses = []
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
         for _ in range(epochs):
             np.copyto(probs_t, xb @ w)
@@ -139,30 +134,23 @@ def logreg_fit(y_train: np.ndarray, labels, l2: float = 1e-4, lr: float = 0.1,
             probs -= top[:, None]
             np.exp(probs, out=probs)
             probs /= probs.sum(axis=1)[:, None]
-            if return_losses:
-                hit = np.take_along_axis(probs, labels[:, None, :], axis=1)[:, 0]
-                penalty = (w * w).reshape(n_sets, -1).sum(axis=1)
-                losses.append(-np.mean(np.log(np.maximum(hit, 1e-300)), axis=1) + l2 * penalty)
             probs -= onehot
             grad = xb_t @ probs_t / m + 2.0 * l2 * w
             w = w - lr * grad
     if not np.all(np.isfinite(w)):
         raise ValueError("logistic regression weights are not finite: lower lr or rescale")
-    if not stacked:
-        w, losses = w[0], [float(loss[0]) for loss in losses]
-    return (w, losses) if return_losses else w
+    return w
 
 
 def logreg_predict(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Argmax class per row (ties resolve to the lowest class id).
-
-    An (S, d+1, C) weight stack takes an (S, t, d) stack of rows and gives
-    (S, t) classes, row s of each the 2-D prediction of set s.
-    """
+    """(S, t) argmax classes of an (S, t, d) stack of rows under (S, d+1, C)
+    weights, row s by the weights of set s (ties resolve to the lowest class
+    id). One set is a stack of one."""
     x = np.asarray(y)
-    x = as_dense(x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x, "y").reshape(x.shape)
-    if x.ndim != weights.ndim or x.shape[:-2] != weights.shape[:-2]:
-        raise ValueError(f"weights of shape {weights.shape} do not fit rows of shape {x.shape}")
+    if x.ndim != 3 or weights.ndim != 3 or x.shape[0] != weights.shape[0]:
+        raise ValueError(f"weights of shape {weights.shape} do not fit rows of shape {x.shape}: "
+                         "give (S, d+1, C) weights and an (S, t, d) stack of rows")
+    x = as_dense(x.reshape(-1, x.shape[-1]), "y").reshape(x.shape)
     if x.shape[-1] + 1 != weights.shape[-2]:
         raise ValueError(f"weights expect {weights.shape[-2] - 1} features, got {x.shape[-1]}")
     xb = np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
@@ -265,16 +253,14 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
     return assign
 
 
-def kmeans(y: np.ndarray, k: int, seed=0) -> np.ndarray:
-    """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia.
-
-    Restart t draws its seeds from substream t of seed. seed may also be a
-    sequence of R seeds, one per run: the result is then (R, n), row r the
-    assignment kmeans(y, k, seed[r]) gives. The restarts of all runs run
-    together in blocks whose temporaries hold about _KMEANS_BLOCK values,
-    and a restart stops once its assignment repeats; each run's best is
-    picked in restart order, the first of equal inertias. Every restart ends
-    with k non-empty clusters, also when fewer than k rows differ.
+def kmeans(y: np.ndarray, k: int, seeds) -> np.ndarray:
+    """Lloyd's algorithm, k-means++ init, best of KMEANS_RESTARTS by inertia,
+    once per seed of the sequence seeds: row r of the (R, n) result is run r,
+    whose restart t draws from substream t of seeds[r]. The restarts of all
+    runs run together in blocks whose temporaries hold about _KMEANS_BLOCK
+    values, and a restart stops once its assignment repeats; each run's best
+    is picked in restart order, the first of equal inertias. Every restart
+    ends with k non-empty clusters, also when fewer than k rows differ.
     """
     y = as_dense(y, "y")
     n = y.shape[0]
@@ -285,15 +271,14 @@ def kmeans(y: np.ndarray, k: int, seed=0) -> np.ndarray:
     scale = float(np.max(np.abs(y), initial=0.0))  # every d2 and inertia <= 4 y.size scale^2
     if 4.0 * y.size * scale * scale > np.finfo(np.float64).max:
         raise ValueError(f"k-means inertia is not finite: |y| up to {scale:.3g} is too large")
-    runs = [seed] if np.ndim(seed) == 0 else list(seed)
-    if not runs:
-        raise ValueError("seed is an empty sequence: give at least one run's seed")
+    if np.ndim(seeds) != 1 or len(seeds) == 0:
+        raise ValueError(f"seeds must be a sequence of 1 or more run seeds, got {np.shape(seeds)}")
     yy, y2 = (y * y).sum(axis=1), 2.0 * y
     # restart t of run r in row r * KMEANS_RESTARTS + t
-    states = np.concatenate([streams(s, np.arange(KMEANS_RESTARTS)) for s in runs])
+    states = np.concatenate([streams(s, np.arange(KMEANS_RESTARTS)) for s in seeds])
     block = max(1, _KMEANS_BLOCK // (n * (k + 8)))  # d2 and a few n-long arrays per restart
-    best_inertia = [math.inf] * len(runs)
-    best_assign = np.empty((len(runs), n), dtype=np.int64)
+    best_inertia = [math.inf] * len(seeds)
+    best_assign = np.empty((len(seeds), n), dtype=np.int64)
     for first in range(0, len(states), block):
         centroids = _kmeanspp(y, yy, y2, k, states[first:first + block])
         for row, (assign, cents) in enumerate(zip(_lloyd(y, yy, y2, centroids), centroids),
@@ -302,7 +287,7 @@ def kmeans(y: np.ndarray, k: int, seed=0) -> np.ndarray:
             inertia = float(np.sum((y - cents[assign]) ** 2))
             if inertia < best_inertia[run]:  # finite, by the scale check
                 best_inertia[run], best_assign[run] = inertia, assign
-    return best_assign if np.ndim(seed) else best_assign[0]
+    return best_assign
 
 
 # -- metrics -----------------------------------------------------------------

@@ -172,12 +172,13 @@ def _sbm_metrics(seeds=range(10)):
     for seed in seeds:
         for kappa in (0, 1):
             g, res = _sbm_run(seed, kappa)
-            (train,), _val, (test,) = random_splits(
+            # one split, one fit and one k-means run: stacks of one
+            train, _val, test = random_splits(
                 g.labels, SplitSpec(per_class=5, val_size=50, seed=stream_key(seed, 1)), 1)
             w = logreg_fit(res.Y[train], g.labels[train])
             acc = float(np.mean(logreg_predict(w, res.Y[test]) == g.labels[test]))
             accs[kappa].append(acc)
-            assign = kmeans(res.Y, 3, seed=stream_key(seed, 2))
+            (assign,) = kmeans(res.Y, 3, [stream_key(seed, 2)])
             nmis[kappa].append(score(assign, g.labels, mode="clustering").nmi)
     return accs, nmis
 
@@ -232,7 +233,7 @@ def test_c7_cora_reproduction_conditional():
     embed_time = time.perf_counter() - t0
     accs = []
     for s in range(50):
-        (train,), _val, (test,) = random_splits(
+        train, _val, test = random_splits(
             g.labels, SplitSpec(per_class=20, val_size=500, seed=stream_key(0, s)), 1)
         w = logreg_fit(res.Y[train], g.labels[train])
         accs.append(float(np.mean(logreg_predict(w, res.Y[test]) == g.labels[test])))

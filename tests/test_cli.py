@@ -306,9 +306,9 @@ def test_eval_cluster_runs_draw_distinct_restart_streams(separable_embedding, tm
     # 46 distinct streams of 100; all runs go to one kmeans call
     seeds = []
 
-    def recording_kmeans(y, k, seed):
-        seeds.extend(seed)
-        return evaluation.kmeans(y, k, seed=seed)
+    def recording_kmeans(y, k, run_seeds):
+        seeds.extend(run_seeds)
+        return evaluation.kmeans(y, k, run_seeds)
 
     monkeypatch.setattr(cli, "kmeans", recording_kmeans)
     emb, lab = separable_embedding

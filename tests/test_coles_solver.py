@@ -92,6 +92,18 @@ def test_sym_eig_non_finite_is_not_converged(bad):
         sym_eig(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+@pytest.mark.parametrize("m,message", [
+    ([[1.7e308]], "the symmetrized matrix overflows float64"),
+    ([[1.7e308, 1.0], [1.0, -1.7e308]], "the symmetrized matrix overflows float64"),
+    ([[8e307] * 3] * 3, "an eigenvalue overflows float64"),
+], ids=["one-by-one", "two-by-two", "eigenvalue"])
+def test_sym_eig_overflow_is_linalg_error(m, message):
+    # finite and symmetric, but 0.5 * (m + m.T) or an eigenvalue overflows;
+    # the pytest config turns any RuntimeWarning on the way into an error
+    with pytest.raises(LinAlgError, match=f"eigensolver failed: .*{message}"):
+        sym_eig(np.array(m))
+
+
 # -- quadratic form -------------------------------------------------------------
 
 def delta_fixture(n=6, seed=2):

@@ -43,8 +43,10 @@ def test_density_integrates_to_one():
 def test_parzen_rejects_bad_grid():
     with pytest.raises(ValueError, match="grid"):
         parzen_density([0.0], 1.0, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError, match="bandwidth"):
-        parzen_density([0.0], 0.0, np.array([0.0, 1.0]))
+    # a nan bandwidth would give an all-nan density and an infinite one all zeros
+    for bandwidth in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
+            parzen_density([0.0], bandwidth, np.array([0.0, 1.0]))
 
 
 def test_parzen_peak_memory_is_independent_of_grid_times_sample():

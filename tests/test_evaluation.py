@@ -12,7 +12,7 @@ from coles import evaluation
 from coles.evaluation import (Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict,
                               nmi_score, random_splits, score)
 from coles.rng import Xoshiro256StarStar
-from helpers import ScalarXoshiro, bulk_everywhere, loop_shuffle
+from helpers import ScalarXoshiro, bulk_everywhere, loop_logreg, loop_shuffle
 
 
 def three_class_labels(per_class=30):
@@ -86,16 +86,16 @@ def test_split_class_too_small():
 # -- logistic regression ----------------------------------------------------------
 
 def test_logreg_separable_1d():
-    x = np.array([[-1.0], [-0.8], [0.8], [1.0]])
-    y = np.array([0, 0, 1, 1])
+    x = np.array([[[-1.0], [-0.8], [0.8], [1.0]]])
+    y = np.array([[0, 0, 1, 1]])
     w = logreg_fit(x, y, epochs=300)
     assert np.array_equal(logreg_predict(w, x), y)
 
 
 def test_logreg_symmetric_pair_gives_half_probs():
-    x = np.array([[-1.0], [1.0]])
-    y = np.array([0, 1])
-    w = logreg_fit(x, y, l2=0.0, epochs=500)
+    x = np.array([[[-1.0], [1.0]]])
+    y = np.array([[0, 1]])
+    w = logreg_fit(x, y, l2=0.0, epochs=500)[0]
     logits = np.hstack([np.array([[0.0]]), np.ones((1, 1))]) @ w
     probs = np.exp(logits) / np.exp(logits).sum()
     assert np.allclose(probs, [0.5, 0.5], atol=1e-6)
@@ -114,43 +114,45 @@ def test_logreg_gaussian_blobs_high_accuracy():
     y = np.array(y)
     train = np.arange(0, 120, 2)
     test = np.arange(1, 120, 2)
-    w = logreg_fit(x[train], y[train])
-    acc = float(np.mean(logreg_predict(w, x[test]) == y[test]))
+    w = logreg_fit(x[train][None], y[train][None])
+    acc = float(np.mean(logreg_predict(w, x[test][None])[0] == y[test]))
     assert acc >= 0.99
 
 
 def test_logreg_loss_monotone_decreasing():
     rng = Xoshiro256StarStar(21)
-    x = np.array(rng.normals(60)).reshape(30, 2)
-    y = (x[:, 0] + 0.3 * x[:, 1] > 0).astype(int)
-    _, losses = logreg_fit(x, y, return_losses=True)
-    diffs = np.diff(losses)
+    x = np.array(rng.normals(60)).reshape(1, 30, 2)
+    y = (x[..., 0] + 0.3 * x[..., 1] > 0).astype(int)
+    # loop_logreg is the fit's epoch bit for bit, so its losses are the fit's
+    want, losses = loop_logreg(x, y)
+    assert np.array_equal(logreg_fit(x, y).view(np.uint64), want.view(np.uint64))
+    diffs = np.diff(np.stack(losses)[:, 0])
     assert np.all(diffs <= 1e-9)
 
 
 def test_logreg_single_class_rejected():
     with pytest.raises(ValueError, match="single class"):
-        logreg_fit(np.ones((3, 2)), np.zeros(3, dtype=int))
+        logreg_fit(np.ones((1, 3, 2)), np.zeros((1, 3), dtype=int))
 
 
 @pytest.mark.parametrize("setting", [{"lr": np.nan}, {"l2": np.nan}, {"lr": np.inf},
                                      {"l2": -np.inf}])
 def test_logreg_rejects_non_finite_settings(setting):
     with pytest.raises(ValueError, match="lr and l2 must be finite"):
-        logreg_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), **setting)
+        logreg_fit(np.array([[[0.0], [1.0]]]), np.array([[0, 1]]), **setting)
 
 
 def test_logreg_diverged_fit_is_value_error():
     # the logits overflow within a few epochs; the weights turn NaN, not a model
-    x = np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1e200]])
+    x = np.array([[[-1e200, 0.0], [1e200, 0.0], [0.0, 1e200]]])
     with pytest.raises(ValueError, match="weights are not finite"):
-        logreg_fit(x, np.array([0, 1, 2]), epochs=20)
+        logreg_fit(x, np.array([[0, 1, 2]]), epochs=20)
 
 
 def test_logreg_fit_deterministic():
     rng = Xoshiro256StarStar(22)
-    x = np.array(rng.normals(40)).reshape(20, 2)
-    y = (x[:, 0] > 0).astype(int)
+    x = np.array(rng.normals(40)).reshape(1, 20, 2)
+    y = (x[..., 0] > 0).astype(int)
     assert np.array_equal(logreg_fit(x, y), logreg_fit(x, y))
 
 
@@ -175,7 +177,7 @@ def test_stacked_predictions_are_the_per_set_predictions():
     got = logreg_predict(w, x[:, 20:])
     assert got.shape == (4, 10) and got.dtype == np.int64
     for s in range(4):
-        assert np.array_equal(got[s], logreg_predict(w[s], x[s, 20:]))
+        assert np.array_equal(got[s], logreg_predict(w[s:s + 1], x[s:s + 1, 20:])[0])
     # equal logits go to the lowest class id
     assert np.array_equal(logreg_predict(np.zeros((4, 4, 3)), x[:, 20:]), np.zeros((4, 10)))
 
@@ -184,7 +186,7 @@ def test_stacked_predictions_are_the_per_set_predictions():
 
 def test_kmeans_two_far_blobs():
     y = np.array([[0.0, 0.0], [0.1, 0.0], [50.0, 50.0], [50.1, 50.0]])
-    assign = kmeans(y, 2, seed=0)
+    assign = kmeans(y, 2, [0])[0]
     assert assign[0] == assign[1]
     assert assign[2] == assign[3]
     assert assign[0] != assign[2]
@@ -192,7 +194,7 @@ def test_kmeans_two_far_blobs():
 
 def test_kmeans_identical_points_single_cluster():
     y = np.ones((6, 3))
-    assign = kmeans(y, 1, seed=0)
+    assign = kmeans(y, 1, [0])[0]
     assert np.array_equal(assign, np.zeros(6, dtype=int))
     inertia = float(np.sum((y - y.mean(axis=0)) ** 2))
     assert inertia == 0.0
@@ -201,40 +203,40 @@ def test_kmeans_identical_points_single_cluster():
 def test_kmeans_deterministic():
     rng = Xoshiro256StarStar(23)
     y = np.array(rng.normals(200)).reshape(50, 4)
-    a = kmeans(y, 5, seed=9)
-    b = kmeans(y, 5, seed=9)
+    a = kmeans(y, 5, [9])[0]
+    b = kmeans(y, 5, [9])[0]
     assert np.array_equal(a, b)
 
 
 def test_kmeans_k_larger_than_n():
     with pytest.raises(ValueError, match="k must be"):
-        kmeans(np.ones((3, 2)), 4, seed=0)
+        kmeans(np.ones((3, 2)), 4, [0])
 
 
 def test_kmeans_refuses_points_without_columns():
     with pytest.raises(ValueError, match="y has no columns"):
-        kmeans(np.zeros((6, 0)), 2)
+        kmeans(np.zeros((6, 0)), 2, [0])
 
 
 def test_kmeans_overflowing_inertia_is_value_error():
     # squared distances overflow to inf, so no restart has a finite inertia
     y = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
     with pytest.raises(ValueError, match="inertia is not finite"):
-        kmeans(y, 2, seed=0)
+        kmeans(y, 2, [0])
 
 
 def test_kmeans_refuses_values_whose_distances_overflow():
     # the squared norms overflow though the inertia of a split would be finite
     y = np.array([[1e155, 0.0], [1e155, 1.0], [-1e155, 0.0]])
     with pytest.raises(ValueError, match="inertia is not finite"):
-        kmeans(y, 2, seed=0)
-    assert np.unique(kmeans(y * 1e-10, 2, seed=0)).size == 2
+        kmeans(y, 2, [0])
+    assert np.unique(kmeans(y * 1e-10, 2, [0])[0]).size == 2
 
 
 def test_kmeans_more_clusters_than_distinct_points():
     # forces empty-cluster re-seeding
     y = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5)
-    assign = kmeans(y, 3, seed=1)
+    assign = kmeans(y, 3, [1])[0]
     assert np.unique(assign).shape[0] == 3
     assert assign[0] != assign[5]
 
@@ -242,7 +244,7 @@ def test_kmeans_more_clusters_than_distinct_points():
 def _kmeans_peak_bytes(y, k):
     tracemalloc.start()
     try:
-        kmeans(y, k, seed=3)
+        kmeans(y, k, [3])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,10 +339,10 @@ def test_score_length_mismatch():
 
 
 def test_logreg_rejects_fewer_than_one_epoch():
-    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    x = np.array([[[0.0], [1.0], [2.0], [3.0]]])
     for epochs in (0, -3):
         with pytest.raises(ValueError, match="epochs"):
-            logreg_fit(x, [0, 0, 1, 1], epochs=epochs)
+            logreg_fit(x, [[0, 0, 1, 1]], epochs=epochs)
 
 
 # -- score against its per-class and per-cell definitions ------------------------------
@@ -412,19 +414,27 @@ def test_score_matches_loop_definitions(data, ids):
 @pytest.mark.parametrize("call,message", [
     (lambda: SplitSpec(per_class=0), "per_class must be >= 1"),
     (lambda: SplitSpec(val_size=-1), "val_size must be >= 0"),
-    (lambda: logreg_fit(np.zeros((4, 2)), np.array([0, 1, 0])),
+    (lambda: logreg_fit(np.zeros((1, 4, 2)), np.array([[0, 1, 0]])),
      "labels length must match row count"),
-    (lambda: logreg_fit(np.zeros((6, 2)), np.array([-1, -1, 0, 0, 1, 1])),
+    (lambda: logreg_fit(np.zeros((1, 6, 2)), np.array([[-1, -1, 0, 0, 1, 1]])),
      "labels must be >= 0, got -1"),
-    (lambda: logreg_predict(np.zeros((3, 2)), np.zeros((4, 3))),
+    (lambda: logreg_fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])),
+     r"y_train must be an \(S, m, d\) stack of training sets, got \(4, 2\)"),
+    (lambda: logreg_predict(np.zeros((1, 3, 2)), np.zeros((1, 4, 3))),
      "weights expect 2 features, got 3"),
     (lambda: logreg_predict(np.zeros((2, 3, 2)), np.zeros((3, 4, 2))),
      r"weights of shape \(2, 3, 2\) do not fit rows of shape \(3, 4, 2\)"),
     (lambda: logreg_predict(np.zeros((2, 3, 2)), np.zeros((4, 2))),
-     r"weights of shape \(2, 3, 2\) do not fit rows of shape \(4, 2\)"),
+     r"weights of shape \(2, 3, 2\) do not fit rows of shape \(4, 2\): "
+     r"give \(S, d\+1, C\) weights and an \(S, t, d\) stack of rows"),
+    (lambda: logreg_predict(np.zeros((3, 2)), np.zeros((4, 1))),
+     r"give \(S, d\+1, C\) weights and an \(S, t, d\) stack of rows"),
     (lambda: logreg_predict(np.zeros((2, 3, 2)), np.full((2, 4, 2), np.nan)),
      "y contains non-finite values"),
-    (lambda: kmeans(np.zeros((4, 2)), 2, seed=[]), "seed is an empty sequence"),
+    (lambda: kmeans(np.zeros((4, 2)), 2, []),
+     r"seeds must be a sequence of 1 or more run seeds, got \(0,\)"),
+    (lambda: kmeans(np.zeros((4, 2)), 2, 7),
+     r"seeds must be a sequence of 1 or more run seeds, got \(\)"),
     (lambda: score(np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
      "cannot score empty predictions"),
     (lambda: score(np.array([0, 1]), np.array([0, 1]), mode="ranking"),
@@ -432,9 +442,9 @@ def test_score_matches_loop_definitions(data, ids):
     (lambda: nmi_score([0, 1, 1, 0], [0]), "pred and truth must have equal length"),
     (lambda: nmi_score([], []), "cannot score empty predictions"),
 ], ids=["no-train-per-class", "negative-val-size", "fit-labels-shape", "fit-negative-label",
-        "predict-width", "predict-stack-count", "predict-stack-rank",
-        "predict-stack-non-finite", "kmeans-no-seeds", "score-empty", "score-mode",
-        "nmi-lengths", "nmi-empty"])
+        "fit-2d-rows", "predict-width", "predict-stack-count", "predict-stack-rank",
+        "predict-2d", "predict-stack-non-finite", "kmeans-no-seeds", "kmeans-scalar-seed",
+        "score-empty", "score-mode", "nmi-lengths", "nmi-empty"])
 def test_evaluation_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
