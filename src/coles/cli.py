@@ -33,7 +33,7 @@ from .graph_core import load_edge_list
 from .negative_sampling import MODES, NegSampleConfig, sample_negative_graph
 from .rng import draw_u64s, streams
 from .spectral_filters import KINDS, FilterConfig
-from .synthetic import SbmSpec, generate_sbm
+from .synthetic import SbmSpec, draw_sbm
 
 log = logging.getLogger("coles")
 
@@ -148,15 +148,14 @@ def _write_json(obj: dict, path: str) -> None:
 # -- synth --------------------------------------------------------------------
 
 def cmd_synth(cfg: dict) -> dict:
-    graph = generate_sbm(SbmSpec(n_classes=cfg["classes"], per_block=cfg["per_block"],
-                                 p_in=cfg["p_in"], p_out=cfg["p_out"],
-                                 feature_dim=cfg["feat_dim"], mean_sep=cfg["mean_sep"],
-                                 noise_sigma=cfg["noise_sigma"], seed=cfg["seed"]))
-    if graph.adjacency.nnz == 0:
+    edges, features, labels = draw_sbm(SbmSpec(
+        n_classes=cfg["classes"], per_block=cfg["per_block"], p_in=cfg["p_in"],
+        p_out=cfg["p_out"], feature_dim=cfg["feat_dim"], mean_sep=cfg["mean_sep"],
+        noise_sigma=cfg["noise_sigma"], seed=cfg["seed"]))
+    if len(edges) == 0:
         raise NumericalError("generated graph has no edges; raise p_in/p_out")
-    io.write_fixture(graph, cfg["out"])
-    log.info("wrote %s nodes / %s edges under %s", graph.adjacency.n,
-             graph.adjacency.nnz // 2, cfg["out"])
+    io.write_fixture(edges, features, labels, cfg["out"])
+    log.info("wrote %s nodes / %s edges under %s", len(labels), len(edges), cfg["out"])
     return cfg
 
 

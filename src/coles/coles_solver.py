@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 
 from .graph_core import SparseSym, as_dense, normalized_adjacency, spmm
@@ -164,6 +163,7 @@ def hash_features(x: np.ndarray, n_buckets: int, seed: int = 0) -> np.ndarray:
     d = x.shape[1]
     h1, h2 = streams(seed, np.arange(d))[:, :2].T
     signs = np.where(h2 & np.uint64(1), -1.0, 1.0)
+    import scipy.sparse as sp  # here, not at the top: `import coles` skips its load
     fold = sp.csr_matrix((signs, (np.arange(d), mul_high(h1, n_buckets).astype(np.int64))),
                          shape=(d, n_buckets))
     out = np.ascontiguousarray(x @ fold)  # each bucket sums its columns in ascending j

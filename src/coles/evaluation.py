@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph_core import as_dense
 from .rng import draw_u64s, mul_high, shuffle_with, streams, units
@@ -226,6 +225,7 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
     """Lloyd's loops of the B restarts seeded at centroids (B, k, d), to each
     one's first repeated assignment or KMEANS_MAX_ITER steps; returns the
     (B, n) assignments and leaves their centroids in centroids."""
+    import scipy.sparse as sp  # here, not at the top: `import coles` skips its load
     n_restarts, k, _ = centroids.shape
     n = y.shape[0]
     assign = np.full((n_restarts, n), -1, dtype=np.int64)

@@ -5,10 +5,12 @@ matrix of a symmetric n x n matrix in canonical form (sorted column indices,
 no duplicates, no explicit zeros), and every product runs on that matrix.
 A foreign matrix enters only through from_scipy, which checks it, bit-exact
 symmetry included; from_edges and the graph operations of this package keep
-symmetry by construction and do not recheck.
+symmetry by construction and do not recheck. scipy.sparse is imported where
+a matrix is built, so `coles synth` and `eval-classify` never load it.
 Dense matrices are plain 2-D float64 C-contiguous numpy arrays.
 _read_table reads every text format, edge lists here, CSV and labels in io:
-np.loadtxt is the one grammar, and each format's checks run on its table.
+np.loadtxt is the one grammar, and each format's checks run on its table;
+save_edge_list writes any (m, 2) pair array.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 MAX_NODE_ID = 2**32 - 1
 
@@ -48,6 +49,7 @@ class SparseSym:
     def from_scipy(cls, m) -> "SparseSym":
         """The checked entry: a copy of any square, finite, bit-exactly
         symmetric matrix that scipy takes, canonicalized."""
+        import scipy.sparse as sp  # here, not at the top: `import coles` skips its load
         m = sp.csr_matrix(m, dtype=np.float64, copy=True)
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
@@ -67,9 +69,9 @@ class SparseSym:
             raise ValueError("matrix is not bit-exactly symmetric")
 
     @classmethod
-    def _wrap(cls, m: sp.csr_matrix) -> "SparseSym":
-        """Canonicalize m in place and store it unchecked; m must be symmetric
-        by construction and share no arrays with another matrix."""
+    def _wrap(cls, m) -> "SparseSym":
+        """Canonicalize CSR matrix m in place and store it unchecked; m must be
+        symmetric by construction and share no arrays with another matrix."""
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
@@ -95,6 +97,7 @@ class SparseSym:
         if loops.size:
             raise ValueError(f"self-loop ({loops[0]}, {loops[0]}) not allowed here")
         rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T  # both orientations
+        import scipy.sparse as sp  # here, not at the top: `import coles` skips its load
         # a boolean pattern: repeated pairs merge to one True when it is built
         pattern = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
         return cls._wrap(pattern.astype(np.float64))
@@ -246,11 +249,10 @@ def load_edge_list(path, n: int | None = None) -> SparseSym:
     return SparseSym.from_edges(max_id + 1 if n is None else n, pairs)
 
 
-def save_edge_list(adj: SparseSym, path) -> None:
-    """Write the upper-triangle edges as "u v" lines (sorted)."""
+def save_edge_list(edges: np.ndarray, path) -> None:
+    """Write (m, 2) integer pairs, such as adj.edge_list(), as "u v" lines in order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in adj.edge_list().tolist():
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in np.asarray(edges, dtype=np.int64).tolist())
 
 
 # -- normalization pipeline --------------------------------------------------
@@ -259,6 +261,7 @@ def add_self_loops(adj: SparseSym) -> SparseSym:
     """Return adj + I. Rejects inputs that already carry diagonal entries."""
     if adj.has_diagonal():
         raise ValueError("adjacency already has diagonal entries")
+    import scipy.sparse as sp  # here, not at the top: `import coles` skips its load
     return SparseSym._wrap(adj.csr + sp.identity(adj.n, format="csr"))
 
 

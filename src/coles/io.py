@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .graph_core import LabeledGraph, _read_table, as_dense, save_edge_list
+from .graph_core import _read_table, as_dense, save_edge_list
 
 CLSM_MAGIC = b"CLSM"
 CLSM_VERSION = 1
@@ -81,9 +81,10 @@ def read_labels(path) -> np.ndarray:
     )).reshape(-1)
 
 
-def write_fixture(graph: LabeledGraph, out_dir) -> None:
-    """Write the edges.txt / features.csv / labels.txt trio the CLI consumes."""
+def write_fixture(edges: np.ndarray, features: np.ndarray, labels, out_dir) -> None:
+    """Write the edges.txt / features.csv / labels.txt trio the CLI consumes;
+    edges are (m, 2) pairs, as save_edge_list takes."""
     os.makedirs(out_dir, exist_ok=True)
-    save_edge_list(graph.adjacency, os.path.join(out_dir, "edges.txt"))
-    write_csv(graph.features, os.path.join(out_dir, "features.csv"))
-    write_labels(graph.labels, os.path.join(out_dir, "labels.txt"))
+    save_edge_list(edges, os.path.join(out_dir, "edges.txt"))
+    write_csv(features, os.path.join(out_dir, "features.csv"))
+    write_labels(labels, os.path.join(out_dir, "labels.txt"))

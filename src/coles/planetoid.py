@@ -73,7 +73,8 @@ def main(argv=None) -> int:
     try:
         if len(args) != 3:
             raise ValueError("usage: python -m coles.planetoid <root> <name> <out_dir>")
-        write_fixture(load_planetoid(args[0], args[1]), args[2])
+        graph = load_planetoid(args[0], args[1])
+        write_fixture(graph.adjacency.edge_list(), graph.features, graph.labels, args[2])
     except (OSError, ValueError) as exc:
         print(f"coles.planetoid: {exc}", file=sys.stderr)
         return 1

@@ -24,8 +24,8 @@ jump-ahead of Haramoto et al., 2008), found once per process and lane
 length L and applied exactly by XOR through byte lookup tables. Every draw,
 of one stream or many, is `draw_u64s`: it jumps to the start of each lane of
 L outputs and steps all lanes of all streams at once in numpy. L is
-`_SHORT_LANE` below `_LONG_FROM` words in all, where fewer steps save more
-than the extra jumps cost, and `_LONG_LANE` from there.
+`_LONG_LANE` where the jumps that long lanes save in each stream cost more
+than the steps they add, and `_SHORT_LANE` elsewhere (see draw_u64s).
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 
 _SHORT_LANE, _LONG_LANE = 64, 512  # consecutive outputs per lane of a draw
-_LONG_FROM = 1 << 15  # words of a draw, over all its streams, from which lanes are long
+_LONG_FROM = _SHORT_LANE * _LONG_LANE  # the lane rule's scale, 2**15 (see draw_u64s)
+# µs, fixed + per stream, of a lane jump of k streams and of a step of a draw,
+# fitted in-process on a 2-vCPU x86-64 host: the rule switches within 3% of
+# where both lanes took equal time (28.5k, 20.8k, 11.4k, 2.85k words; k = 1, 3, 8, 50)
+_JUMP_US = (3.8, 1.08)
+_STEP_US = (4.3, 0.0147)
 _PAIR_BLOCK = 1 << 17  # node pairs per block of bernoulli_pairs
 _GAP_BLOCK = 1 << 16  # most draws per chunk of geometric_pairs
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -130,14 +135,16 @@ def draw_u64s(states: np.ndarray, count: int) -> np.ndarray:
     """The next count outputs of each of the (k, 4) uint64 xoshiro256**
     states as a (k, count) array; states is advanced in place past them.
 
-    Each stream's draw is cut into lanes of `lane` consecutive outputs
-    (_SHORT_LANE below _LONG_FROM words in all, else _LONG_LANE): lane j
-    starts j * lane steps ahead, and lane `full` holds the last `rest`
+    Each stream's draw is cut into lanes of `lane` consecutive outputs: lane
+    j starts j * lane steps ahead, and lane `full` holds the last `rest`
     outputs and the state the draw ends in. All lanes of all streams step
-    together.
+    together. Long lanes (L outputs) take count * (1/S - 1/L) fewer jumps
+    over k states than short ones (S) and L - S more steps, so they are
+    taken where count * jump(k) >= S * L * step(k), costs _JUMP_US, _STEP_US.
     """
     k = states.shape[0]
-    lane = _LONG_LANE if k * count >= _LONG_FROM else _SHORT_LANE
+    jump_us, step_us = _JUMP_US[0] + _JUMP_US[1] * k, _STEP_US[0] + _STEP_US[1] * k
+    lane = _LONG_LANE if count * jump_us >= _LONG_FROM * step_us else _SHORT_LANE
     full, rest = divmod(count, lane)
     lanes = full + 1
     starts = np.empty((k, lanes, 4), dtype=np.uint64)

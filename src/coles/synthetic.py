@@ -3,7 +3,8 @@
 Edges are Bernoulli per unordered pair (p_in within a block, p_out across);
 features are the node's class mean plus isotropic noise, with class means
 sitting at the vertices of a regular simplex so every pair of classes is
-equidistant at distance mean_sep.
+equidistant at distance mean_sep. `coles synth` writes draw_sbm's numpy
+arrays; generate_sbm wraps the same draw into a LabeledGraph.
 """
 
 from __future__ import annotations
@@ -53,14 +54,16 @@ def simplex_means(n_classes: int, dim: int, sep: float) -> np.ndarray:
     return means
 
 
-def generate_sbm(spec: SbmSpec) -> LabeledGraph:
+def draw_sbm(spec: SbmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SBM of spec as numpy arrays (edges, features, labels): the unique
+    i < j pairs in row-major order as an (m, 2) int64 array, which is the
+    edge_list() of their graph, the (n, feature_dim) features and the n labels."""
     n = spec.n_classes * spec.per_block
     labels = np.repeat(np.arange(spec.n_classes), spec.per_block)
     rng = Xoshiro256StarStar(spec.seed)
 
     edges = rng.bernoulli_pairs(
         n, lambda rows, cols: np.where(labels[rows] == labels[cols], spec.p_in, spec.p_out))
-    adjacency = SparseSym.from_edges(n, edges)
 
     noise = rng.normals(n * spec.feature_dim).reshape(n, spec.feature_dim)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
@@ -68,4 +71,11 @@ def generate_sbm(spec: SbmSpec) -> LabeledGraph:
         features = means[labels] + spec.noise_sigma * noise
     if not np.all(np.isfinite(features)):
         raise ValueError("features overflow float64: lower noise_sigma or mean_sep")
-    return LabeledGraph(adjacency=adjacency, features=features, labels=labels)
+    return edges, features, labels
+
+
+def generate_sbm(spec: SbmSpec) -> LabeledGraph:
+    """The SBM of spec (draw_sbm) as a LabeledGraph."""
+    edges, features, labels = draw_sbm(spec)
+    return LabeledGraph(adjacency=SparseSym.from_edges(len(labels), edges), features=features,
+                        labels=labels)

@@ -324,7 +324,7 @@ def _evaluate(command, y, labels, tmp_path):
     n = labels.size
     write_clsm(y, tmp_path / "emb.clsm")
     write_labels(labels, tmp_path / "labels.txt")
-    save_edge_list(SparseSym.from_edges(n, [(i, (i + 1) % n) for i in range(n)]),
+    save_edge_list(SparseSym.from_edges(n, [(i, (i + 1) % n) for i in range(n)]).edge_list(),
                    tmp_path / "edges.txt")
     extra = {"eval-classify": ["--per-class", 5, "--val-size", 10, "--n-splits", 3],
              "eval-cluster": [], "diagnose": ["--edges", tmp_path / "edges.txt"]}[command]

@@ -210,7 +210,7 @@ def test_load_edge_list_pads_isolated_tail(tmp_path):
 def test_edge_list_roundtrip(tmp_path):
     s = random_graph(23, 2, seed=99)
     path = tmp_path / "rt.txt"
-    save_edge_list(s, path)
+    save_edge_list(s.edge_list(), path)
     assert sparse_equal(load_edge_list(path), s)
 
 

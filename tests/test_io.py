@@ -212,7 +212,7 @@ def test_csv_header_line(tmp_path):
 def test_fixture_trio_reads_back(tmp_path):
     graph = LabeledGraph(random_graph(9, 1, seed=4), np.arange(18.0).reshape(9, 2),
                          np.arange(9) % 3)
-    write_fixture(graph, tmp_path / "fx")
+    write_fixture(graph.adjacency.edge_list(), graph.features, graph.labels, tmp_path / "fx")
     assert sorted(os.listdir(tmp_path / "fx")) == ["edges.txt", "features.csv", "labels.txt"]
     assert sparse_equal(load_edge_list(tmp_path / "fx" / "edges.txt"), graph.adjacency)
     assert np.array_equal(read_csv(tmp_path / "fx" / "features.csv"), graph.features)
@@ -319,8 +319,8 @@ def test_edge_list_roundtrip_property(data, n, tail):
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                                .filter(lambda p: p[0] != p[1]), min_size=1, max_size=40))
     graph = SparseSym.from_edges(n + tail, pairs)
-    roundtrip(save_edge_list, lambda p: load_edge_list(p, n=n + tail), graph,
-              sparse_equal)
+    roundtrip(lambda g, p: save_edge_list(g.edge_list(), p),
+              lambda p: load_edge_list(p, n=n + tail), graph, sparse_equal)
 
 
 # -- the whole-file read against the kept-lines route --------------------------------

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 import coles
 from coles import rng as rng_module
-from coles.rng import (_LONG_FROM, _LONG_LANE, _SHORT_LANE, Xoshiro256StarStar, draw_u64s, mul_high,
-                       shuffle_with, streams, units)
+from coles.rng import (_JUMP_US, _LONG_FROM, _LONG_LANE, _SHORT_LANE, _STEP_US,
+                       Xoshiro256StarStar, draw_u64s, mul_high, shuffle_with, streams, units)
 from helpers import (GOLDEN64, MASK64, ScalarXoshiro, bulk_everywhere, loop_distinct,
                      loop_normals, loop_shuffle, splitmix64, stream_key)
 
@@ -140,16 +141,30 @@ def test_draw_u64s_steps_each_stream_as_the_scalar_loop(k, count):
     check_draw_u64s(k, count)
 
 
+def long_from(k):
+    """The fewest words per stream for which a draw of k streams takes long
+    lanes: count * jump(k) >= _LONG_FROM * step(k), the fitted costs."""
+    jump, step = _JUMP_US[0] + _JUMP_US[1] * k, _STEP_US[0] + _STEP_US[1] * k
+    return math.ceil(_LONG_FROM * step / jump)
+
+
 def counts_around_long_from(k):
     """Words per stream lane * j - 1 and lane * j + 1, for each lane length and
-    for the last j whose draw of k streams stays below _LONG_FROM words in all
-    and the first j whose draw reaches it: four short-lane counts, then four
-    long-lane ones."""
-    edge = -(-_LONG_FROM // k)  # the fewest words per stream that reach _LONG_FROM
+    for the last j whose draw of k streams stays below long_from(k) words per
+    stream and the first j whose draw reaches it: four short-lane counts, then
+    four long-lane ones."""
+    edge = long_from(k)
     lanes = (_SHORT_LANE, _LONG_LANE)
     below = [lane * ((edge - 2) // lane) + d for lane in lanes for d in (-1, 1)]
     above = [lane * -(-(edge + 1) // lane) + d for lane in lanes for d in (-1, 1)]
     return below + above
+
+
+def test_lane_rule_takes_short_lanes_for_many_short_streams():
+    # eval-classify's 50 split streams of 1,136 and 1,957 words step short
+    # lanes; one stream of 48,516 words (an SBM pair block) steps long ones
+    assert long_from(50) > 1957 and long_from(1) < 48516
+    assert check_draw_u64s(50, 1136) == {_SHORT_LANE}
 
 
 @pytest.mark.parametrize("k", [1, 3, 50])
@@ -157,7 +172,7 @@ def counts_around_long_from(k):
 def test_draw_u64s_at_lane_edges_on_both_sides_of_long_from(k, at):
     count = counts_around_long_from(k)[at]
     long_lanes = at >= 4
-    assert (k * count >= _LONG_FROM) == long_lanes
+    assert (count >= long_from(k)) == long_lanes
     assert check_draw_u64s(k, count) == {_LONG_LANE if long_lanes else _SHORT_LANE}
 
 

@@ -3,12 +3,13 @@
 The SHA-256 pins were computed with the scalar draw loops, before draws were
 batched. Any change to what a seed produces (SBM edges and features,
 negative graphs, splits) fails here and has to be made deliberately. The
-sizes are large enough that every draw runs through the bulk paths. Draws
-of 2^15 words or more step 512-output lanes, smaller ones 64-output lanes:
-the SBM pair draw (101k words) and the split draw (60k) take long lanes;
-the SBM features (18k), the per-node-k pool (9k) and its shortfall draw,
-the Erdos-Renyi chunks (4-5k) and the k-means blobs take short ones, and the
-k-means++ seeds fit in one lane. The diagnose pin was computed with the full grid x sample kernel matrix, before
+sizes are large enough that every draw runs through the bulk paths. A draw
+of one stream steps 512-output lanes from about 29k words (rng.draw_u64s'
+lane rule), a smaller one 64-output lanes: the SBM pair draw (101k words)
+and the split draw (60k) take long lanes; the SBM features (18k), the
+per-node-k pool (9k) and its shortfall draw, the Erdos-Renyi chunks (4-5k)
+and the k-means blobs take short ones, and the k-means++ seeds fit in one
+lane. The diagnose pin was computed with the full grid x sample kernel matrix, before
 the Parzen kernel was evaluated in blocks; its samples span several blocks.
 The two pins that hold an Erdos-Renyi graph were computed again with the
 scalar geometric-skip walk when that graph stopped taking one draw per pair.

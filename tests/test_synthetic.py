@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coles.diagnostics import expected_negative_homophily, homophily
 from coles.graph_core import SparseSym
-from coles.synthetic import SbmSpec, generate_sbm, simplex_means
+from coles.synthetic import SbmSpec, draw_sbm, generate_sbm, simplex_means
 from helpers import ScalarXoshiro, bulk_everywhere, loop_normals, sparse_equal
 
 
@@ -42,6 +44,35 @@ def test_generate_sbm_matches_loops(spec, bulk):
         g = generate_sbm(spec)
     assert sparse_equal(g.adjacency, adjacency)
     assert np.array_equal(g.features, features)
+
+
+@st.composite
+def sbm_specs(draw):
+    """Small specs whose corners come up often: one class, blocks of two
+    nodes, p_in = 1 and p_out = 0."""
+    classes = draw(st.integers(1, 4))
+    p_in = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    p_out = draw(st.one_of(st.just(0.0), st.floats(0.0, p_in)))
+    return SbmSpec(n_classes=classes, per_block=draw(st.integers(2, 9)), p_in=p_in,
+                   p_out=p_out, feature_dim=classes + draw(st.integers(0, 3)),
+                   seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=60)
+@given(spec=sbm_specs())
+@example(spec=SbmSpec(n_classes=1, per_block=2, p_in=1.0, p_out=0.0, feature_dim=1, seed=0))
+@example(spec=SbmSpec(n_classes=3, per_block=2, p_in=1.0, p_out=0.0, feature_dim=3, seed=1))
+@example(spec=SbmSpec(n_classes=2, per_block=5, p_in=0.0, p_out=0.0, feature_dim=2, seed=2))
+def test_draw_sbm_is_the_graph_of_generate_sbm(spec):
+    # synth writes draw_sbm's arrays; the library's graph must hold the same bits
+    edges, features, labels = draw_sbm(spec)
+    g = generate_sbm(spec)
+    want = g.adjacency.edge_list()
+    assert edges.dtype == want.dtype and edges.shape == want.shape
+    assert np.array_equal(edges, want)
+    assert features.shape == g.features.shape and features.dtype == g.features.dtype
+    assert features.tobytes() == g.features.tobytes()
+    assert labels.dtype == g.labels.dtype and np.array_equal(labels, g.labels)
 
 
 def test_no_cross_edges_when_p_out_zero():
