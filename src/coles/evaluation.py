@@ -238,10 +238,11 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
         counts = np.bincount((new + offsets).ravel(),
                              minlength=live.size * k).reshape(live.size, k)
         _reseed(d2, new, counts)
-        # a one-hot CSR product adds each cluster's rows in row order from 0.0
-        onehot = sp.csr_matrix((np.ones(new.size), ((new + offsets).ravel(),
-                                                    np.tile(np.arange(n), live.size))),
-                               shape=(counts.size, n))
+        # column j of the one-hot holds point j's cluster of each restart, in
+        # restart order, so the CSC product adds each cluster's rows in row
+        # order from 0.0
+        onehot = sp.csc_matrix((np.ones(new.size), (new + offsets).T.ravel(),
+                                np.arange(0, new.size + 1, live.size)), shape=(counts.size, n))
         sums = onehot @ y
         cents = (sums / counts.reshape(-1, 1)).reshape(cents.shape)
         centroids[live] = cents
@@ -320,6 +321,62 @@ def _nmi(table: np.ndarray) -> float:
     return float(np.clip(mi / (0.5 * (hp + ht)), 0.0, 1.0))
 
 
+def _max_assignment(table: np.ndarray) -> np.ndarray:
+    """The column of each row in a largest-trace matching of a square table:
+    scipy's linear_sum_assignment(table, maximize=True)[1], ties included.
+
+    A port of its solver, Crouse's shortest augmenting path (IEEE TAES,
+    2016), on -table as float64, one row at a time. Its column scan runs
+    from the last column down, a picked column swapped out for the last
+    remaining one; a column takes the pick if its reduced cost is strictly
+    lower, or equal and the column is unassigned.
+    """
+    cost = -np.asarray(table, dtype=np.float64)
+    k = cost.shape[0]
+    u, v = np.zeros(k), np.zeros(k)
+    col4row = np.full(k, -1, dtype=np.int64)
+    row4col = np.full(k, -1, dtype=np.int64)
+    path = np.full(k, -1, dtype=np.int64)
+    for cur in range(k):
+        spc = np.full(k, np.inf)  # shortest path cost to each column
+        in_rows = np.zeros(k, dtype=bool)
+        in_cols = np.zeros(k, dtype=bool)
+        remaining = np.arange(k - 1, -1, -1)  # the scan order
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            in_rows[i] = True
+            reduced = min_val + cost[i, remaining] - u[i] - v[remaining]
+            shorter = reduced < spc[remaining]
+            path[remaining[shorter]] = i
+            spc[remaining[shorter]] = reduced[shorter]
+            lengths = spc[remaining]
+            min_val = lengths.min()
+            ties = np.flatnonzero(lengths == min_val)
+            free = ties[row4col[remaining[ties]] < 0]
+            # the scan keeps the first tie, or the last unassigned one if any
+            index = free[-1] if free.size else ties[0]
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+        u[cur] += min_val
+        in_rows[cur] = False
+        u[in_rows] += min_val - spc[col4row[in_rows]]
+        v[in_cols] -= min_val - spc[in_cols]
+        j = sink
+        while True:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def nmi_score(pred, truth) -> float:
     """Mutual information normalized by the arithmetic mean of entropies."""
     return _nmi(_contingency(np.asarray(pred, dtype=np.int64),
@@ -341,9 +398,7 @@ def score(pred, truth, mode: str = "classification") -> Metrics:
     table = _contingency(pred, truth)
     nmi = _nmi(table)
     if mode == "clustering":
-        # imported here, not at the top: only eval-cluster pays scipy.optimize's load
-        from scipy.optimize import linear_sum_assignment
-        table = table[np.argsort(linear_sum_assignment(table, maximize=True)[1])]
+        table = table[np.argsort(_max_assignment(table))]
     hits, truth_sizes = np.diag(table), table.sum(axis=0)
     present = truth_sizes > 0
     f1 = 2 * hits[present] / (table.sum(axis=1)[present] + truth_sizes[present])

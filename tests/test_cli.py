@@ -283,6 +283,18 @@ def test_eval_cluster(separable_embedding, tmp_path):
     assert metrics["mean"]["nmi"] == 1.0
 
 
+def test_eval_cluster_more_clusters_than_classes_digest(separable_embedding, tmp_path):
+    # 12 clusters of 3 classes: a 12 x 12 table with 9 empty class columns,
+    # whose matching takes augmenting paths; pins metrics.json's bytes
+    emb, lab = separable_embedding
+    out = tmp_path / "cl"
+    assert run("eval-cluster", "--embeddings", emb, "--labels", lab, "--out", out,
+               "--n-runs", 3, "--seed", 4, "--k", 12) == 0
+    raw = (out / "metrics.json").read_text().replace(str(tmp_path), "TMP")
+    assert hashlib.sha256(raw.encode()).hexdigest() == (
+        "0b1c5b26f1694c49f41c04140110cd2d481ef97741d275a571aea1687cc23ddd")
+
+
 @pytest.mark.parametrize("gap", [5, 50])
 def test_eval_cluster_default_k_is_the_label_count(tmp_path, gap):
     # labels 0 and gap: two clusters, not gap + 1 (gap 50 would exceed the 40 rows)

@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coles import evaluation
 from coles.evaluation import (Metrics, SplitSpec, kmeans, logreg_fit, logreg_predict,
@@ -315,6 +316,27 @@ def test_hungarian_beats_majority_vote():
         naive = float(np.mean(p == t))
         assert hung >= naive - 1e-12
         assert hung >= 0.0
+
+
+@st.composite
+def square_tables(draw):
+    """Square count tables; low entry ceilings make many tied matchings."""
+    k = draw(st.integers(1, 12), label="k")
+    ceiling = draw(st.sampled_from([1, 2, 4, 49, 10**6]), label="ceiling")
+    return draw(arrays(np.int64, (k, k), elements=st.integers(0, ceiling)))
+
+
+@settings(max_examples=300)
+@given(table=square_tables())
+@example(table=np.zeros((5, 5), dtype=np.int64))
+@example(table=np.full((6, 6), 3, dtype=np.int64))
+@example(table=np.eye(7, dtype=np.int64))
+@example(table=np.eye(6, dtype=np.int64)[[4, 0, 5, 2, 1, 3]])
+@example(table=np.where(np.arange(25).reshape(5, 5) == 14, 9, 0))  # one nonzero cell
+def test_max_assignment_is_scipys_matching(table):
+    from scipy.optimize import linear_sum_assignment
+    want = linear_sum_assignment(table, maximize=True)[1]
+    assert np.array_equal(evaluation._max_assignment(table), want)
 
 
 def test_micro_f1_equals_accuracy():
