@@ -2,8 +2,9 @@
 
 The trace objective  max_P trace(P M P^T)  with  M = (FX)^T delta_w (FX)
 and orthonormal rows P P^T = I is solved exactly by the top eigenvectors of
-the small d x d matrix M. Eigenpairs come from LAPACK's dsyevr; M stays at
-feature dimensionality, so d in the low thousands solves in seconds.
+the small d x d matrix M. Eigenpairs come from LAPACK's dsyevd through
+numpy.linalg.eigh, on the one BLAS runtime numpy has already loaded; M stays
+at feature dimensionality, so d in the low thousands solves in seconds.
 Wider feature matrices can be folded first with hash_features().
 """
 
@@ -49,15 +50,14 @@ class EigResult(NamedTuple):
 
 
 def sym_eig(m: np.ndarray) -> EigResult:
-    """Full eigendecomposition of a symmetric matrix by LAPACK (dsyevr).
+    """Full eigendecomposition of a symmetric matrix by LAPACK (dsyevd, through
+    numpy.linalg.eigh).
 
     Eigenvalues are returned in descending order; each eigenvector's
     largest-magnitude component is made positive so signs are reproducible.
     A non-finite matrix, one whose symmetrization or eigenvalues overflow
     float64, or a LAPACK failure raises LinAlgError.
     """
-    from scipy.linalg import eigh  # here, not at the top: commands that never solve skip its load
-
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
@@ -71,7 +71,7 @@ def sym_eig(m: np.ndarray) -> EigResult:
     if not np.all(np.isfinite(m)):
         raise LinAlgError("eigensolver failed: the symmetrized matrix overflows float64")
     try:
-        values, vectors = eigh(m, driver="evr", check_finite=False)
+        values, vectors = np.linalg.eigh(m)
     except LinAlgError as exc:
         raise LinAlgError(f"eigensolver failed: {exc}") from None
     if not np.all(np.isfinite(values)):

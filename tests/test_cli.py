@@ -588,9 +588,9 @@ def test_oversized_clsm_header_is_config_error(tmp_path, capsys, rows, cols):
 
 def test_embed_eigensolver_failure_exits_2(synth_dir, tmp_path, monkeypatch, capsys):
     def broken_eigh(*args, **kwargs):
-        raise LinAlgError("dsyevr failed")
+        raise LinAlgError("dsyevd failed")
 
-    monkeypatch.setattr("scipy.linalg.eigh", broken_eigh)  # sym_eig looks it up per call
+    monkeypatch.setattr("numpy.linalg.eigh", broken_eigh)  # sym_eig looks it up per call
     out = tmp_path / "emb"
     code = run(*embed_args(synth_dir, out))
     err = capsys.readouterr().err

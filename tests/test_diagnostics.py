@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coles.diagnostics import (LOG2, expected_negative_homophily, homophily,
+from coles.diagnostics import (LOG2, _rel_entr, expected_negative_homophily, homophily,
                                js_divergence, js_from_densities, lipschitz_check, pair_scores,
                                parzen_density, score_densities, separation, shared_grid,
                                silverman_bandwidth, wasserstein1)
@@ -124,6 +127,54 @@ def test_js_from_densities_matches_js_divergence():
     assert dens.grid.tobytes() == grid.tobytes()
     assert dens.p.tobytes() == fp.tobytes() and dens.q.tobytes() == fq.tobytes()
     assert js_from_densities(fp, fq, grid) == js_divergence(p, q, grid_points=128)
+
+
+# densities as js_from_densities pairs them: f, g >= 0 and fm = (f + g) / 2
+TINY = np.finfo(np.float64).smallest_normal
+EDGE_DENSITIES = [0.0, 5e-324, 1e-320, TINY, 1e-300, 0.5, 1.0, 1e300]
+
+
+def test_rel_entr_special_cases_are_scipys():
+    # f = 0 gives 0; f > 0 over an fm that underflows to 0 (5e-324 halved)
+    # gives inf; f = g gives 0; an f / fm that is subnormal or 0 takes
+    # log f - log fm
+    f, g = (a.ravel() for a in np.meshgrid(EDGE_DENSITIES, EDGE_DENSITIES))
+    fm = 0.5 * (f + g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = (f > 0) & (f / fm < TINY)
+    special = (f == 0) | (fm == 0) | (f == g) | small
+    assert small.sum() == 8 and (f[special] > 0).sum() == 16
+    got, want = _rel_entr(f, fm)[special], scipy.special.rel_entr(f, fm)[special]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isinf(got).sum() == 1
+
+
+def test_js_keeps_a_density_ratio_that_underflows():
+    # 5e-324 over fm = 2 rounds to 0: taken as log(0), this term would make
+    # JS -inf, which the clip turns into 0 for two nearly disjoint densities
+    grid = np.arange(4.0)
+    fp, fq = np.array([0.5, 0.5, 5e-324, 0.0]), np.array([0.0, 0.0, 4.0, 4.0])
+    fm = 0.5 * (fp + fq)
+    want = (0.5 * np.trapezoid(scipy.special.rel_entr(fp, fm), grid)
+            + 0.5 * np.trapezoid(scipy.special.rel_entr(fq, fm), grid))
+    assert js_from_densities(fp, fq, grid) == min(want, LOG2 + 1e-6) > 0.5
+
+
+DENSITY = st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.floats(0.0, 1e-300))
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(DENSITY, DENSITY), min_size=1, max_size=40))
+def test_rel_entr_is_scipys_within_rounding(pairs):
+    # scipy takes log1p((f - fm) / fm) where f / fm is in (0.5, 2), numpy's
+    # log of the ratio here: a few ulps apart
+    f, g = np.array(pairs).T
+    fm = 0.5 * (f + g)
+    got, want = _rel_entr(f, fm), scipy.special.rel_entr(f, fm)
+    assert np.array_equal(np.isinf(got), np.isinf(want)) and not np.isnan(got).any()
+    finite = np.isfinite(want)
+    got, want, f = got[finite], want[finite], f[finite]
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want) + f))
 
 
 def test_js_rejects_nonpositive_bandwidth():

@@ -63,6 +63,32 @@ def test_sym_eig_repeated_eigenvalues(n, distinct, seed):
     assert np.max(np.abs(eig.values - oracle)) < 1e-10 * max(1.0, np.linalg.norm(m))
 
 
+@settings(max_examples=150)
+@given(n=st.integers(1, 40), seed=SEEDS, data=st.data(),
+       kind=st.sampled_from(["random", "rank-deficient", "repeated"]))
+def test_sym_eig_agrees_with_scipys_evr(n, seed, data, kind):
+    # numpy's dsyevd against the dsyevr driver sym_eig used before: the same
+    # spectrum within 1e-12 of its scale, and a decomposition of the same quality
+    from scipy.linalg import eigh
+    if kind == "random":
+        b = rand_x(n, n, seed=seed)
+        m = 0.5 * (b + b.T)
+    elif kind == "rank-deficient":
+        b = rand_x(n, data.draw(st.integers(1, n), label="rank"), seed=seed)
+        m = b @ b.T
+        m = 0.5 * (m + m.T)
+    else:
+        m = repeated_spectrum(n, data.draw(st.integers(1, 4), label="distinct"), seed)
+    eig = sym_eig(m)
+    evr = eigh(m, driver="evr", eigvals_only=True)[::-1]
+    tol = 1e-12 * max(float(np.max(np.abs(evr))), 1e-300)
+    assert np.max(np.abs(eig.values - evr)) <= tol
+    assert np.max(np.abs(m @ eig.vectors - eig.vectors * eig.values)) <= tol
+    assert np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(n))) <= 1e-12
+    lead = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), np.arange(n)]
+    assert np.all(lead > 0)
+
+
 @PROPERTY
 @given(n=st.integers(1, 12))
 def test_sym_eig_zero_matrix_property(n):
@@ -339,6 +365,31 @@ def test_kmeans_equals_the_per_restart_loop(seed, data, n, d, kind, max_iter):
         want = loop_kmeans(y, k, seed=seed)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("max_iter", [evaluation.KMEANS_MAX_ITER, evaluation.KMEANS_MAX_ITER + 1])
+def test_kmeans_stops_a_cycling_restart_with_the_caps_bits(max_iter):
+    # 46 equal rows, k = 6: the mean of some cluster sizes is an ulp off the
+    # row, so assignments alternate from step 3 on; restarts that ran to the
+    # cap took 0.16 s for this call. Either parity of the cap keeps the loop's bits.
+    y = kmeans_points("identical", 46, 4, 38)
+    steps = []
+    sq_dists = evaluation._sq_dists
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "KMEANS_MAX_ITER", max_iter)
+        mp.setattr(evaluation, "_sq_dists", lambda *a: steps.append(1) or sq_dists(*a))
+        got = kmeans(y, 6, [235])[0]
+        want = loop_kmeans(y, 6, seed=235)
+        cents = evaluation._kmeanspp(y, (y * y).sum(axis=1), 2.0 * y, 6,
+                                     streams(235, np.arange(evaluation.KMEANS_RESTARTS)))
+        want_cents = [helpers._kmeanspp(y, 6, ScalarXoshiro(235, t))
+                      for t in range(evaluation.KMEANS_RESTARTS)]
+        assign = evaluation._lloyd(y, (y * y).sum(axis=1), 2.0 * y, cents)  # updates cents
+        want_assign = [helpers.loop_lloyd(y, c) for c in want_cents]  # and want_cents
+    assert np.array_equal(got, want)
+    assert np.array_equal(assign, np.stack(want_assign))
+    assert np.array_equal(cents, np.stack(want_cents))
+    assert len(steps) < 100  # the two calls' seeding and Lloyd steps: 18, against 612 to the cap
 
 
 @PROPERTY

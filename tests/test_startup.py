@@ -1,14 +1,18 @@
-"""Each command loads only the scipy submodules it calls.
+"""Each command loads only the scipy submodules it calls, and one BLAS runtime.
 
 `import coles` loads numpy and no scipy module. scipy.sparse is imported
-where a sparse matrix is built, and scipy.linalg and scipy.special where
-they are called, because loading them costs tenths of a second in every
-process that starts the CLI. `synth` writes its drawn pairs directly and
-`eval-classify` multiplies dense arrays only, so neither loads scipy at
-all. `eval-cluster` matches clusters to classes with its own port of
-scipy's assignment solver, so no command loads scipy.optimize. Each
-command runs here in a fresh interpreter on a toy fixture and reports
-which scipy modules are in sys.modules when it returns.
+where a sparse matrix is built, because loading it costs tenths of a second
+in every process that starts the CLI. `synth` writes its drawn pairs
+directly and `eval-classify` multiplies dense arrays only, so neither loads
+scipy at all. `embed` solves its eigenproblem with numpy.linalg.eigh and
+`diagnose` takes its relative entropy in numpy, so neither loads
+scipy.linalg or scipy.special, whose extension modules map scipy's own
+OpenBLAS next to numpy's, with a second pool of worker threads. `eval-cluster`
+matches clusters to classes with its own port of scipy's assignment solver,
+so no command loads scipy.optimize. Each command runs here in a fresh
+interpreter on a toy fixture and reports which scipy modules are in
+sys.modules, and on Linux which OpenBLAS libraries the process maps, when
+it returns.
 """
 
 import json
@@ -25,16 +29,23 @@ SRC = str(Path(coles.__file__).resolve().parents[1])
 
 # argv[1] is the result file, argv[2:] a CLI command (none: only the imports)
 PROBE = """
-import json, sys
+import json, os, sys
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def blas():  # the OpenBLAS files the process maps, or None where /proc/self/maps is not
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "/" in line}
+    return sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
 import coles
-found = {"import coles": loaded()}
+found = {"import coles": loaded(), "import coles blas": blas()}
 import coles.cli
 found["import coles.cli"] = loaded()
 if len(sys.argv) > 2:
     found["rc"] = coles.cli.main(sys.argv[2:])
     found["run"] = loaded()
+    found["run blas"] = blas()
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump(found, fh)
 """
@@ -45,8 +56,8 @@ EXPECTED = {
     "import coles.cli": ((), ("scipy",)),
     "synth": ((), ("scipy",)),
     "eval-classify": ((), ("scipy",)),
-    "embed": (("scipy.sparse", "scipy.linalg"), ("scipy.optimize",)),
-    "diagnose": (("scipy.sparse", "scipy.special"), ("scipy.optimize",)),
+    "embed": (("scipy.sparse",), ("scipy.linalg", "scipy.special", "scipy.optimize")),
+    "diagnose": (("scipy.sparse",), ("scipy.linalg", "scipy.special", "scipy.optimize")),
     "eval-cluster": (("scipy.sparse",), ("scipy.optimize",)),
 }
 
@@ -82,14 +93,29 @@ def loads(tmp_path_factory):
     }
     found = probe(tmp, "imports")
     loaded = {name: found[name] for name in ("import coles", "import coles.cli")}
+    blas = {"import coles": found["import coles blas"]}
     for name, argv in runs.items():
-        loaded[name] = probe(tmp, name, *argv)["run"]
-    return loaded
+        found = probe(tmp, name, *argv)
+        loaded[name], blas[name] = found["run"], found["run blas"]
+    return loaded, blas
 
 
 @pytest.mark.parametrize("command", list(EXPECTED))
 def test_command_loads_only_the_scipy_it_calls(loads, command):
     must, must_not = EXPECTED[command]
-    assert set(must) <= set(loads[command]), loads[command]
-    assert not [m for m in loads[command]
-                if any(m == p or m.startswith(p + ".") for p in must_not)], loads[command]
+    modules = loads[0][command]
+    assert set(must) <= set(modules), modules
+    assert not [m for m in modules
+                if any(m == p or m.startswith(p + ".") for p in must_not)], modules
+
+
+@pytest.mark.parametrize("command", [c for c in EXPECTED if c != "import coles.cli"])
+def test_command_maps_one_openblas(loads, command):
+    # the one numpy maps at import; scipy's own (libscipy_openblas-*.so in
+    # scipy.libs, next to numpy's libscipy_openblas64_-*.so) must stay out
+    mapped = loads[1]
+    if mapped["import coles"] is None:
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    if len(mapped["import coles"]) != 1:
+        pytest.skip(f"numpy maps {len(mapped['import coles'])} OpenBLAS libraries, not one")
+    assert mapped[command] == mapped["import coles"]

@@ -81,7 +81,7 @@ def test_diagnose_numbers_digest():
     assert (pos.size, neg.size) == (7955, 5152)  # 8 and 12 grid rows per kernel block
     dens = score_densities(pos, neg)
     assert digest(*dens, [js_divergence(pos, neg), wasserstein1(pos, neg)]) == (
-        "6ed3130dcec8fef1e362c9a27bcccaa6b9519e2b96f349ec3b6ad4ba34af35fd")
+        "311ee95558dae9121f0ecd18e8d3183a107ec323c10753a9335b441660016b39")
 
 
 def _blobs(n, d, k, seed):
