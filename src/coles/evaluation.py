@@ -222,25 +222,16 @@ def _reseed(d2, assign, counts) -> None:
 
 
 def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
-    """Lloyd's loops of the B restarts seeded at centroids (B, k, d), each
-    with the state it has after KMEANS_MAX_ITER steps; returns the (B, n)
-    assignments and leaves their centroids in centroids.
-
-    A step's centroids are a function of its assignment, so a restart whose
-    assignment equals that of one of the two steps before repeats with
-    period 1 or 2 from there: it stops, keeping whichever of its last two
-    states the cap's step would have. The live restarts' states are kept
-    compact and written out as they stop.
-    """
+    """Lloyd's loops of the B restarts seeded at centroids (B, k, d), to each
+    one's first repeated assignment or KMEANS_MAX_ITER steps; returns the
+    (B, n) assignments and leaves their centroids in centroids."""
     import scipy.sparse as sp  # here, not at the top: `import coles` skips its load
     n_restarts, k, _ = centroids.shape
     n = y.shape[0]
-    assign = np.empty((n_restarts, n), dtype=np.int64)
+    assign = np.full((n_restarts, n), -1, dtype=np.int64)
     live = np.arange(n_restarts)
-    cents = centroids.copy()  # of the last step, row i for restart live[i]
-    last = np.full((n_restarts, n), -1, dtype=np.int64)  # the last step's assignments
-    before = last  # and the step before's
-    for step in range(KMEANS_MAX_ITER):
+    for _ in range(KMEANS_MAX_ITER):
+        cents = centroids[live]
         d2 = _sq_dists(yy, y2, cents)
         new = _first_argmin(d2)
         offsets = k * np.arange(live.size)[:, None]
@@ -253,19 +244,13 @@ def _lloyd(y, yy, y2, centroids: np.ndarray) -> np.ndarray:
         onehot = sp.csc_matrix((np.ones(new.size), (new + offsets).T.ravel(),
                                 np.arange(0, new.size + 1, live.size)), shape=(counts.size, n))
         sums = onehot @ y
-        new_cents = (sums / counts.reshape(-1, 1)).reshape(cents.shape)
-        done = np.all(new == last, axis=1) | np.all(new == before, axis=1)
-        if step == KMEANS_MAX_ITER - 1:
-            done[:] = True
-        if done.any():
-            # the cap's step has this step's state if the steps left are even
-            kept = (last, cents) if (KMEANS_MAX_ITER - 1 - step) % 2 else (new, new_cents)
-            assign[live[done]], centroids[live[done]] = kept[0][done], kept[1][done]
-            go = ~done
-            live, new, last, new_cents = live[go], new[go], last[go], new_cents[go]
-            if live.size == 0:
-                break
-        before, last, cents = last, new, new_cents
+        cents = (sums / counts.reshape(-1, 1)).reshape(cents.shape)
+        centroids[live] = cents
+        done = np.all(new == assign[live], axis=1)
+        assign[live] = new
+        live = live[~done]
+        if live.size == 0:
+            break
     return assign
 
 
@@ -274,10 +259,9 @@ def kmeans(y: np.ndarray, k: int, seeds) -> np.ndarray:
     once per seed of the sequence seeds: row r of the (R, n) result is run r,
     whose restart t draws from substream t of seeds[r]. The restarts of all
     runs run together in blocks whose temporaries hold about _KMEANS_BLOCK
-    values, and a restart stops once its assignments repeat with period 1
-    or 2, with the bits of running it to KMEANS_MAX_ITER steps; each run's
-    best is picked in restart order, the first of equal inertias. Every
-    restart ends with k non-empty clusters, also when fewer than k rows differ.
+    values, and a restart stops once its assignment repeats; each run's best
+    is picked in restart order, the first of equal inertias. Every restart
+    ends with k non-empty clusters, also when fewer than k rows differ.
     """
     y = as_dense(y, "y")
     n = y.shape[0]

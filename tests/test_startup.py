@@ -15,6 +15,7 @@ sys.modules, and on Linux which OpenBLAS libraries the process maps, when
 it returns.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -27,25 +28,30 @@ import coles
 
 SRC = str(Path(coles.__file__).resolve().parents[1])
 
-# argv[1] is the result file, argv[2:] a CLI command (none: only the imports)
-PROBE = """
-import json, os, sys
-def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-def blas():  # the OpenBLAS files the process maps, or None where /proc/self/maps is not
+
+def mapped_openblas():
+    """The sorted paths of the OpenBLAS files this process maps, or None
+    where there is no /proc/self/maps to read them from. PROBE runs it in
+    each fresh interpreter, and the CI report imports it from here."""
     if not os.path.exists("/proc/self/maps"):
         return None
     with open("/proc/self/maps", encoding="utf-8") as fh:
         paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "/" in line}
     return sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
+
+
+# argv[1] is the result file, argv[2:] a CLI command (none: only the imports)
+PROBE = "import json, os, sys\n" + inspect.getsource(mapped_openblas) + """
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import coles
-found = {"import coles": loaded(), "import coles blas": blas()}
+found = {"import coles": loaded(), "import coles blas": mapped_openblas()}
 import coles.cli
 found["import coles.cli"] = loaded()
 if len(sys.argv) > 2:
     found["rc"] = coles.cli.main(sys.argv[2:])
     found["run"] = loaded()
-    found["run blas"] = blas()
+    found["run blas"] = mapped_openblas()
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump(found, fh)
 """
