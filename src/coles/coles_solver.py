@@ -47,6 +47,7 @@ class EmbeddingResult:
 class EigResult(NamedTuple):
     values: np.ndarray   # descending
     vectors: np.ndarray  # orthonormal columns, vectors[:, i] pairs values[i]
+    # (both are reversed views of LAPACK's ascending output, not copies)
 
 
 def sym_eig(m: np.ndarray) -> EigResult:
@@ -55,6 +56,8 @@ def sym_eig(m: np.ndarray) -> EigResult:
 
     Eigenvalues are returned in descending order; each eigenvector's
     largest-magnitude component is made positive so signs are reproducible.
+    A matrix that is symmetric bit for bit goes to LAPACK as it is; any other
+    within 1e-9 of symmetric goes as 0.5 * (m + m.T).
     A non-finite matrix, one whose symmetrization or eigenvalues overflow
     float64, or a LAPACK failure raises LinAlgError.
     """
@@ -64,11 +67,17 @@ def sym_eig(m: np.ndarray) -> EigResult:
     n = m.shape[0]
     if not np.all(np.isfinite(m)):
         raise LinAlgError("eigensolver failed: matrix has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        if n and np.max(np.abs(m - m.T)) > 1e-9:
-            raise ValueError("matrix is not symmetric within 1e-9")
-        m = 0.5 * (m + m.T)
-    if not np.all(np.isfinite(m)):
+    if np.array_equal(m.view(np.uint64), m.T.view(np.uint64)):
+        # symmetric bit for bit, signed zeros too: 0.5 * (m + m.T) would be m
+        # itself, unless some 2 * m[i, j] overflows
+        overflows = n > 0 and max(m.max(), -m.min()) > np.finfo(np.float64).max / 2
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            if np.max(np.abs(m - m.T)) > 1e-9:
+                raise ValueError("matrix is not symmetric within 1e-9")
+            m = 0.5 * (m + m.T)
+        overflows = not np.all(np.isfinite(m))
+    if overflows:
         raise LinAlgError("eigensolver failed: the symmetrized matrix overflows float64")
     try:
         values, vectors = np.linalg.eigh(m)
@@ -76,9 +85,9 @@ def sym_eig(m: np.ndarray) -> EigResult:
         raise LinAlgError(f"eigensolver failed: {exc}") from None
     if not np.all(np.isfinite(values)):
         raise LinAlgError("eigensolver failed: an eigenvalue overflows float64")
-    values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
+    values, vectors = values[::-1], vectors[:, ::-1]  # views: no third d x d array
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
-    vectors[:, lead < 0] *= -1.0
+    np.negative(vectors, out=vectors, where=lead < 0)
     return EigResult(values, vectors)
 
 

@@ -9,7 +9,10 @@ that predict when the contrastive setting is easy.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -18,8 +21,8 @@ from .graph_core import SparseSym
 
 LOG2 = math.log(2.0)
 
-# kernel values per block in parzen_density: its two float64 buffers take
-# 1 MiB together, which fits in L2
+# parzen_density's workers hold 2 * _KERNEL_BLOCK float64 kernel values
+# between them, 1 MiB, which fits in L2 (two grid rows once a row is wider)
 _KERNEL_BLOCK = 2**16
 
 
@@ -41,13 +44,55 @@ def silverman_bandwidth(values) -> float:
     return 1.06 * sigma * v.size ** (-0.2)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _run_workers(work, workers: int) -> None:
+    """work(0) in the calling thread and work(1) .. work(workers - 1) in
+    threads, each in a copy of the caller's context (numpy's errstate lives
+    there). Every thread started is joined before this returns, and the
+    first exception a worker raised, or a thread's failure to start, is
+    raised here."""
+    failed = []
+
+    def run(w):
+        try:
+            work(w)
+        except BaseException as exc:  # re-raised in the caller below
+            failed.append(exc)
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, w))
+            thread.start()
+            started.append(thread)
+    except BaseException as exc:  # re-raised below, once the started threads are joined
+        failed.append(exc)
+    else:
+        run(0)
+    for thread in started:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def parzen_density(values, bandwidth: float, grid) -> np.ndarray:
     """Gaussian-kernel density estimate evaluated on a sorted grid.
 
     The kernel is evaluated a block of grid rows at a time, so memory is
     O(grid + sample), not their product. Each row is summed whole, in the
     order of exp(-0.5 * z * z).sum(axis=1) over the full matrix, so the
-    result is bit-identical to that one-shot form.
+    result is bit-identical to that one-shot form for any number of workers.
+    The blocks go, interleaved, to W workers: this thread and W - 1 threads.
+    W is at most the usable CPUs, the blocks, and the grid rows that fit in
+    2 * _KERNEL_BLOCK values (2 once a row is wider), so the workers' buffers
+    hold at most 2 * max(_KERNEL_BLOCK, sample) values for any core count.
     """
     v = _clean_sample(values)
     if not (math.isfinite(bandwidth) and bandwidth > 0):
@@ -55,19 +100,28 @@ def parzen_density(values, bandwidth: float, grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64).ravel()
     if g.size < 2 or np.any(np.diff(g) <= 0):
         raise ValueError("grid must be sorted with at least 2 distinct points")
-    rows = max(1, _KERNEL_BLOCK // v.size)
-    z = np.empty((min(rows, g.size), v.size))
-    k = np.empty_like(z)
+    rows = max(1, 2 * _KERNEL_BLOCK // v.size)
+    workers = min(_usable_cpus(), -(-g.size // rows), max(2, rows))
+    rows = max(1, rows // workers)
+    buffers = np.empty((workers, min(rows, g.size), v.size))  # allocated here, not per thread
     sums = np.empty(g.size)
-    for start in range(0, g.size, rows):
-        block = slice(start, start + rows)
-        zb, kb = z[:g.size - start], k[:g.size - start]  # the last block may be short
-        np.subtract(g[block, None], v, out=zb)
-        zb /= bandwidth
-        np.multiply(zb, -0.5, out=kb)
-        kb *= zb
-        np.exp(kb, out=kb)
-        kb.sum(axis=1, out=sums[block])
+
+    def work(w):
+        for start in range(w * rows, g.size, workers * rows):
+            block = slice(start, start + rows)
+            kb = buffers[w, :g.size - start]  # the last block may be short
+            np.subtract(g[block, None], v, out=kb)
+            kb /= bandwidth
+            # -0.5 * z * z in one buffer, as -2 * (-0.5 * z)**2: the scalings by
+            # powers of two are exact wherever exp's result depends on them, and
+            # they overflow for the same z as the product does
+            kb *= -0.5
+            np.multiply(kb, kb, out=kb)
+            kb *= -2.0
+            np.exp(kb, out=kb)
+            kb.sum(axis=1, out=sums[block])
+
+    _run_workers(work, workers)
     sums /= v.size * bandwidth * math.sqrt(2.0 * math.pi)
     return sums
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,6 +13,15 @@ from coles import evaluation
 from coles import rng as rng_module
 from coles.graph_core import SparseSym, as_dense
 from coles.rng import Xoshiro256StarStar
+
+
+class CountedThread(threading.Thread):
+    """threading.Thread that counts its starts, to monkeypatch in for it."""
+    starts = 0
+
+    def start(self):
+        type(self).starts += 1
+        super().start()
 
 
 def random_graph(n, extra_per_node, seed):
@@ -277,3 +287,17 @@ def loop_logreg(x: np.ndarray, labels: np.ndarray, l2: float = 1e-4, lr: float =
         grad = xb_t @ (probs - onehot) / m + 2.0 * l2 * w
         w = w - lr * grad
     return w, losses
+
+
+# -- sym_eig's former body: the reference its bits and memory are checked against
+
+def symmetrizing_sym_eig(m: np.ndarray):
+    """sym_eig as it was before it skipped the symmetrization of an exactly
+    symmetric form: 0.5 * (m + m.T) always, then reversed copies of LAPACK's
+    ascending eigenpairs (the refusals left out)."""
+    m = 0.5 * (m + m.T)
+    values, vectors = np.linalg.eigh(m)
+    values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(m.shape[0])]
+    vectors[:, lead < 0] *= -1.0
+    return values, vectors

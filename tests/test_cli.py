@@ -4,12 +4,13 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from coles import cli, coles_solver, evaluation
+from coles import cli, coles_solver, diagnostics, evaluation
 from coles.cli import ConfigError, _coles_config, _parse_args, build_parser, main
 from coles.coles_solver import ColesConfig, solve_linear_coles
 from coles.diagnostics import pair_scores, score_densities
@@ -20,7 +21,7 @@ from coles.negative_sampling import NegSampleConfig
 from coles.spectral_filters import FilterConfig
 from coles.rng import Xoshiro256StarStar
 from coles.synthetic import SbmSpec
-from helpers import stream_key
+from helpers import CountedThread, stream_key
 
 
 EVAL_COMMANDS = ("eval-classify", "eval-cluster", "diagnose")
@@ -414,6 +415,27 @@ def test_diagnose_outputs(synth_dir, tmp_path):
         assert key in diag
     assert 0.0 <= diag["js"] <= np.log(2.0) + 1e-6
     assert abs(diag["homophily_neg_expected"] - 1.0 / 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("per_block", [40, 12], ids=["several-blocks", "toy-one-block"])
+def test_diagnose_leaves_no_thread_behind(tmp_path, monkeypatch, per_block):
+    # the benchmark refuses a run that leaves a thread running; a kernel of
+    # one block starts none, however many CPUs there are
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--classes", 3, "--per-block", per_block,
+               "--p-in", "0.4", "--p-out", "0.05", "--feat-dim", 6, "--seed", 5) == 0
+    assert run(*embed_args(data, tmp_path / "emb")) == 0
+    if per_block == 12:  # one block of the kernel for each density
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 7)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(CountedThread, "starts", 0)
+    before = threading.active_count()
+    assert run("diagnose", "--embeddings", tmp_path / "emb" / "embeddings.clsm",
+               "--edges", data / "edges.txt", "--labels", data / "labels.txt",
+               "--out", tmp_path / "diag", "--seed", 7) == 0
+    assert threading.active_count() == before
+    several = per_block == 40 and diagnostics._usable_cpus() > 1
+    assert (CountedThread.starts > 0) == several
 
 
 def test_graph_commands_run_no_transpose_check(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,8 @@ from coles.graph_core import SparseSym, normalized_adjacency
 from coles.negative_sampling import NegSampleConfig, build_delta_w, sample_negative_graph
 from coles.rng import Xoshiro256StarStar
 from coles.spectral_filters import FilterConfig, apply_filter
-from helpers import ScalarXoshiro, rand_x, random_graph, splitmix64, stream_key, weighted_graph
+from helpers import (ScalarXoshiro, rand_x, random_graph, splitmix64, stream_key,
+                     symmetrizing_sym_eig, weighted_graph)
 
 
 def random_sym(n, seed):
@@ -92,16 +95,87 @@ def test_sym_eig_non_finite_is_not_converged(bad):
         sym_eig(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+HALF_MAX = np.finfo(np.float64).max / 2  # the largest entry 2 * m[i, j] holds
+
+
 @pytest.mark.parametrize("m,message", [
     ([[1.7e308]], "the symmetrized matrix overflows float64"),
     ([[1.7e308, 1.0], [1.0, -1.7e308]], "the symmetrized matrix overflows float64"),
     ([[8e307] * 3] * 3, "an eigenvalue overflows float64"),
-], ids=["one-by-one", "two-by-two", "eigenvalue"])
+    ([[-np.nextafter(HALF_MAX, np.inf), 0.0], [0.0, 1.0]],
+     "the symmetrized matrix overflows float64"),
+    ([[1.7e308, 1.0], [1.0 + 2**-52, 0.0]], "the symmetrized matrix overflows float64"),
+], ids=["one-by-one", "two-by-two", "eigenvalue", "just-past-half-max", "asymmetric"])
 def test_sym_eig_overflow_is_linalg_error(m, message):
     # finite and symmetric, but 0.5 * (m + m.T) or an eigenvalue overflows;
     # the pytest config turns any RuntimeWarning on the way into an error
     with pytest.raises(LinAlgError, match=f"eigensolver failed: .*{message}"):
         sym_eig(np.array(m))
+
+
+def test_sym_eig_takes_half_max_entries():
+    # 2 * (max / 2) is finite, so the symmetrization that is skipped would not overflow
+    m = np.array([[HALF_MAX, 1.0], [1.0, -HALF_MAX]])
+    values, vectors = symmetrizing_sym_eig(m)
+    eig = sym_eig(m)
+    assert np.all(np.isfinite(values))
+    assert np.array_equal(eig.values, values) and np.array_equal(eig.vectors, vectors)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def quadratic_forms():
+    """Exactly symmetric forms: random ones, one from build_quadratic_form,
+    one with signed zeros mirrored, the zero form and a 1 x 1 one."""
+    yield from (random_sym(n, seed) for n, seed in ((2, 1), (7, 2), (40, 3), (129, 4)))
+    yield build_quadratic_form(rand_x(6, 4, seed=5), delta_fixture())
+    signed = random_sym(9, 6)
+    signed[0, 3] = signed[3, 0] = -0.0
+    signed[2, 2] = -0.0
+    yield signed
+    yield np.zeros((5, 5))
+    yield np.array([[-3.5]])
+
+
+def test_sym_eig_keeps_the_bits_of_the_symmetrizing_path():
+    for m in quadratic_forms():
+        values, vectors = symmetrizing_sym_eig(m)
+        eig = sym_eig(m)
+        assert np.array_equal(bits(eig.values), bits(values))
+        assert np.array_equal(bits(eig.vectors), bits(vectors))
+
+
+@pytest.mark.parametrize("perturb", ["off-diagonal-ulp", "signed-zero"])
+def test_sym_eig_symmetrizes_a_form_that_is_not_symmetric_bit_for_bit(perturb):
+    m = random_sym(8, 7)
+    if perturb == "off-diagonal-ulp":
+        m[1, 5] = np.nextafter(m[5, 1], np.inf)
+    else:  # 0.0 against -0.0: equal values, but 0.5 * (m + m.T) has +0.0 on both sides
+        m[1, 5], m[5, 1] = 0.0, -0.0
+    values, vectors = symmetrizing_sym_eig(m)
+    eig = sym_eig(m)
+    assert np.array_equal(bits(eig.values), bits(values))
+    assert np.array_equal(bits(eig.vectors), bits(vectors))
+    assert np.array_equal(bits(sym_eig(0.5 * (m + m.T)).vectors), bits(vectors))
+
+
+def test_sym_eig_peak_memory_is_a_d_by_d_array_below_the_symmetrizing_path():
+    # tracemalloc sees numpy's arrays: skipping 0.5 * (m + m.T) on an exactly
+    # symmetric form saves one d x d array of float64
+    d = 300
+    m = random_sym(d, 8)
+    peaks = []
+    for solve in (symmetrizing_sym_eig, sym_eig):
+        solve(m)  # warm: numpy's first call allocates for itself
+        tracemalloc.start()
+        try:
+            solve(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] >= d * d * 8 - 1024, peaks  # 1 KiB for small objects
 
 
 # -- quadratic form -------------------------------------------------------------

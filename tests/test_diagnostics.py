@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,14 +10,16 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coles.diagnostics import (LOG2, _rel_entr, expected_negative_homophily, homophily,
-                               js_divergence, js_from_densities, lipschitz_check, pair_scores,
-                               parzen_density, score_densities, separation, shared_grid,
-                               silverman_bandwidth, wasserstein1)
+from coles import diagnostics
+from coles.diagnostics import (LOG2, _KERNEL_BLOCK, _rel_entr, _usable_cpus,
+                               expected_negative_homophily, homophily, js_divergence,
+                               js_from_densities, lipschitz_check, pair_scores, parzen_density,
+                               score_densities, separation, shared_grid, silverman_bandwidth,
+                               wasserstein1)
 from coles.graph_core import SparseSym, add_self_loops
 from coles.negative_sampling import NegSampleConfig, sample_negative_graph
 from coles.rng import Xoshiro256StarStar
-from helpers import ScalarXoshiro, rand_x, random_graph
+from helpers import CountedThread, ScalarXoshiro, rand_x, random_graph
 
 INV_SQRT_2PI = 0.3989422804014327  # 1/sqrt(2*pi)
 
@@ -64,6 +68,93 @@ def test_parzen_peak_memory_is_independent_of_grid_times_sample():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.fixture()
+def counted_threads(monkeypatch):
+    monkeypatch.setattr(CountedThread, "starts", 0)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    return CountedThread
+
+
+@pytest.mark.parametrize("n,grid_points", [
+    (1000, 2003),                # short last blocks for every worker count
+    (5000, 97),                  # 4 blocks of 2 * _KERNEL_BLOCK values: at most 4 workers
+    (30_000, 50),                # 4 rows in 2 * _KERNEL_BLOCK values: at most 4 workers
+    (_KERNEL_BLOCK + 5, 11),     # one grid row a block: at most 2 workers
+    (2 * _KERNEL_BLOCK + 3, 4),
+], ids=["short-last-block", "a-few-rows-a-block", "four-rows-fit", "wider-than-a-block",
+        "twice-as-wide"])
+def test_parzen_density_bytes_do_not_depend_on_the_worker_count(monkeypatch, counted_threads,
+                                                                 n, grid_points):
+    v = rand_x(n, 1, seed=n).ravel()
+    grid = np.linspace(v.min() - 1.0, v.max() + 1.0, grid_points)
+    rows = max(1, 2 * _KERNEL_BLOCK // n)
+    blocks = -(-grid_points // rows)
+    want = None
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        counted_threads.starts = 0
+        before = threading.active_count()
+        got = parzen_density(v, 0.3, grid).tobytes()
+        assert threading.active_count() == before
+        assert counted_threads.starts == min(cpus, blocks, max(2, rows)) - 1
+        want = want or got
+        assert got == want, cpus
+
+
+def test_parzen_peak_memory_does_not_grow_with_the_core_count(monkeypatch, counted_threads):
+    # 512 grid rows of 30 000 scores are 128 blocks; one buffer of a row for
+    # each of 64 workers would be 15 MiB, so the workers are capped at the
+    # 4 rows that fit in 2 * _KERNEL_BLOCK values
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 64)
+    v = rand_x(30_000, 1, seed=3).ravel()
+    grid = np.linspace(v.min() - 1.0, v.max() + 1.0, 512)
+    tracemalloc.start()
+    try:
+        parzen_density(v, 0.2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted_threads.starts == 3
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("failing", ["a-thread", "the-caller"])
+def test_a_worker_failure_is_raised_in_the_caller(monkeypatch, counted_threads, failing):
+    real_exp = np.exp
+
+    def exp(x, out=None):
+        if (threading.current_thread() is threading.main_thread()) == (failing == "the-caller"):
+            raise MemoryError("injected into one worker")
+        return real_exp(x, out=out)
+
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(np, "exp", exp)
+    v = rand_x(2000, 1, seed=4).ravel()
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="injected into one worker"):
+        parzen_density(v, 0.3, np.linspace(-5.0, 5.0, 512))
+    assert counted_threads.starts == 2
+    assert threading.active_count() == before
+
+
+def test_parzen_workers_run_under_the_callers_errstate(monkeypatch, counted_threads):
+    # every nonzero z = (grid - v) / 1e-300 overflows; under the caller's
+    # over="ignore" no worker may warn (the pytest config makes a warning an error)
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 2)
+    v = rand_x(2000, 1, seed=5).ravel()
+    with np.errstate(over="ignore"):
+        dens = parzen_density(v, 1e-300, np.linspace(-5.0, 5.0, 512))
+    assert counted_threads.starts == 1
+    assert np.all(dens == 0.0)
+
+
+def test_usable_cpus_is_the_affinity_set_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert _usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert _usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_silverman_rule_values():
