@@ -24,8 +24,8 @@ jump-ahead of Haramoto et al., 2008), found once per process and lane
 length L and applied exactly by XOR through byte lookup tables. Every draw,
 of one stream or many, is `draw_u64s`: it jumps to the start of each lane of
 L outputs and steps all lanes of all streams at once in numpy. L is
-`_LONG_LANE` where the jumps that long lanes save in each stream cost more
-than the steps they add, and `_SHORT_LANE` elsewhere (see draw_u64s).
+`_LONG_LANE` from `_LONG_FROM` words per stream and `_SHORT_LANE` below
+(see draw_u64s).
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 
 _SHORT_LANE, _LONG_LANE = 64, 512  # consecutive outputs per lane of a draw
-_LONG_FROM = _SHORT_LANE * _LONG_LANE  # the lane rule's scale, 2**15 (see draw_u64s)
-# µs, fixed + per stream, of a lane jump of k streams and of a step of a draw,
-# fitted in-process on a 2-vCPU x86-64 host: the rule switches within 3% of
-# where both lanes took equal time (28.5k, 20.8k, 11.4k, 2.85k words; k = 1, 3, 8, 50)
-_JUMP_US = (3.8, 1.08)
-_STEP_US = (4.3, 0.0147)
+_LONG_FROM = _SHORT_LANE * _LONG_LANE  # words per stream from which long lanes are taken
 _PAIR_BLOCK = 1 << 17  # node pairs per block of bernoulli_pairs
 _GAP_BLOCK = 1 << 16  # most draws per chunk of geometric_pairs
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -139,12 +134,14 @@ def draw_u64s(states: np.ndarray, count: int) -> np.ndarray:
     j starts j * lane steps ahead, and lane `full` holds the last `rest`
     outputs and the state the draw ends in. All lanes of all streams step
     together. Long lanes (L outputs) take count * (1/S - 1/L) fewer jumps
-    over k states than short ones (S) and L - S more steps, so they are
-    taken where count * jump(k) >= S * L * step(k), costs _JUMP_US, _STEP_US.
+    than short ones (S) and L - S more steps. A one-stream jump costs about
+    one step, so count = S * L = _LONG_FROM is the one-stream break-even.
+    The rule ignores the stream count: a 50-stream jump costs about 11 steps,
+    so 50-stream draws of 2.9k to 32k words each take slower short lanes
+    (about +3 ms on a Cora-sized split draw, measured in CHANGES.md).
     """
     k = states.shape[0]
-    jump_us, step_us = _JUMP_US[0] + _JUMP_US[1] * k, _STEP_US[0] + _STEP_US[1] * k
-    lane = _LONG_LANE if count * jump_us >= _LONG_FROM * step_us else _SHORT_LANE
+    lane = _LONG_LANE if count >= _LONG_FROM else _SHORT_LANE
     full, rest = divmod(count, lane)
     lanes = full + 1
     starts = np.empty((k, lanes, 4), dtype=np.uint64)
@@ -169,6 +166,19 @@ def draw_u64s(states: np.ndarray, count: int) -> np.ndarray:
     out |= high
     out *= np.uint64(9)
     return out
+
+
+def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """f, a math (libm) function, of each double of x, as a float64 array."""
+    return np.fromiter(map(f, x.tolist()), dtype=np.float64, count=x.size)
+
+
+def _pair_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the pairs i < j < n at row-major indices index."""
+    lengths = n - 1 - np.arange(n - 1)
+    first = np.cumsum(lengths) - lengths  # index of each row's first pair
+    row = np.searchsorted(first, index, side="right") - 1
+    return row, index - first[row] + row + 1
 
 
 def shuffle_with(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -235,24 +245,15 @@ class Xoshiro256StarStar:
         int64 array.
 
         prob maps the row and column index arrays of the pairs to their
-        probabilities. Draws come in blocks of whole rows of about
-        _PAIR_BLOCK pairs, so the n(n-1)/2 draws never sit in memory at once.
+        probabilities. Draws come in blocks of _PAIR_BLOCK pairs, so the
+        n(n-1)/2 draws never sit in memory at once.
         """
+        total = n * (n - 1) // 2
         kept = [np.empty((0, 2), dtype=np.int64)]
-        start = 0
-        while start < n - 1:
-            stop, size = start, 0
-            while stop < n - 1 and size < _PAIR_BLOCK:
-                size += n - 1 - stop
-                stop += 1
-            rows = np.arange(start, stop)
-            lengths = n - 1 - rows
-            first = np.cumsum(lengths) - lengths  # block offset of each row's first pair
-            pair_rows = np.repeat(rows, lengths)
-            pair_cols = np.arange(size) - np.repeat(first, lengths) + pair_rows + 1
-            hit = self.uniforms(size) < prob(pair_rows, pair_cols)
-            kept.append(np.column_stack((pair_rows[hit], pair_cols[hit])))
-            start = stop
+        for start in range(0, total, _PAIR_BLOCK):
+            rows, cols = _pair_at(np.arange(start, min(start + _PAIR_BLOCK, total)), n)
+            hit = self.uniforms(rows.size) < prob(rows, cols)
+            kept.append(np.column_stack((rows[hit], cols[hit])))
         return np.concatenate(kept)
 
     def geometric_pairs(self, n: int, p: float) -> np.ndarray:
@@ -276,7 +277,7 @@ class Xoshiro256StarStar:
             expected = (total - 1 - last) * p
             count = min(_GAP_BLOCK, 16 + int(expected + 4.0 * math.sqrt(expected)))
             u = self.uniforms(count)
-            logs = np.fromiter(map(math.log, (1.0 - u).tolist()), dtype=np.float64, count=count)
+            logs = _libm(math.log, 1.0 - u)
             with np.errstate(over="ignore"):  # a tiny p overflows to an infinite skip
                 skips = np.floor(logs / log_q)
             # a skip past every pair left ends the walk; clip it before the int conversion
@@ -287,11 +288,7 @@ class Xoshiro256StarStar:
                 break
             kept.append(index)
             last = int(index[-1])
-        index = np.concatenate(kept)
-        lengths = n - 1 - np.arange(n - 1)
-        first = np.cumsum(lengths) - lengths  # index of each row's first pair
-        row = np.searchsorted(first, index, side="right") - 1
-        return np.column_stack((row, index - first[row] + row + 1))
+        return np.column_stack(_pair_at(np.concatenate(kept), n))
 
     def normals(self, count: int) -> np.ndarray:
         """count standard normals by Box-Muller, one pair per two uniforms()
@@ -303,10 +300,9 @@ class Xoshiro256StarStar:
         """
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
-        log_u1 = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), dtype=np.float64, count=pairs)
         theta = (2.0 * math.pi) * u[1::2]
-        r = np.sqrt(-2.0 * log_u1)
+        r = np.sqrt(-2.0 * _libm(math.log, 1.0 - u[0::2]))
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.fromiter(map(math.cos, theta.tolist()), dtype=np.float64, count=pairs)
-        out[1::2] = r * np.fromiter(map(math.sin, theta.tolist()), dtype=np.float64, count=pairs)
+        out[0::2] = r * _libm(math.cos, theta)
+        out[1::2] = r * _libm(math.sin, theta)
         return out[:count]

@@ -128,8 +128,8 @@ class ScalarXoshiro:
 @contextmanager
 def bulk_everywhere(enabled=True):
     """Make every draw step long lanes, however short, split node pairs into
-    blocks of a few rows and geometric skips into chunks of a few draws, so
-    small inputs reach every bulk code path."""
+    blocks of 300 pairs, which end inside rows, and geometric skips into
+    chunks of a few draws, so small inputs reach every bulk code path."""
     with pytest.MonkeyPatch.context() as mp:
         if enabled:
             mp.setattr(rng_module, "_LONG_FROM", 0)

@@ -1,5 +1,4 @@
 import ast
-import math
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +8,8 @@ from hypothesis import strategies as st
 
 import coles
 from coles import rng as rng_module
-from coles.rng import (_JUMP_US, _LONG_FROM, _LONG_LANE, _SHORT_LANE, _STEP_US,
-                       Xoshiro256StarStar, draw_u64s, mul_high, shuffle_with, streams, units)
+from coles.rng import (_LONG_FROM, _LONG_LANE, _SHORT_LANE, Xoshiro256StarStar, draw_u64s,
+                       mul_high, shuffle_with, streams, units)
 from helpers import (GOLDEN64, MASK64, ScalarXoshiro, bulk_everywhere, loop_distinct,
                      loop_normals, loop_shuffle, splitmix64, stream_key)
 
@@ -120,18 +119,25 @@ def test_streams_are_the_scalar_seeded_states(seed, indices):
     assert states.tolist() == [ScalarXoshiro(seed, i).state for i in indices]
 
 
-def check_draw_u64s(k, count):
-    """draw_u64s of k streams against k scalar loops; returns the lane lengths it used."""
-    states = streams(count, np.arange(k))
-    scalar = [ScalarXoshiro(count, i) for i in range(k)]
+def draw_lanes(states, count):
+    """draw_u64s(states, count) and the set of lane lengths it jumped by
+    (empty when every stream's draw fits in one lane)."""
     jump, lanes = rng_module._lane_jump, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "_lane_jump", lambda lane: lanes.append(lane) or jump(lane))
         got = draw_u64s(states, count)
+    return got, set(lanes)
+
+
+def check_draw_u64s(k, count):
+    """draw_u64s of k streams against k scalar loops; returns the lane lengths it used."""
+    states = streams(count, np.arange(k))
+    scalar = [ScalarXoshiro(count, i) for i in range(k)]
+    got, lanes = draw_lanes(states, count)
     assert got.dtype == np.uint64 and got.shape == (k, count)
     assert got.tolist() == [[rng.next_u64() for _ in range(count)] for rng in scalar]
     assert states.tolist() == [rng.state for rng in scalar]  # advanced in place
-    return set(lanes)
+    return lanes
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 50])
@@ -141,39 +147,56 @@ def test_draw_u64s_steps_each_stream_as_the_scalar_loop(k, count):
     check_draw_u64s(k, count)
 
 
-def long_from(k):
-    """The fewest words per stream for which a draw of k streams takes long
-    lanes: count * jump(k) >= _LONG_FROM * step(k), the fitted costs."""
-    jump, step = _JUMP_US[0] + _JUMP_US[1] * k, _STEP_US[0] + _STEP_US[1] * k
-    return math.ceil(_LONG_FROM * step / jump)
-
-
-def counts_around_long_from(k):
-    """Words per stream lane * j - 1 and lane * j + 1, for each lane length and
-    for the last j whose draw of k streams stays below long_from(k) words per
-    stream and the first j whose draw reaches it: four short-lane counts, then
-    four long-lane ones."""
-    edge = long_from(k)
-    lanes = (_SHORT_LANE, _LONG_LANE)
-    below = [lane * ((edge - 2) // lane) + d for lane in lanes for d in (-1, 1)]
-    above = [lane * -(-(edge + 1) // lane) + d for lane in lanes for d in (-1, 1)]
-    return below + above
-
-
 def test_lane_rule_takes_short_lanes_for_many_short_streams():
-    # eval-classify's 50 split streams of 1,136 and 1,957 words step short
-    # lanes; one stream of 48,516 words (an SBM pair block) steps long ones
-    assert long_from(50) > 1957 and long_from(1) < 48516
+    # eval-classify's 50 split streams of 1,136 and 1,957 words step short lanes
     assert check_draw_u64s(50, 1136) == {_SHORT_LANE}
+    assert check_draw_u64s(50, 1957) == {_SHORT_LANE}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("count", [_LONG_FROM - 1, _LONG_FROM, _LONG_FROM + 1])
+def test_draw_u64s_takes_long_lanes_from_long_from_words(k, count):
+    assert check_draw_u64s(k, count) == {_LONG_LANE if count >= _LONG_FROM else _SHORT_LANE}
+
+
+# words per stream lane * j - 1 and lane * j + 1, for each lane length and for
+# the last j below _LONG_FROM and the first j above it: four short-lane
+# counts, then four long-lane ones, for any number of streams
+LANE_EDGE_COUNTS = [lane * (_LONG_FROM // lane + j) + d for j in (-1, 1)
+                    for lane in (_SHORT_LANE, _LONG_LANE) for d in (-1, 1)]
 
 
 @pytest.mark.parametrize("k", [1, 3, 50])
 @pytest.mark.parametrize("at", range(8))
 def test_draw_u64s_at_lane_edges_on_both_sides_of_long_from(k, at):
-    count = counts_around_long_from(k)[at]
-    long_lanes = at >= 4
-    assert (count >= long_from(k)) == long_lanes
-    assert check_draw_u64s(k, count) == {_LONG_LANE if long_lanes else _SHORT_LANE}
+    count = LANE_EDGE_COUNTS[at]
+    if k == 50:  # not 1.6M scalar steps: each row against its one-stream draw, checked at k = 1
+        states, ones = streams(count, np.arange(k)), [streams(count, [i]) for i in range(k)]
+        got, lanes = draw_lanes(states, count)
+        assert got.tolist() == np.vstack([draw_u64s(one, count) for one in ones]).tolist()
+        assert states.tolist() == np.vstack(ones).tolist()  # advanced in place
+    else:
+        lanes = check_draw_u64s(k, count)
+    assert lanes == {_LONG_LANE if at >= 4 else _SHORT_LANE}
+
+
+# Every draw shape (streams, words per stream) that synth and the pipeline
+# stages of the wide-features and er-negatives benchmark workloads make, at
+# seed 0, with the lanes it steps (none: the draw fits in one lane).
+# eval-classify's split draws are test_lane_rule_takes_short_lanes_for_many_short_streams.
+WORKLOAD_DRAWS = [
+    (1, 8, set()), (1, 22, set()), (5, 3, set()), (9, 2, set()), (10, 1, set()),
+    (13, 2, set()), (19, 3, set()),  # per-node-k shortfalls, k-means++ and run seeds
+    (1, 2713, {_SHORT_LANE}),  # an Erdos-Renyi chunk
+    (1, 3000, {_SHORT_LANE}),  # a per-node-k pool
+    *[(1, count, {_LONG_LANE}) for count in (48628, 106284, 131072)],  # SBM pair blocks
+    (1, 76800, {_LONG_LANE}), (1, 512000, {_LONG_LANE}),  # SBM features
+]
+
+
+@pytest.mark.parametrize("k, count, lanes", WORKLOAD_DRAWS)
+def test_benchmark_workload_draws_keep_their_lane_length(k, count, lanes):
+    assert draw_lanes(streams(count, np.arange(k)), count)[1] == lanes
 
 
 @PROPERTY
@@ -299,6 +322,25 @@ def test_shuffle_with_shuffles_each_row_as_the_scalar_loop(size, n_rows):
         want = list(range(size))
         loop_shuffle(ScalarXoshiro(size, k), want)
         assert row == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 300])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40])
+def test_bernoulli_pairs_match_one_draw_per_pair(n, block):
+    # blocks of 1, 7 and 300 pairs end inside rows, at row ends and after the last pair
+    def prob(i, j):
+        return (i + 2 * j) % 5 / 4  # 0, 1/4, ..., 1
+
+    bulk, scalar, sizes = Xoshiro256StarStar(n), ScalarXoshiro(n), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_PAIR_BLOCK", block)
+        got = bulk.bernoulli_pairs(n, lambda i, j: sizes.append(i.size) or prob(i, j))
+    want = [[i, j] for i in range(n) for j in range(i + 1, n) if scalar.random() < prob(i, j)]
+    assert got.dtype == np.int64 and got.shape == (len(want), 2)
+    assert got.tolist() == want
+    assert bulk.state.tolist() == [scalar.state]  # one word per pair
+    total = n * (n - 1) // 2
+    assert sizes == [block] * (total // block) + ([total % block] if total % block else [])
 
 
 # -- the rng boundary -------------------------------------------------------------

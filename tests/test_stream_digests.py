@@ -4,8 +4,8 @@ The SHA-256 pins were computed with the scalar draw loops, before draws were
 batched. Any change to what a seed produces (SBM edges and features,
 negative graphs, splits) fails here and has to be made deliberately. The
 sizes are large enough that every draw runs through the bulk paths. A draw
-of one stream steps 512-output lanes from about 29k words (rng.draw_u64s'
-lane rule), a smaller one 64-output lanes: the SBM pair draw (101k words)
+steps 512-output lanes from 32,768 words per stream (rng.draw_u64s' lane
+rule), a smaller one 64-output lanes: the SBM pair draw (101k words)
 and the split draw (60k) take long lanes; the SBM features (18k), the
 per-node-k pool (9k) and its shortfall draw, the Erdos-Renyi chunks (4-5k)
 and the k-means blobs take short ones, and the k-means++ seeds fit in one
