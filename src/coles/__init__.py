@@ -7,7 +7,29 @@ the signed trace objective is read off the top eigenvectors of a small
 quadratic form. Companion modules cover the contrastive-loss family,
 JS-vs-Wasserstein score diagnostics, homophily indices and the downstream
 classification/clustering protocol.
+
+A process that imports coles before numpy loads numpy's OpenBLAS with one
+thread: OpenBLAS reads OPENBLAS_NUM_THREADS once, when it is loaded, so the
+variable is 1 for that load and the caller's value (or its absence) is back
+right after. At coles' widths a second BLAS thread costs more start-up time,
+memory and spin than it saves, and one thread makes every output byte the
+same for any thread count the caller asks for. A process that loaded numpy
+first keeps the pool it chose.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    _threads = _os.environ.get("OPENBLAS_NUM_THREADS")
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        if _threads is None:
+            del _os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            _os.environ["OPENBLAS_NUM_THREADS"] = _threads
 
 from .coles_solver import (ColesConfig, EmbeddingResult, build_quadratic_form,
                            coles_objective, hash_features, solve_linear_coles,

@@ -13,15 +13,22 @@ so no command loads scipy.optimize. Each command runs here in a fresh
 interpreter on a toy fixture and reports which scipy modules are in
 sys.modules, and on Linux which OpenBLAS libraries the process maps, when
 it returns.
+
+`import coles` loads numpy's OpenBLAS with one thread when numpy is not yet
+loaded, and leaves OPENBLAS_NUM_THREADS as it found it. So a fresh `embed`
+writes the same bytes whatever thread count the caller sets, while a process
+that imported numpy first keeps its own pool.
 """
 
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coles
@@ -68,13 +75,23 @@ EXPECTED = {
 }
 
 
+def fresh_env(threads=None):
+    """The environment of a fresh interpreter that imports this coles, with
+    OPENBLAS_NUM_THREADS set to threads (None: unset)."""
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "COLES_LOG": "error"}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return env
+
+
 def probe(tmp, name, *argv):
     """What PROBE found in a fresh interpreter that ran argv."""
     result = tmp / f"{name}.json"
-    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "COLES_LOG": "error"}
     proc = subprocess.run([sys.executable, "-c", PROBE, str(result), *map(str, argv)],
-                          env=env, cwd=tmp, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), cwd=tmp, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     found = json.loads(result.read_text(encoding="utf-8"))
     assert found.get("rc", 0) == 0, proc.stderr
@@ -125,3 +142,74 @@ def test_command_maps_one_openblas(loads, command):
     if len(mapped["import coles"]) != 1:
         pytest.skip(f"numpy maps {len(mapped['import coles'])} OpenBLAS libraries, not one")
     assert mapped[command] == mapped["import coles"]
+
+
+def numpy_blas_is_openblas():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+needs_openblas = pytest.mark.skipif(not numpy_blas_is_openblas(),
+                                    reason="numpy's BLAS is not OpenBLAS")
+needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                     reason="no /proc/self/task to count threads in")
+
+# argv[1] is "numpy" to import numpy before coles; prints the variable after
+# the imports and the process's thread count after one threaded product
+THREADS = """import json, os, sys
+if sys.argv[1] == "numpy":
+    import numpy
+import coles
+import numpy as np
+after = os.environ.get("OPENBLAS_NUM_THREADS")
+a = np.arange(256.0 * 256).reshape(256, 256)
+a @ a
+print(json.dumps({"after": after, "threads": len(os.listdir("/proc/self/task"))}))
+"""
+
+
+def threads_after(first, threads):
+    proc = subprocess.run([sys.executable, "-c", THREADS, first], env=fresh_env(threads),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@needs_openblas
+@needs_task_list
+def test_import_coles_loads_one_blas_thread_and_restores_the_variable():
+    assert threads_after("coles", 2) == {"after": "2", "threads": 1}
+    assert threads_after("coles", None) == {"after": None, "threads": 1}
+
+
+@needs_openblas
+@needs_task_list
+def test_numpy_imported_first_keeps_its_blas_threads():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 CPUs for OpenBLAS to use")
+    assert threads_after("numpy", 2) == {"after": "2", "threads": 2}
+
+
+@needs_openblas
+def test_embed_writes_the_same_bytes_for_any_blas_thread_count(tmp_path):
+    def cli(cwd, threads, *argv):
+        cwd.mkdir(exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "coles.cli", *map(str, argv)],
+                              env=fresh_env(threads), cwd=cwd, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return cwd
+
+    data = cli(tmp_path / "data", None, "synth", "--out", ".", "--classes", 2,
+               "--per-block", 200, "--p-in", 0.1, "--p-out", 0.01, "--feat-dim", 256,
+               "--seed", 3)
+    written = {}
+    for threads in (1, 2, 4):  # same relative --out, so the echoed config is the same too
+        out = cli(tmp_path / f"threads{threads}", threads, "embed", "--edges",
+                  data / "edges.txt", "--features", data / "features.csv", "--out", "emb",
+                  "--dim", 8, "--kappa", 2, "--seed", 3) / "emb"
+        meta = re.sub(rb'"wall_clock_sec": [^,\n}]*', b'"wall_clock_sec": null',
+                      (out / "embedding_meta.json").read_bytes())
+        written[threads] = ((out / "embeddings.clsm").read_bytes(), meta)
+    assert written[2] == written[1]
+    assert written[4] == written[1]
